@@ -7,7 +7,7 @@ arithmetic.  See :mod:`toda2.registry` for the catalogue of named checks and
 :mod:`toda2.cli` for the command-line runner.
 """
 
-from .ring import Scalar, ScalarFraction, VarRegistry, DEFAULT_REGISTRY
+from .ring import Scalar, ScalarFraction
 from .weyl import Lattice, WeylOp
 from .matops import OpMatrix
 from .poisson import Chart, PoissonElem, make_chart, build_classical

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .matops import OpMatrix
 from .poisson import Chart, PoissonElem, make_chart
-from .ring import DEFAULT_REGISTRY, Scalar, ScalarFraction, VarRegistry
+from .ring import Scalar, ScalarFraction
 
 __all__ = ["ClassicalModel", "build_model", "build_structure", "swap_two_leg",
            "bracket_matrix", "big_lax", "local_lax", "classical_monodromy"]
@@ -20,24 +20,23 @@ __all__ = ["ClassicalModel", "build_model", "build_structure", "swap_two_leg",
 class ClassicalModel:
     """Chart plus both Lax presentations at chain length N."""
 
-    def __init__(self, N: int, registry: VarRegistry = DEFAULT_REGISTRY):
+    def __init__(self, N: int):
         if N < 2:
             raise ValueError("the chain needs at least two sites")
         self.N = N
-        self.registry = registry
-        self.chart = make_chart("qp", N, periodic=True, registry=registry)
+        self.chart = make_chart("qp", N, periodic=True)
         self.L = big_lax(self.chart, "mu")
         self.T = classical_monodromy(self.chart, "lam")
 
 
-def build_model(N: int, registry: VarRegistry = DEFAULT_REGISTRY) -> ClassicalModel:
-    return ClassicalModel(N, registry)
+def build_model(N: int) -> ClassicalModel:
+    return ClassicalModel(N)
 
 
 def big_lax(chart: Chart, mu_name: str = "mu") -> OpMatrix:
     """Tridiagonal Lax matrix with mu^(-+1) corners; diagonal -P_n."""
     N = chart.size
-    mu = chart.from_scalar(Scalar.var(mu_name, registry=chart.registry))
+    mu = chart.from_scalar(Scalar.var(mu_name))
     zero = chart.zero()
     m = [[zero for _ in range(N)] for _ in range(N)]
     for n in range(1, N + 1):
@@ -53,7 +52,7 @@ def big_lax(chart: Chart, mu_name: str = "mu") -> OpMatrix:
 
 
 def local_lax(chart: Chart, n: int, lam_name: str = "lam") -> OpMatrix:
-    lam = chart.from_scalar(Scalar.var(lam_name, registry=chart.registry))
+    lam = chart.from_scalar(Scalar.var(lam_name))
     return OpMatrix([
         [lam - chart.gen(f"P{n}"), -chart.const(1)],
         [chart.gen(f"Q{n}") ** 2, chart.zero()],
@@ -71,11 +70,10 @@ def classical_monodromy(chart: Chart, lam_name: str = "lam") -> OpMatrix:
 def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2") -> OpMatrix:
     """N^2 x N^2 structure matrices; r-type carry the denominator mu1 - mu2."""
     N = chart.size
-    reg = chart.registry
-    m1 = Scalar.var(mu1, registry=reg)
-    m2 = Scalar.var(mu2, registry=reg)
-    zero = Scalar.zero(reg)
-    half = Scalar.const("1/2", reg)
+    m1 = Scalar.var(mu1)
+    m2 = Scalar.var(mu2)
+    zero = Scalar.zero()
+    half = Scalar.const("1/2")
 
     def at(mat, a, c, b, d, val):
         mat[(a - 1) * N + (c - 1)][(b - 1) * N + (d - 1)] = \
@@ -187,14 +185,12 @@ def _trace_power(L: OpMatrix, n: int):
     return M.trace()
 
 
-def check_classical(check_id: str, N: int = 3,
-                    registry: VarRegistry = DEFAULT_REGISTRY,
-                    mutate: bool = False):
+def check_classical(check_id: str, N: int = 3, mutate: bool = False):
     """Integrability checks for the N x N presentation; N = 2 runs everywhere
     but is labelled degenerate (periodic deltas collapse)."""
     from .reports import report_from_residuals
 
-    chart = make_chart("qp", N, periodic=True, registry=registry)
+    chart = make_chart("qp", N, periodic=True)
     run_params = {"N": N}
     degenerate = N < 3
 
@@ -247,9 +243,9 @@ def check_classical(check_id: str, N: int = 3,
                                      items, degenerate)
 
     if check_id in ("curve_NxN", "pN_equals_trT", "curve_2x2"):
-        lam = chart.from_scalar(Scalar.var("lam", registry=registry))
-        mu = chart.from_scalar(Scalar.var("mu", registry=registry))
-        mu_inv = chart.from_scalar(Scalar.var("mu", registry=registry).monomial_inverse())
+        lam = chart.from_scalar(Scalar.var("lam"))
+        mu = chart.from_scalar(Scalar.var("mu"))
+        mu_inv = chart.from_scalar(Scalar.var("mu").monomial_inverse())
         prod_q = chart.const(1)
         for a in range(1, N + 1):
             prod_q = prod_q * chart.gen(f"Q{a}")
@@ -273,7 +269,7 @@ def check_classical(check_id: str, N: int = 3,
         if check_id == "curve_NxN":
             # mu-freeness through a fresh spectral variable: unreduced
             # fractions make an exponent scan unreliable
-            nu = Scalar.var("nu", registry=registry)
+            nu = Scalar.var("nu")
             pN_nu = PoissonElem(chart, ScalarFraction(
                 pN.value.num.substitute({"mu": nu}), pN.value.den.substitute({"mu": nu})))
             return report_from_residuals(check_id, run_params, _CANCHORS[check_id],

@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--json", metavar="PATH", default=None,
                        help="write the JSON report to this path")
     p_ver.add_argument("--seed", type=int, default=0, metavar="S",
-                       help="seed recorded in the report (reserved for sampled checks)")
+                       help="label copied into every row's params; no check reads it")
     p_ver.add_argument("--timings", action="store_true",
                        help="include wall-clock timings in the JSON report "
                             "(off by default: reports stay byte-identical)")
@@ -53,8 +53,7 @@ def main(argv=None) -> int:
     if ids == ["all"]:
         ids = sorted(REGISTRY)
     try:
-        cfg = RunConfig(sites=args.sites, trunc=args.trunc,
-                        max_terms=args.max_terms, seed=args.seed)
+        cfg = RunConfig(sites=args.sites, trunc=args.trunc, max_terms=args.max_terms)
         reports = run_checks(ids, cfg)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,9 +46,6 @@ class OpMatrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _den_or_one(self) -> Scalar | None:
-        return self.den
-
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
         return self.mul(other)
 
@@ -205,8 +202,8 @@ def _as_fraction(x):
 
 def _one_fraction(sample):
     if isinstance(sample, ScalarFraction):
-        return ScalarFraction(Scalar.const(1, sample.num.registry))
-    return Scalar.const(1, sample.registry)
+        return ScalarFraction(Scalar.const(1))
+    return Scalar.const(1)
 
 
 def _det(entries):

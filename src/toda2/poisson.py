@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .ring import DEFAULT_REGISTRY, Scalar, ScalarFraction, VarRegistry
+from .ring import Scalar, ScalarFraction, var_index
 from .ring import _key_mul  # sparse exponent-vector merge
 
 __all__ = ["Chart", "PoissonElem", "make_chart", "build_classical"]
@@ -42,26 +42,24 @@ _R_MINUS = [
 class Chart:
     """Generators plus a frozen antisymmetric bracket table."""
 
-    def __init__(self, kind: str, size: int, periodic: bool,
-                 registry: VarRegistry = DEFAULT_REGISTRY):
+    def __init__(self, kind: str, size: int, periodic: bool):
         self.kind = kind
         self.size = size
         self.periodic = periodic
-        self.registry = registry
         self.gen_names: list[str] = []
         self._gen_index: dict[str, int] = {}
         self._gen_indices: set[int] = set()
         self._table: dict[tuple[int, int], Scalar] = {}
 
     def _add_gen(self, name: str) -> int:
-        idx = self.registry.add(name)
+        idx = var_index(name)
         self.gen_names.append(name)
         self._gen_index[name] = idx
         self._gen_indices.add(idx)
         return idx
 
     def _set_bracket(self, g1: str, g2: str, value: Scalar) -> None:
-        i, j = self.registry.index(g1), self.registry.index(g2)
+        i, j = var_index(g1), var_index(g2)
         if i == j:
             raise ValueError("diagonal bracket entries are identically zero")
         if i > j:
@@ -70,7 +68,7 @@ class Chart:
             self._table[(i, j)] = value
 
     def table(self, i: int, j: int) -> Scalar | None:
-        """Bracket of two generator variables by registry index (None if zero)."""
+        """Bracket of two generator variables by variable index (None if zero)."""
         if i == j:
             return None
         if i < j:
@@ -78,31 +76,28 @@ class Chart:
         v = self._table.get((j, i))
         return None if v is None else -v
 
-    def is_generator(self, idx: int) -> bool:
-        return idx in self._gen_indices
-
     # -- element constructors ------------------------------------------------
 
     def gen(self, name: str, power: int = 1) -> "PoissonElem":
         if name not in self._gen_index:
             raise KeyError(f"{name!r} is not a generator of this chart")
-        return PoissonElem(self, ScalarFraction(Scalar.var(name, power, registry=self.registry)))
+        return PoissonElem(self, ScalarFraction(Scalar.var(name, power)))
 
     def const(self, value) -> "PoissonElem":
-        return PoissonElem(self, ScalarFraction(Scalar.const(value, self.registry)))
+        return PoissonElem(self, ScalarFraction(Scalar.const(value)))
 
     def from_scalar(self, s: Scalar) -> "PoissonElem":
         return PoissonElem(self, ScalarFraction(s))
 
     def zero(self) -> "PoissonElem":
-        return PoissonElem(self, ScalarFraction(Scalar.zero(self.registry)))
+        return PoissonElem(self, ScalarFraction(Scalar.zero()))
 
     # -- the bracket ----------------------------------------------------------
 
     def poly_bracket(self, p: Scalar, q: Scalar) -> Scalar:
         """Bracket of two Laurent polynomials via the Leibniz monomial rule."""
         gens = self._gen_indices
-        out = Scalar.zero(self.registry)
+        out = Scalar.zero()
         for k1, c1 in p.terms.items():
             e1 = [(v, e) for v, e in k1 if v in gens]
             if not e1:
@@ -119,7 +114,7 @@ class Chart:
                             continue
                         key = _key_mul(base, ((vi, -1),))
                         key = _key_mul(key, ((vj, -1),))
-                        mono = Scalar({key: c1 * c2 * ei * ej}, self.registry)
+                        mono = Scalar({key: c1 * c2 * ei * ej})
                         out = out + mono * t
         return out
 
@@ -231,31 +226,30 @@ class PoissonElem:
         return f"PoissonElem({self.to_text()})"
 
 
-def make_chart(kind: str, size: int, periodic: bool = False,
-               registry: VarRegistry = DEFAULT_REGISTRY) -> Chart:
+def make_chart(kind: str, size: int, periodic: bool = False) -> Chart:
     if size < 2:
         raise ValueError("charts need at least two sites")
     if kind == "exlat":
         if periodic:
             raise ValueError("the exchange-doublet chart is defined on open chains")
-        return _make_exlat(size, registry)
+        return _make_exlat(size)
     if kind == "qp":
-        return _make_qp(size, periodic, registry)
+        return _make_qp(size, periodic)
     if kind == "darboux":
         if periodic:
             raise ValueError("the canonical-pair chart is defined on open chains")
-        return _make_darboux(size, registry)
+        return _make_darboux(size)
     raise ValueError(f"unknown chart kind {kind!r}")
 
 
-def _make_exlat(size: int, registry: VarRegistry) -> Chart:
-    chart = Chart("exlat", size, False, registry)
+def _make_exlat(size: int) -> Chart:
+    chart = Chart("exlat", size, False)
     for n in range(1, size + 1):
         chart._add_gen(f"xi1_{n}")
         chart._add_gen(f"xi2_{n}")
 
     def xi(n: int, comp: int) -> Scalar:
-        return Scalar.var(f"xi{comp}_{n}", registry=registry)
+        return Scalar.var(f"xi{comp}_{n}")
 
     for n in range(1, size + 1):
         for m in range(1, n + 1):
@@ -269,18 +263,18 @@ def _make_exlat(size: int, registry: VarRegistry) -> Chart:
                     if n == m and a >= b:
                         continue  # store upper pairs only; diagonal is zero
                     col = 2 * (a - 1) + (b - 1)
-                    val = Scalar.zero(registry)
+                    val = Scalar.zero()
                     for ap in (1, 2):
                         for bp in (1, 2):
                             coeff = struct[2 * (ap - 1) + (bp - 1)][col]
                             if coeff:
-                                val = val + Scalar.const(coeff, registry) * xi(n, ap) * xi(m, bp)
+                                val = val + Scalar.const(coeff) * xi(n, ap) * xi(m, bp)
                     chart._set_bracket(f"xi{a}_{n}", f"xi{b}_{m}", val)
     return chart
 
 
-def _make_qp(size: int, periodic: bool, registry: VarRegistry) -> Chart:
-    chart = Chart("qp", size, periodic, registry)
+def _make_qp(size: int, periodic: bool) -> Chart:
+    chart = Chart("qp", size, periodic)
     for n in range(1, size + 1):
         chart._add_gen(f"Q{n}")
         chart._add_gen(f"P{n}")
@@ -291,37 +285,36 @@ def _make_qp(size: int, periodic: bool, registry: VarRegistry) -> Chart:
         return 1 if a == b else 0
 
     def Q(n: int) -> Scalar:
-        return Scalar.var(f"Q{n}", registry=registry)
+        return Scalar.var(f"Q{n}")
 
     def P(n: int) -> Scalar:
-        return Scalar.var(f"P{n}", registry=registry)
+        return Scalar.var(f"P{n}")
 
     rng = range(1, size + 1)
     for n in rng:
         for m in rng:
             cqq = delta(n + 1, m) - delta(n, m + 1)
             if cqq and n < m:
-                chart._set_bracket(f"Q{n}", f"Q{m}", Scalar.const(cqq, registry) * Q(n) * Q(m))
+                chart._set_bracket(f"Q{n}", f"Q{m}", Scalar.const(cqq) * Q(n) * Q(m))
             cqp = -2 * (delta(n, m) - delta(n + 1, m))
             if cqp:
-                chart._set_bracket(f"Q{n}", f"P{m}", Scalar.const(cqp, registry) * Q(n) * P(m))
+                chart._set_bracket(f"Q{n}", f"P{m}", Scalar.const(cqp) * Q(n) * P(m))
             if n < m:
-                val = (Scalar.const(-4 * delta(n, m + 1), registry) * Q(m) * Q(m)
-                       + Scalar.const(4 * delta(n + 1, m), registry) * Q(n) * Q(n))
+                val = (Scalar.const(-4 * delta(n, m + 1)) * Q(m) * Q(m)
+                       + Scalar.const(4 * delta(n + 1, m)) * Q(n) * Q(n))
                 if not val.is_zero():
                     chart._set_bracket(f"P{n}", f"P{m}", val)
     return chart
 
 
-def _make_darboux(size: int, registry: VarRegistry) -> Chart:
-    chart = Chart("darboux", size, False, registry)
+def _make_darboux(size: int) -> Chart:
+    chart = Chart("darboux", size, False)
     for n in range(1, size + 1):
         chart._add_gen(f"g{n}")
         chart._add_gen(f"h{n}")
     for n in range(1, size + 1):
         chart._set_bracket(f"g{n}", f"h{n}",
-                           Scalar.var(f"g{n}", registry=registry)
-                           * Scalar.var(f"h{n}", registry=registry))
+                           Scalar.var(f"g{n}") * Scalar.var(f"h{n}"))
     return chart
 
 
@@ -543,9 +536,7 @@ def residuals_jacobi(chart: Chart) -> list[tuple[str, PoissonElem]]:
 # -- named checks ----------------------------------------------------------------
 
 
-def check_bracket_identity(check_id: str, size: int = 8,
-                           registry: VarRegistry = DEFAULT_REGISTRY,
-                           mutate: bool = False):
+def check_bracket_identity(check_id: str, size: int = 8, mutate: bool = False):
     """Run one classical bracket suite and summarise it as a CheckReport.
 
     ``mutate`` deliberately corrupts the identity under test (a flipped
@@ -557,7 +548,7 @@ def check_bracket_identity(check_id: str, size: int = 8,
     if check_id in ("w1w1", "w1w2", "w2w2", "virlat", "qq", "qp", "pp"):
         if size < 8:
             raise ValueError("the open-chain suites need at least 8 sites")
-        chart = make_chart("exlat", size, registry=registry)
+        chart = make_chart("exlat", size)
         if check_id == "w1w1":
             items = residuals_w1w1(chart, range(2, size - 1))
             if mutate:
@@ -578,13 +569,13 @@ def check_bracket_identity(check_id: str, size: int = 8,
         return report_from_residuals(check_id, params, _ANCHORS[check_id], items)
 
     if check_id == "exlat_from_darboux":
-        chart = make_chart("darboux", min(size, 6), registry=registry)
+        chart = make_chart("darboux", min(size, 6))
         items = residuals_exlat_from_darboux(chart)
         return report_from_residuals(check_id, {"size": chart.size},
                                      _ANCHORS[check_id], items)
 
     if check_id == "qp_from_rep":
-        chart = make_chart("darboux", min(size, 6), registry=registry)
+        chart = make_chart("darboux", min(size, 6))
         q2of = lambda k: build_classical("repQ2", k, chart)
         pof = lambda k: build_classical("repP", k, chart)
         items = []
@@ -598,7 +589,7 @@ def check_bracket_identity(check_id: str, size: int = 8,
         items = []
         for kind, n, per in (("exlat", 4, False), ("qp", 3, True),
                              ("qp", 2, True), ("darboux", 4, False)):
-            chart = make_chart(kind, n, per, registry=registry)
+            chart = make_chart(kind, n, per)
             items += [(f"{kind}/N={n}{lab}", r) for lab, r in residuals_jacobi(chart)]
         return report_from_residuals(check_id, {"charts": "exlat,qp,darboux"},
                                      _ANCHORS[check_id], items)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .matops import OpMatrix, embed_two_leg, tensor_embed
 from .reports import CheckReport, report_from_residuals
-from .ring import DEFAULT_REGISTRY, Scalar, ScalarFraction, VarRegistry
+from .ring import Scalar, ScalarFraction
 from .weyl import Lattice, WeylOp
 
 __all__ = [
@@ -29,12 +29,12 @@ __all__ = [
 ]
 
 
-def _s(k: int = 1, registry: VarRegistry = DEFAULT_REGISTRY) -> Scalar:
-    return Scalar.var("s", k, registry=registry)
+def _s(k: int = 1) -> Scalar:
+    return Scalar.var("s", k)
 
 
-def _c(v, registry: VarRegistry = DEFAULT_REGISTRY) -> Scalar:
-    return Scalar.const(v, registry)
+def _c(v) -> Scalar:
+    return Scalar.const(v)
 
 
 @dataclass(frozen=True)
@@ -47,54 +47,45 @@ class ModelParams:
     preset: str = "generic"
 
     @classmethod
-    def generic(cls, registry: VarRegistry = DEFAULT_REGISTRY) -> "ModelParams":
-        return cls(Scalar.var("d1", registry=registry),
-                   Scalar.var("d2", registry=registry),
-                   Scalar.var("d3", registry=registry))
+    def generic(cls) -> "ModelParams":
+        return cls(Scalar.var("d1"), Scalar.var("d2"), Scalar.var("d3"))
 
     @classmethod
-    def q_toda(cls, registry: VarRegistry = DEFAULT_REGISTRY) -> "ModelParams":
-        return cls(Scalar.var("d1", registry=registry),
-                   Scalar.zero(registry), Scalar.zero(registry), "qToda")
+    def q_toda(cls) -> "ModelParams":
+        return cls(Scalar.var("d1"), Scalar.zero(), Scalar.zero(), "qToda")
 
     @classmethod
-    def toda2(cls, registry: VarRegistry = DEFAULT_REGISTRY) -> "ModelParams":
-        return cls(Scalar.zero(registry),
-                   Scalar.var("d2", registry=registry),
-                   Scalar.zero(registry), "Toda2")
+    def toda2(cls) -> "ModelParams":
+        return cls(Scalar.zero(), Scalar.var("d2"), Scalar.zero(), "Toda2")
 
     @classmethod
-    def q_osc(cls, registry: VarRegistry = DEFAULT_REGISTRY) -> "ModelParams":
-        return cls(-_s(-2, registry), _c(1, registry), Scalar.zero(registry), "qOsc")
-
-    def with_d1(self, d1: Scalar) -> "ModelParams":
-        return ModelParams(d1, self.d2, self.d3, self.preset)
+    def q_osc(cls) -> "ModelParams":
+        return cls(-_s(-2), _c(1), Scalar.zero(), "qOsc")
 
 
-def theta_q(n: int, registry: VarRegistry = DEFAULT_REGISTRY) -> ScalarFraction:
+def theta_q(n: int) -> ScalarFraction:
     """q-deformed step function: 0 / 1 off zero, 1/(q^(1/2)+q^(-1/2)) at zero."""
     if n < 0:
-        return ScalarFraction(Scalar.zero(registry))
+        return ScalarFraction(Scalar.zero())
     if n > 0:
-        return ScalarFraction(_c(1, registry))
-    return ScalarFraction(_c(1, registry), _s(1, registry) + _s(-1, registry))
+        return ScalarFraction(_c(1))
+    return ScalarFraction(_c(1), _s(1) + _s(-1))
 
 
 # -- auxiliary-space structure matrices ------------------------------------------
 
 
-def build_aux(kind: str, lam1: Scalar | None = None, lam2: Scalar | None = None,
-              registry: VarRegistry = DEFAULT_REGISTRY) -> OpMatrix:
+def build_aux(kind: str, lam1: Scalar | None = None, lam2: Scalar | None = None) -> OpMatrix:
     """4x4 structure matrices on the doubled auxiliary space.
 
     ``A`` and ``D`` (and the twisted R-matrix, which coincides with ``A``)
     carry the cleared denominator lam2*q^2 - lam1.
     """
-    l1 = lam1 if lam1 is not None else Scalar.var("lam1", registry=registry)
-    l2 = lam2 if lam2 is not None else Scalar.var("lam2", registry=registry)
-    one, zero = _c(1, registry), Scalar.zero(registry)
-    s = _s(1, registry)
-    q2 = _s(4, registry)
+    l1 = lam1 if lam1 is not None else Scalar.var("lam1")
+    l2 = lam2 if lam2 is not None else Scalar.var("lam2")
+    one, zero = _c(1), Scalar.zero()
+    s = _s(1)
+    q2 = _s(4)
 
     if kind in ("A", "Rtwisted"):
         den = l2 * q2 - l1
@@ -112,57 +103,56 @@ def build_aux(kind: str, lam1: Scalar | None = None, lam2: Scalar | None = None,
         return OpMatrix(m, den)
     if kind == "C":
         m = [[one, zero, zero, zero],
-             [zero, one, -(_s(3, registry) - _s(-1, registry)), zero],
+             [zero, one, -(_s(3) - _s(-1)), zero],
              [zero, zero, q2, zero],
              [zero, zero, l2 * (q2 - one), one]]
         return OpMatrix(m)
     if kind == "B":
         m = [[one, zero, zero, zero],
              [zero, q2, zero, zero],
-             [zero, -(_s(3, registry) - _s(-1, registry)), one, zero],
+             [zero, -(_s(3) - _s(-1)), one, zero],
              [zero, l1 * (q2 - one), zero, one]]
         return OpMatrix(m)
     if kind == "Rplus":
         m = [[s, zero, zero, zero],
-             [zero, _s(-1, registry), s - _s(-3, registry), zero],
-             [zero, zero, _s(-1, registry), zero],
+             [zero, _s(-1), s - _s(-3), zero],
+             [zero, zero, _s(-1), zero],
              [zero, zero, zero, s]]
         return OpMatrix(m)
     if kind == "Rminus":
-        p = permutation_matrix(registry)
-        rp_inv_q = build_aux("Rplus", registry=registry).map(
-            lambda x: x.substitute({"s": _s(-1, registry)}))
+        p = permutation_matrix()
+        rp_inv_q = build_aux("Rplus").map(
+            lambda x: x.substitute({"s": _s(-1)}))
         return p.mul(rp_inv_q).mul(p)
     raise ValueError(f"unknown auxiliary matrix kind {kind!r}")
 
 
-def permutation_matrix(registry: VarRegistry = DEFAULT_REGISTRY) -> OpMatrix:
-    one, zero = _c(1, registry), Scalar.zero(registry)
+def permutation_matrix() -> OpMatrix:
+    one, zero = _c(1), Scalar.zero()
     return OpMatrix([[one, zero, zero, zero],
                      [zero, zero, one, zero],
                      [zero, one, zero, zero],
                      [zero, zero, zero, one]])
 
 
-def q_sigma_z(power_of_q: int, registry: VarRegistry = DEFAULT_REGISTRY) -> OpMatrix:
+def q_sigma_z(power_of_q: int) -> OpMatrix:
     """diag(q^k, q^-k) for q^(k sigma^z); k integer keeps the ring integral."""
-    zero = Scalar.zero(registry)
-    return OpMatrix([[_s(2 * power_of_q, registry), zero],
-                     [zero, _s(-2 * power_of_q, registry)]])
+    zero = Scalar.zero()
+    return OpMatrix([[_s(2 * power_of_q), zero],
+                     [zero, _s(-2 * power_of_q)]])
 
 
 def build_scalar_aux(kind: str, lam: Scalar | None = None,
                      params: ModelParams | None = None,
-                     greek: tuple[Scalar, Scalar, Scalar, Scalar] | None = None,
-                     registry: VarRegistry = DEFAULT_REGISTRY) -> OpMatrix:
+                     greek: tuple[Scalar, Scalar, Scalar, Scalar] | None = None) -> OpMatrix:
     """2x2 numerical companion matrices on the auxiliary space."""
-    lam = lam if lam is not None else Scalar.var("lam", registry=registry)
-    one, zero = _c(1, registry), Scalar.zero(registry)
+    lam = lam if lam is not None else Scalar.var("lam")
+    one, zero = _c(1), Scalar.zero()
     if kind in ("M0", "Mtilde0"):
         if greek is None:
             raise ValueError("M0/Mtilde0 need the four free parameters")
         al, be, ga, de = greek
-        corner = _s(-1, registry) if kind == "M0" else _s(3, registry)
+        corner = _s(-1) if kind == "M0" else _s(3)
         if (ga - one).is_zero():
             raise ValueError("the gamma = 1 branch is excluded from this family")
         m = [[one, be * lam],
@@ -172,14 +162,14 @@ def build_scalar_aux(kind: str, lam: Scalar | None = None,
         raise ValueError("G0/Gtilde0 need model parameters")
     d1, d23 = params.d1, params.d2 * params.d3
     if kind == "G0":
-        m = [[one, _s(7, registry) * d23 * lam],
-             [(one - _s(4, registry)) * lam,
-              _s(-1, registry) + _s(5, registry) * d1 * lam + _s(7, registry) * d23 * lam * lam]]
+        m = [[one, _s(7) * d23 * lam],
+             [(one - _s(4)) * lam,
+              _s(-1) + _s(5) * d1 * lam + _s(7) * d23 * lam * lam]]
         return OpMatrix(m)
     if kind == "Gtilde0":
-        m = [[one, _s(-1, registry) * d23 * lam],
-             [(one - _s(4, registry)) * lam,
-              _s(-1, registry) + _s(1, registry) * d1 * lam + _s(-1, registry) * d23 * lam * lam]]
+        m = [[one, _s(-1) * d23 * lam],
+             [(one - _s(4)) * lam,
+              _s(-1) + _s(1) * d1 * lam + _s(-1) * d23 * lam * lam]]
         return OpMatrix(m)
     raise ValueError(f"unknown scalar matrix kind {kind!r}")
 
@@ -187,26 +177,24 @@ def build_scalar_aux(kind: str, lam: Scalar | None = None,
 # -- chain operators and Lax matrices --------------------------------------------
 
 
-def op_P(lattice: Lattice, n: int, registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
+def op_P(lattice: Lattice, n: int) -> WeylOp:
     """P_n = V_n^-1 + U_n U_{n+1}^-1."""
-    return (WeylOp.word(lattice, [(n, "V", -1)], registry=registry)
-            + WeylOp.word(lattice, [(n, "U", 1), (n + 1, "U", -1)], registry=registry))
+    return (WeylOp.word(lattice, [(n, "V", -1)])
+            + WeylOp.word(lattice, [(n, "U", 1), (n + 1, "U", -1)]))
 
 
-def op_Q2(lattice: Lattice, n: int, registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
+def op_Q2(lattice: Lattice, n: int) -> WeylOp:
     """Q_n^2 = q^(1/2) V_{n+1}^-1 U_n U_{n+1}^-1."""
-    return WeylOp.word(lattice, [(n + 1, "V", -1), (n, "U", 1), (n + 1, "U", -1)],
-                       coeff=_s(1, registry), registry=registry)
+    return WeylOp.word(lattice, [(n + 1, "V", -1), (n, "U", 1), (n + 1, "U", -1)], _s(1))
 
 
-def op_Q(lattice: Lattice, n: int, registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
+def op_Q(lattice: Lattice, n: int) -> WeylOp:
     """The square root of Q_n^2 (half-integer Weyl monomial)."""
     h = Fraction(1, 2)
-    return WeylOp.word(lattice, [(n + 1, "V", -h), (n, "U", h), (n + 1, "U", -h)],
-                       registry=registry)
+    return WeylOp.word(lattice, [(n + 1, "V", -h), (n, "U", h), (n + 1, "U", -h)])
 
 
-def _wrap(lattice: Lattice, entries, registry) -> OpMatrix:
+def _wrap(lattice: Lattice, entries) -> OpMatrix:
     """Promote a 2x2 nested list of WeylOps/Scalars to a WeylOp matrix."""
     out = []
     for row in entries:
@@ -215,114 +203,113 @@ def _wrap(lattice: Lattice, entries, registry) -> OpMatrix:
             if isinstance(x, WeylOp):
                 new.append(x)
             else:
-                new.append(WeylOp.scalar(x, lattice, registry))
+                new.append(WeylOp.scalar(x, lattice))
         out.append(new)
     return OpMatrix(out)
 
 
 def build_lax(kind: str, n: int, lam: Scalar | None = None,
               params: ModelParams | None = None,
-              lattice: Lattice | None = None,
-              registry: VarRegistry = DEFAULT_REGISTRY) -> OpMatrix:
+              lattice: Lattice | None = None) -> OpMatrix:
     """2x2 Lax and gauge matrices with Weyl-operator entries at site n."""
     if lattice is None:
         raise ValueError("a lattice is required")
-    lam = lam if lam is not None else Scalar.var("lam", registry=registry)
-    one = WeylOp.one(lattice, registry)
-    zero = WeylOp.zero(lattice, registry)
-    W = lambda factors, coeff=1: WeylOp.word(lattice, factors, coeff, registry)
+    lam = lam if lam is not None else Scalar.var("lam")
+    one = WeylOp.one(lattice)
+    zero = WeylOp.zero(lattice)
+    W = lambda factors, coeff=1: WeylOp.word(lattice, factors, coeff)
 
     if kind == "l":
         return _wrap(lattice, [
-            [WeylOp.scalar(lam, lattice, registry) - op_P(lattice, n, registry), -one],
-            [op_Q2(lattice, n, registry), zero]], registry)
+            [WeylOp.scalar(lam, lattice) - op_P(lattice, n), -one],
+            [op_Q2(lattice, n), zero]])
 
     if kind == "lhat":
         if params is None:
             raise ValueError("lhat needs model parameters")
-        return build_lax("l", n, lam, params, lattice, registry).mul(
-            build_scalar_aux("G0", lam, params, registry=registry).map(
-                lambda x: WeylOp.scalar(x, lattice, registry)))
+        return build_lax("l", n, lam, params, lattice).mul(
+            build_scalar_aux("G0", lam, params).map(
+                lambda x: WeylOp.scalar(x, lattice)))
 
     if kind == "lhat_display":
         # The dressed Lax matrix written out entrywise (gamma reabsorbed as q^2).
         if params is None:
             raise ValueError("lhat_display needs model parameters")
-        be = _s(7, registry) * params.d2 * params.d3
-        de = _s(5, registry) * params.d1
-        Pn, Q2n = op_P(lattice, n, registry), op_Q2(lattice, n, registry)
-        m = [[WeylOp.scalar(_s(4, registry) * lam, lattice, registry) - Pn,
-              WeylOp.scalar(-_s(-1, registry) - de * lam, lattice, registry) - Pn * (be * lam)],
+        be = _s(7) * params.d2 * params.d3
+        de = _s(5) * params.d1
+        Pn, Q2n = op_P(lattice, n), op_Q2(lattice, n)
+        m = [[WeylOp.scalar(_s(4) * lam, lattice) - Pn,
+              WeylOp.scalar(-_s(-1) - de * lam, lattice) - Pn * (be * lam)],
              [Q2n, Q2n * (be * lam)]]
         return OpMatrix(m)
 
     if kind == "scriptL" or kind == "scriptLtilde":
         if params is None:
             raise ValueError("scriptL needs model parameters")
-        d1 = params.d1 if kind == "scriptL" else _s(-4, registry) * params.d1
+        d1 = params.d1 if kind == "scriptL" else _s(-4) * params.d1
         d23 = params.d2 * params.d3
-        e12 = -(W([(n, "U", -1)], _s(3, registry) * lam)
-                + W([(n, "V", -1), (n, "U", -1)], _s(5, registry) * d1 * lam)
-                + W([(n, "V", -2), (n, "U", -1)], _s(7, registry) * d23 * lam))
-        m = [[WeylOp.scalar(_s(4, registry) * lam, lattice, registry) - W([(n, "V", -1)]),
+        e12 = -(W([(n, "U", -1)], _s(3) * lam)
+                + W([(n, "V", -1), (n, "U", -1)], _s(5) * d1 * lam)
+                + W([(n, "V", -2), (n, "U", -1)], _s(7) * d23 * lam))
+        m = [[WeylOp.scalar(_s(4) * lam, lattice) - W([(n, "V", -1)]),
               e12],
-             [W([(n, "U", 1)], _s(1, registry)),
-              -one + W([(n, "V", -1)], _s(4, registry) * d23 * lam)]]
-        return _wrap(lattice, m, registry)
+             [W([(n, "U", 1)], _s(1)),
+              -one + W([(n, "V", -1)], _s(4) * d23 * lam)]]
+        return _wrap(lattice, m)
 
     if kind == "Lloc":
         if params is None:
             raise ValueError("Lloc needs model parameters")
         d1, d2, d3 = params.d1, params.d2, params.d3
-        e12 = (W([(n, "U", -1)], _s(4, registry) * d2 * lam)
-               + W([(n, "V", -1), (n, "U", -1)], _s(6, registry) * d1 * lam)
-               + W([(n, "V", -2), (n, "U", -1)], _s(8, registry) * d3 * lam))
-        m = [[WeylOp.scalar(lam, lattice, registry) - W([(n, "V", -1)]), e12],
-             [W([(n, "U", 1)], -_s(-4, registry)),
-              WeylOp.scalar(-d2, lattice, registry) + W([(n, "V", -1)], d3 * lam)]]
-        return _wrap(lattice, m, registry)
+        e12 = (W([(n, "U", -1)], _s(4) * d2 * lam)
+               + W([(n, "V", -1), (n, "U", -1)], _s(6) * d1 * lam)
+               + W([(n, "V", -2), (n, "U", -1)], _s(8) * d3 * lam))
+        m = [[WeylOp.scalar(lam, lattice) - W([(n, "V", -1)]), e12],
+             [W([(n, "U", 1)], -_s(-4)),
+              WeylOp.scalar(-d2, lattice) + W([(n, "V", -1)], d3 * lam)]]
+        return _wrap(lattice, m)
 
     if kind == "Lqosc":
-        e12 = (W([(n, "U", -1)], _s(4, registry) * lam)
-               - W([(n, "V", -1), (n, "U", -1)], _s(4, registry) * lam))
-        m = [[WeylOp.scalar(lam, lattice, registry) - W([(n, "V", -1)]), e12],
-             [W([(n, "U", 1)], -_s(-4, registry)), -one]]
-        return _wrap(lattice, m, registry)
+        e12 = (W([(n, "U", -1)], _s(4) * lam)
+               - W([(n, "V", -1), (n, "U", -1)], _s(4) * lam))
+        m = [[WeylOp.scalar(lam, lattice) - W([(n, "V", -1)]), e12],
+             [W([(n, "U", 1)], -_s(-4)), -one]]
+        return _wrap(lattice, m)
 
     if kind == "gaugeN":
-        m = [[one, W([(n, "U", -1)], -_s(-1, registry))],
+        m = [[one, W([(n, "U", -1)], -_s(-1))],
              [zero, W([(n, "V", -1), (n, "U", -1)])]]
-        return _wrap(lattice, m, registry)
+        return _wrap(lattice, m)
 
     if kind == "gaugeNinv":
-        m = [[one, W([(n, "V", 1)], _s(-1, registry))],
+        m = [[one, W([(n, "V", 1)], _s(-1))],
              [zero, W([(n, "U", 1), (n, "V", 1)])]]
-        return _wrap(lattice, m, registry)
+        return _wrap(lattice, m)
 
     if kind == "gauge_l_display":
         # N_{n+1}^-1 l_n N_n, which is already ultralocal at site n.
-        e12 = (W([(n, "U", -1)], -_s(-1, registry) * lam)
-               + W([(n, "V", -1), (n, "U", -1)], _s(-1, registry) - _c(1, registry)))
-        m = [[WeylOp.scalar(lam, lattice, registry) - W([(n, "V", -1)]), e12],
-             [W([(n, "U", 1)], _s(1, registry)), -one]]
-        return _wrap(lattice, m, registry)
+        e12 = (W([(n, "U", -1)], -_s(-1) * lam)
+               + W([(n, "V", -1), (n, "U", -1)], _s(-1) - _c(1)))
+        m = [[WeylOp.scalar(lam, lattice) - W([(n, "V", -1)]), e12],
+             [W([(n, "U", 1)], _s(1)), -one]]
+        return _wrap(lattice, m)
 
     if kind == "gauge_G_display":
         # N_n^-1 G0 N_n with both long entries written out.
         if params is None:
             raise ValueError("gauge_G_display needs model parameters")
         d1, d23 = params.d1, params.d2 * params.d3
-        c12 = (_s(-2, registry) - _s(-1, registry) + _s(4, registry) * d1 * lam
-               + _s(6, registry) * d23 * lam * lam)
+        c12 = (_s(-2) - _s(-1) + _s(4) * d1 * lam
+               + _s(6) * d23 * lam * lam)
         e12 = (W([(n, "U", -1)], c12)
-               + W([(n, "V", -1), (n, "U", -1)], _s(7, registry) * d23 * lam)
-               - W([(n, "V", 1), (n, "U", -1)], (_s(-2, registry) - _s(2, registry)) * lam))
-        e22 = (WeylOp.scalar(_s(-1, registry) + _s(5, registry) * d1 * lam
-                             + _s(7, registry) * d23 * lam * lam, lattice, registry)
-               - W([(n, "V", 1)], (_s(3, registry) - _s(7, registry)) * lam))
-        m = [[one + W([(n, "V", 1)], (_s(-1, registry) - _s(3, registry)) * lam), e12],
-             [W([(n, "U", 1), (n, "V", 1)], (_c(1, registry) - _s(4, registry)) * lam), e22]]
-        return _wrap(lattice, m, registry)
+               + W([(n, "V", -1), (n, "U", -1)], _s(7) * d23 * lam)
+               - W([(n, "V", 1), (n, "U", -1)], (_s(-2) - _s(2)) * lam))
+        e22 = (WeylOp.scalar(_s(-1) + _s(5) * d1 * lam
+                             + _s(7) * d23 * lam * lam, lattice)
+               - W([(n, "V", 1)], (_s(3) - _s(7)) * lam))
+        m = [[one + W([(n, "V", 1)], (_s(-1) - _s(3)) * lam), e12],
+             [W([(n, "U", 1), (n, "V", 1)], (_c(1) - _s(4)) * lam), e22]]
+        return _wrap(lattice, m)
 
     raise ValueError(f"unknown Lax kind {kind!r}")
 
@@ -330,49 +317,45 @@ def build_lax(kind: str, n: int, lam: Scalar | None = None,
 # -- monodromy and transfer traces ------------------------------------------------
 
 
-def monodromy(N: int, lam: Scalar | None = None, params: ModelParams | None = None,
-              registry: VarRegistry = DEFAULT_REGISTRY) -> OpMatrix:
+def monodromy(N: int, lam: Scalar | None = None, params: ModelParams | None = None) -> OpMatrix:
     """Dressed product over the chain: hat-l at sites N..2, bare l at site 1."""
     lattice = Lattice(N, True)
-    lam = lam if lam is not None else Scalar.var("lam", registry=registry)
+    lam = lam if lam is not None else Scalar.var("lam")
     if params is None:
-        params = ModelParams.generic(registry)
+        params = ModelParams.generic()
     t = None
     for n in range(N, 1, -1):
-        f = build_lax("lhat", n, lam, params, lattice, registry)
+        f = build_lax("lhat", n, lam, params, lattice)
         t = f if t is None else t.mul(f)
-    l1 = build_lax("l", 1, lam, params, lattice, registry)
+    l1 = build_lax("l", 1, lam, params, lattice)
     return l1 if t is None else t.mul(l1)
 
 
 def transfer_trace(kind: str, N: int, lam: Scalar | None = None,
-                   params: ModelParams | None = None,
-                   registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
+                   params: ModelParams | None = None) -> WeylOp:
     """Generating functions of conserved quantities (polynomial in the spectral variable)."""
     lattice = Lattice(N, True)
-    lam = lam if lam is not None else Scalar.var("lam", registry=registry)
+    lam = lam if lam is not None else Scalar.var("lam")
     if params is None:
-        params = ModelParams.generic(registry)
+        params = ModelParams.generic()
     if kind == "tau":
-        t = monodromy(N, lam, params, registry)
-        close = build_scalar_aux("Gtilde0", lam, params, registry=registry).mul(
-            q_sigma_z(-1, registry))
-        prod = t.mul(close.map(lambda x: WeylOp.scalar(x, lattice, registry)))
+        t = monodromy(N, lam, params)
+        close = build_scalar_aux("Gtilde0", lam, params).mul(q_sigma_z(-1))
+        prod = t.mul(close.map(lambda x: WeylOp.scalar(x, lattice)))
         return prod.trace()
     if kind == "tloc":
         t = None
         for n in range(N, 0, -1):
-            f = build_lax("Lloc", n, lam, params, lattice, registry)
+            f = build_lax("Lloc", n, lam, params, lattice)
             t = f if t is None else t.mul(f)
         return t.trace()
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
-def hamiltonians(N: int, params: ModelParams | None = None,
-                 registry: VarRegistry = DEFAULT_REGISTRY) -> list[WeylOp]:
+def hamiltonians(N: int, params: ModelParams | None = None) -> list[WeylOp]:
     """Coefficients H_j of the ultralocal transfer trace, sign convention
     t_loc(lam) = sum_j (-1)^j lam^(N-j) H_j."""
-    t = transfer_trace("tloc", N, Scalar.var("lam", registry=registry), params, registry)
+    t = transfer_trace("tloc", N, Scalar.var("lam"), params)
     out = []
     for j in range(N + 1):
         h = t.coeff_of_var("lam", N - j)
@@ -382,20 +365,19 @@ def hamiltonians(N: int, params: ModelParams | None = None,
     return out
 
 
-def trq(power: int, N: int, registry: VarRegistry | None = None) -> WeylOp:
-    registry = registry or DEFAULT_REGISTRY
+def trq(power: int, N: int) -> WeylOp:
     lattice = Lattice(N, True)
     if power == 1:
-        total = WeylOp.zero(lattice, registry)
+        total = WeylOp.zero(lattice)
         for n in range(1, N + 1):
-            total = total + op_P(lattice, n, registry)
+            total = total + op_P(lattice, n)
         return total
     if power == 2:
-        coeff = _s(3, registry) + _s(-1, registry)
-        total = WeylOp.zero(lattice, registry)
+        coeff = _s(3) + _s(-1)
+        total = WeylOp.zero(lattice)
         for n in range(1, N + 1):
-            p = op_P(lattice, n, registry)
-            total = total + p * p + op_Q2(lattice, n, registry) * coeff
+            p = op_P(lattice, n)
+            total = total + p * p + op_Q2(lattice, n) * coeff
         return total
     raise ValueError("only first and second q-traces are defined")
 
@@ -403,40 +385,38 @@ def trq(power: int, N: int, registry: VarRegistry | None = None) -> WeylOp:
 # -- quantum doublet realisation ---------------------------------------------------
 
 
-def build_xi_quantum(component: int, n: int, lattice: Lattice,
-                     registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
+def build_xi_quantum(component: int, n: int, lattice: Lattice) -> WeylOp:
     """Weyl realisation of the quantum doublet on an open chain."""
     h = Fraction(1, 2)
     if component == 1:
         factors = [(n, "U", -h)] + [(a, "V", h) for a in range(1, n + 1)]
-        return WeylOp.word(lattice, factors, registry=registry)
+        return WeylOp.word(lattice, factors)
     if component == 2:
-        total = WeylOp.zero(lattice, registry)
+        total = WeylOp.zero(lattice)
         for a in range(1, n + 1):
             factors = [(n, "U", -h)]
             factors += [(b, "V", h) for b in range(a, n + 1)]
             factors += [(a, "U", 1)]
             factors += [(b, "V", -h) for b in range(1, a)]
-            total = total + WeylOp.word(lattice, factors, registry=registry)
+            total = total + WeylOp.word(lattice, factors)
         return total
     raise ValueError("component must be 1 or 2")
 
 
-def quantum_wronskian(p: int, n: int, lattice: Lattice,
-                      registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
+def quantum_wronskian(p: int, n: int, lattice: Lattice) -> WeylOp:
     """W_n^(p) = q xi^1_n xi^2_{n+p} - xi^2_n xi^1_{n+p}."""
-    q = _s(2, registry)
-    return (build_xi_quantum(1, n, lattice, registry)
-            * build_xi_quantum(2, n + p, lattice, registry) * q
-            - build_xi_quantum(2, n, lattice, registry)
-            * build_xi_quantum(1, n + p, lattice, registry))
+    q = _s(2)
+    return (build_xi_quantum(1, n, lattice)
+            * build_xi_quantum(2, n + p, lattice) * q
+            - build_xi_quantum(2, n, lattice)
+            * build_xi_quantum(1, n + p, lattice))
 
 
 # -- named checks ------------------------------------------------------------------
 
 
-def _weylify(m: OpMatrix, lattice: Lattice, registry) -> OpMatrix:
-    return OpMatrix([[WeylOp.scalar(x, lattice, registry) for x in row]
+def _weylify(m: OpMatrix, lattice: Lattice) -> OpMatrix:
+    return OpMatrix([[WeylOp.scalar(x, lattice) for x in row]
                      for row in m.entries], m.den)
 
 
@@ -444,16 +424,15 @@ def _report(check_id, params, anchor, items, degenerate=False) -> CheckReport:
     return report_from_residuals(check_id, params, anchor, items, degenerate)
 
 
-def check_fm(check_id: str, N: int = 3, registry: VarRegistry = DEFAULT_REGISTRY,
-             mutate: bool = False) -> CheckReport:
+def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
     """Quadratic exchange structure: site relations, compatibility, monodromy."""
-    params = ModelParams.generic(registry)
-    l1 = Scalar.var("lam1", registry=registry)
-    l2 = Scalar.var("lam2", registry=registry)
-    A = build_aux("A", l1, l2, registry)
-    B = build_aux("B", l1, l2, registry)
-    C = build_aux("C", l1, l2, registry)
-    D = build_aux("D", l1, l2, registry)
+    params = ModelParams.generic()
+    l1 = Scalar.var("lam1")
+    l2 = Scalar.var("lam2")
+    A = build_aux("A", l1, l2)
+    B = build_aux("B", l1, l2)
+    C = build_aux("C", l1, l2)
+    D = build_aux("D", l1, l2)
     run_params = {"N": N}
 
     if check_id in ("AD", "B", "C"):
@@ -463,35 +442,34 @@ def check_fm(check_id: str, N: int = 3, registry: VarRegistry = DEFAULT_REGISTRY
         items = []
         for n in range(1, N + 1):
             if check_id == "AD":
-                x1 = tensor_embed(build_lax("l", n, l1, params, lattice, registry), 1)
-                x2 = tensor_embed(build_lax("l", n, l2, params, lattice, registry), 2)
-                lhs = _weylify(A, lattice, registry).mul(x1).mul(x2)
-                rhs = x2.mul(x1).mul(_weylify(D, lattice, registry))
+                x1 = tensor_embed(build_lax("l", n, l1, params, lattice), 1)
+                x2 = tensor_embed(build_lax("l", n, l2, params, lattice), 2)
+                lhs = _weylify(A, lattice).mul(x1).mul(x2)
+                rhs = x2.mul(x1).mul(_weylify(D, lattice))
             elif check_id == "B":
                 # neighbouring sites exchange through the C-type matrix
-                x1 = tensor_embed(build_lax("l", n, l1, params, lattice, registry), 1)
-                y2 = tensor_embed(build_lax("l", n + 1, l2, params, lattice, registry), 2)
+                x1 = tensor_embed(build_lax("l", n, l1, params, lattice), 1)
+                y2 = tensor_embed(build_lax("l", n + 1, l2, params, lattice), 2)
                 lhs = x1.mul(y2)
-                rhs = y2.mul(_weylify(C, lattice, registry)).mul(x1)
+                rhs = y2.mul(_weylify(C, lattice)).mul(x1)
             else:
-                x2 = tensor_embed(build_lax("l", n, l2, params, lattice, registry), 2)
-                y1 = tensor_embed(build_lax("l", n + 1, l1, params, lattice, registry), 1)
+                x2 = tensor_embed(build_lax("l", n, l2, params, lattice), 2)
+                y1 = tensor_embed(build_lax("l", n + 1, l1, params, lattice), 1)
                 lhs = x2.mul(y1)
-                rhs = y1.mul(_weylify(B, lattice, registry)).mul(x2)
+                rhs = y1.mul(_weylify(B, lattice)).mul(x2)
             res, _ = lhs.residual(rhs)
             items.append((f"site {n}", res))
         return _report(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "DGCG_general":
-        greek = tuple(Scalar.var(nm, registry=registry)
-                      for nm in ("alpha", "beta", "gamma", "delta"))
+        greek = tuple(Scalar.var(nm) for nm in ("alpha", "beta", "gamma", "delta"))
 
         def companion(lam):
-            m = build_scalar_aux("M0", lam, greek=greek, registry=registry)
+            m = build_scalar_aux("M0", lam, greek=greek)
             if mutate:
                 # corrupt the pinned corner constant; a sign flip of one free
                 # parameter would land on another valid solution of the family
-                shift = greek[0] * (_s(1, registry) - _s(-1, registry))
+                shift = greek[0] * (_s(1) - _s(-1))
                 m.entries[1][1] = m.entries[1][1] + shift
             return m
 
@@ -504,19 +482,18 @@ def check_fm(check_id: str, N: int = 3, registry: VarRegistry = DEFAULT_REGISTRY
                        [("compatibility", res)])
 
     if check_id == "dual_general":
-        greekt = tuple(Scalar.var(nm, registry=registry)
-                       for nm in ("alphat", "betat", "gammat", "deltat"))
+        greekt = tuple(Scalar.var(nm) for nm in ("alphat", "betat", "gammat", "deltat"))
         frac = lambda m: m.map(lambda x: x if isinstance(x, ScalarFraction)
                                else ScalarFraction(x))
         Bt = B.partial_transpose(1).inverse_comm().partial_transpose(1)
         Ct = C.partial_transpose(2).inverse_comm().partial_transpose(2)
-        one4 = OpMatrix.identity(4, ScalarFraction(_c(1, registry)))
+        one4 = OpMatrix.identity(4, ScalarFraction(_c(1)))
         invB, okB = frac(Bt.partial_transpose(1)).mul(
             frac(B.partial_transpose(1))).residual(one4)
         invC, okC = frac(Ct.partial_transpose(2)).mul(
             frac(C.partial_transpose(2))).residual(one4)
-        Mt1 = tensor_embed(build_scalar_aux("Mtilde0", l1, greek=greekt, registry=registry), 1)
-        Mt2 = tensor_embed(build_scalar_aux("Mtilde0", l2, greek=greekt, registry=registry), 2)
+        Mt1 = tensor_embed(build_scalar_aux("Mtilde0", l1, greek=greekt), 1)
+        Mt2 = tensor_embed(build_scalar_aux("Mtilde0", l2, greek=greekt), 2)
         lhs = frac(D).mul(frac(Mt2)).mul(frac(Bt)).mul(frac(Mt1))
         rhs = frac(Mt1).mul(frac(Ct)).mul(frac(Mt2)).mul(frac(A))
         res, _ = lhs.residual(rhs)
@@ -527,12 +504,10 @@ def check_fm(check_id: str, N: int = 3, registry: VarRegistry = DEFAULT_REGISTRY
 
     if check_id == "ATT_TTD":
         lattice = Lattice(N, True)
-        T1 = tensor_embed(monodromy(N, l1, params, registry), 1)
-        T2 = tensor_embed(monodromy(N, l2, params, registry), 2)
-        lhs = _weylify(A, lattice, registry).mul(T1).mul(
-            _weylify(B, lattice, registry)).mul(T2)
-        rhs = T2.mul(_weylify(C, lattice, registry)).mul(T1).mul(
-            _weylify(D, lattice, registry))
+        T1 = tensor_embed(monodromy(N, l1, params), 1)
+        T2 = tensor_embed(monodromy(N, l2, params), 2)
+        lhs = _weylify(A, lattice).mul(T1).mul(_weylify(B, lattice)).mul(T2)
+        rhs = T2.mul(_weylify(C, lattice)).mul(T1).mul(_weylify(D, lattice))
         res, _ = lhs.residual(rhs)
         return _report(check_id, run_params, _QANCHORS[check_id],
                        [("quadratic algebra", res)], degenerate=N < 3)
@@ -546,8 +521,8 @@ def check_fm(check_id: str, N: int = 3, registry: VarRegistry = DEFAULT_REGISTRY
                 gap = min((n - m) % size, (m - n) % size)
                 if gap < 2:
                     continue
-                ln = build_lax("l", n, l1, params, lattice, registry)
-                lm = build_lax("l", m, l2, params, lattice, registry)
+                ln = build_lax("l", n, l1, params, lattice)
+                lm = build_lax("l", m, l2, params, lattice)
                 for i in range(2):
                     for j in range(2):
                         for a in range(2):
@@ -555,35 +530,34 @@ def check_fm(check_id: str, N: int = 3, registry: VarRegistry = DEFAULT_REGISTRY
                                 c = ln.entries[i][j].commutator(lm.entries[a][b])
                                 if not c.is_zero():
                                     items.append((f"[l_{n}({i}{j}), l_{m}({a}{b})]", c))
-        items = items or [("all distant entry pairs", WeylOp.zero(lattice, registry))]
+        items = items or [("all distant entry pairs", WeylOp.zero(lattice))]
         return _report(check_id, {"N": size}, _QANCHORS[check_id], items)
 
     raise ValueError(f"unknown exchange check {check_id!r}")
 
 
-def check_ybe(check_id: str, registry: VarRegistry = DEFAULT_REGISTRY,
-              mutate: bool = False) -> CheckReport:
-    l1 = Scalar.var("lam1", registry=registry)
-    l2 = Scalar.var("lam2", registry=registry)
+def check_ybe(check_id: str, mutate: bool = False) -> CheckReport:
+    l1 = Scalar.var("lam1")
+    l2 = Scalar.var("lam2")
     if check_id == "YBE_twisted":
-        l3 = Scalar.var("lam3", registry=registry)
-        R12 = embed_two_leg(build_aux("Rtwisted", l1, l2, registry), (1, 2))
-        R13 = embed_two_leg(build_aux("Rtwisted", l1, l3, registry), (1, 3))
-        R23 = embed_two_leg(build_aux("Rtwisted", l2, l3, registry), (2, 3))
+        l3 = Scalar.var("lam3")
+        R12 = embed_two_leg(build_aux("Rtwisted", l1, l2), (1, 2))
+        R13 = embed_two_leg(build_aux("Rtwisted", l1, l3), (1, 3))
+        R23 = embed_two_leg(build_aux("Rtwisted", l2, l3), (2, 3))
         res, _ = R12.mul(R13).mul(R23).residual(R23.mul(R13).mul(R12))
         return _report(check_id, {"legs": 3}, _QANCHORS[check_id],
                        [("triple exchange", res)])
     if check_id == "RLL_ultralocal":
-        params = ModelParams.generic(registry)
+        params = ModelParams.generic()
         lattice = Lattice(3, True)
-        R = _weylify(build_aux("Rtwisted", l1, l2, registry), lattice, registry)
+        R = _weylify(build_aux("Rtwisted", l1, l2), lattice)
         items = []
         for n in (1, 2):
-            L1 = tensor_embed(build_lax("Lloc", n, l1, params, lattice, registry), 1)
+            L1 = tensor_embed(build_lax("Lloc", n, l1, params, lattice), 1)
             if mutate:
-                L1.entries[2][0] = WeylOp.zero(lattice, registry)
-                L1.entries[3][1] = WeylOp.zero(lattice, registry)
-            L2 = tensor_embed(build_lax("Lloc", n, l2, params, lattice, registry), 2)
+                L1.entries[2][0] = WeylOp.zero(lattice)
+                L1.entries[3][1] = WeylOp.zero(lattice)
+            L2 = tensor_embed(build_lax("Lloc", n, l2, params, lattice), 2)
             res, _ = R.mul(L1).mul(L2).residual(L2.mul(L1).mul(R))
             items.append((f"site {n}", res))
             if mutate:
@@ -592,11 +566,9 @@ def check_ybe(check_id: str, registry: VarRegistry = DEFAULT_REGISTRY,
     raise ValueError(f"unknown exchange check {check_id!r}")
 
 
-def check_ultralocalisation(step: str, N: int = 3,
-                            registry: VarRegistry = DEFAULT_REGISTRY,
-                            mutate: bool = False) -> CheckReport:
-    params = ModelParams.generic(registry)
-    lam = Scalar.var("lam", registry=registry)
+def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> CheckReport:
+    params = ModelParams.generic()
+    lam = Scalar.var("lam")
     run_params = {"N": N}
 
     if step in ("gauge_l", "gauge_G", "scriptL_assembly", "entrywise_conjugation"):
@@ -604,68 +576,68 @@ def check_ultralocalisation(step: str, N: int = 3,
         items = []
         for n in (1, 2, 3):
             if step == "gauge_l":
-                lhs = build_lax("gaugeNinv", n + 1, lam, params, lattice, registry).mul(
-                    build_lax("l", n, lam, params, lattice, registry)).mul(
-                    build_lax("gaugeN", n, lam, params, lattice, registry))
-                rhs = build_lax("gauge_l_display", n, lam, params, lattice, registry)
+                lhs = build_lax("gaugeNinv", n + 1, lam, params, lattice).mul(
+                    build_lax("l", n, lam, params, lattice)).mul(
+                    build_lax("gaugeN", n, lam, params, lattice))
+                rhs = build_lax("gauge_l_display", n, lam, params, lattice)
             elif step == "gauge_G":
-                g0 = build_scalar_aux("G0", lam, params, registry=registry)
+                g0 = build_scalar_aux("G0", lam, params)
                 if mutate:
                     g0.entries[1][0] = -g0.entries[1][0]
-                lhs = build_lax("gaugeNinv", n, lam, params, lattice, registry).mul(
-                    _weylify(g0, lattice, registry)).mul(
-                    build_lax("gaugeN", n, lam, params, lattice, registry))
-                rhs = build_lax("gauge_G_display", n, lam, params, lattice, registry)
+                lhs = build_lax("gaugeNinv", n, lam, params, lattice).mul(
+                    _weylify(g0, lattice)).mul(
+                    build_lax("gaugeN", n, lam, params, lattice))
+                rhs = build_lax("gauge_G_display", n, lam, params, lattice)
             elif step == "scriptL_assembly":
-                lhs = build_lax("gauge_l_display", n, lam, params, lattice, registry).mul(
-                    build_lax("gauge_G_display", n, lam, params, lattice, registry))
-                rhs = build_lax("scriptL", n, lam, params, lattice, registry)
+                lhs = build_lax("gauge_l_display", n, lam, params, lattice).mul(
+                    build_lax("gauge_G_display", n, lam, params, lattice))
+                rhs = build_lax("scriptL", n, lam, params, lattice)
             else:
-                d2inv = Scalar.var("d2", registry=registry).monomial_inverse()
-                sub = {"lam": _s(-4, registry) * d2inv * lam}
-                L = build_lax("scriptL", n, lam, params, lattice, registry)
+                d2inv = Scalar.var("d2").monomial_inverse()
+                sub = {"lam": _s(-4) * d2inv * lam}
+                L = build_lax("scriptL", n, lam, params, lattice)
                 Ls = L.map(lambda e: e.substitute(sub).conjugate_v())
                 mapped = OpMatrix([
-                    [Ls.entries[0][0], Ls.entries[0][1] * (-_s(5, registry))],
-                    [Ls.entries[1][0] * (-_s(-5, registry)), Ls.entries[1][1]],
+                    [Ls.entries[0][0], Ls.entries[0][1] * (-_s(5))],
+                    [Ls.entries[1][0] * (-_s(-5)), Ls.entries[1][1]],
                 ])
-                lhs = mapped.scale(Scalar.var("d2", registry=registry))
-                rhs = build_lax("Lloc", n, lam, params, lattice, registry)
+                lhs = mapped.scale(Scalar.var("d2"))
+                rhs = build_lax("Lloc", n, lam, params, lattice)
             res, _ = lhs.residual(rhs)
             items.append((f"site {n}", res))
         return _report(step, {"N": 3}, _QANCHORS[step], items)
 
     if step == "trace_identity":
         lattice = Lattice(N, True)
-        wey = lambda m: _weylify(m, lattice, registry)
+        wey = lambda m: _weylify(m, lattice)
         # site-1 closure factor: gauge transform of the bare Lax dressed by
         # the trace-closing companion matrix
-        lt = build_lax("gaugeNinv", 2, lam, params, lattice, registry).mul(
-            build_lax("l", 1, lam, params, lattice, registry)).mul(
-            wey(build_scalar_aux("Gtilde0", lam, params, registry=registry))).mul(
-            build_lax("gaugeN", 1, lam, params, lattice, registry))
-        T = monodromy(N, lam, params, registry)
-        lhs_m = T.mul(wey(build_scalar_aux("Gtilde0", lam, params, registry=registry))).mul(
-            wey(q_sigma_z(-1, registry)))
+        lt = build_lax("gaugeNinv", 2, lam, params, lattice).mul(
+            build_lax("l", 1, lam, params, lattice)).mul(
+            wey(build_scalar_aux("Gtilde0", lam, params))).mul(
+            build_lax("gaugeN", 1, lam, params, lattice))
+        T = monodromy(N, lam, params)
+        lhs_m = T.mul(wey(build_scalar_aux("Gtilde0", lam, params))).mul(
+            wey(q_sigma_z(-1)))
         prod = None
         for n in range(N, 1, -1):
-            f = build_lax("scriptL", n, lam, params, lattice, registry)
+            f = build_lax("scriptL", n, lam, params, lattice)
             prod = f if prod is None else prod.mul(f)
         prod = lt if prod is None else prod.mul(lt)
-        rhs_m = build_lax("gaugeN", N + 1, lam, params, lattice, registry).mul(prod).mul(
-            build_lax("gaugeNinv", 1, lam, params, lattice, registry)).mul(
-            wey(q_sigma_z(-1, registry)))
+        rhs_m = build_lax("gaugeN", N + 1, lam, params, lattice).mul(prod).mul(
+            build_lax("gaugeNinv", 1, lam, params, lattice)).mul(
+            wey(q_sigma_z(-1)))
         gauge_res, _ = lhs_m.residual(rhs_m)
         lhs_tr = rhs_m.trace()
         prod2 = None
         for n in range(N, 0, -1):
-            f = build_lax("scriptL", n, lam, params, lattice, registry)
+            f = build_lax("scriptL", n, lam, params, lattice)
             prod2 = f if prod2 is None else prod2.mul(f)
-        rhs_tr = prod2.trace() * _s(-2, registry)
+        rhs_tr = prod2.trace() * _s(-2)
         # the d1-shift shortcut for the site-one factor is only valid when the
         # top coupling vanishes; assert agreement on that locus
         shortcut, _ = lt.map(lambda e: e.substitute({"d3": 0})).residual(
-            build_lax("scriptLtilde", 1, lam, params, lattice, registry).map(
+            build_lax("scriptLtilde", 1, lam, params, lattice).map(
                 lambda e: e.substitute({"d3": 0})))
         return _report(step, run_params, _QANCHORS[step],
                        [("gauged monodromy", gauge_res),
@@ -673,19 +645,18 @@ def check_ultralocalisation(step: str, N: int = 3,
                         ("site-one shortcut without top coupling", shortcut)])
 
     if step == "taut":
-        tau = transfer_trace("tau", N, lam, params, registry)
-        d2 = Scalar.var("d2", registry=registry)
-        shifted = tau.substitute({"lam": _s(-4, registry) * d2.monomial_inverse() * lam})
-        lhs = shifted.conjugate_v() * (d2 ** N) * _s(2, registry)
-        tloc = transfer_trace("tloc", N, lam, params, registry)
+        tau = transfer_trace("tau", N, lam, params)
+        d2 = Scalar.var("d2")
+        shifted = tau.substitute({"lam": _s(-4) * d2.monomial_inverse() * lam})
+        lhs = shifted.conjugate_v() * (d2 ** N) * _s(2)
+        tloc = transfer_trace("tloc", N, lam, params)
         return _report(step, run_params, _QANCHORS[step],
                        [("twisted rescaled trace", lhs - tloc)])
 
     raise ValueError(f"unknown ultralocalisation step {step!r}")
 
 
-def check_representation(check_id: str, size: int = 6,
-                         registry: VarRegistry = DEFAULT_REGISTRY) -> CheckReport:
+def check_representation(check_id: str, size: int = 6) -> CheckReport:
     if size < 6:
         raise ValueError("the doublet realisation suite needs at least 6 sites")
     lattice = Lattice(size, False)
@@ -693,17 +664,17 @@ def check_representation(check_id: str, size: int = 6,
     d = lambda a, b: 1 if a == b else 0
 
     if check_id == "exchange_xi":
-        Pm = permutation_matrix(registry)
-        Rp = build_aux("Rplus", registry=registry)
-        Rm = build_aux("Rminus", registry=registry)
-        splus = _s(1, registry) + _s(-1, registry)
-        xi = {(n, c): build_xi_quantum(c, n, lattice, registry)
+        Pm = permutation_matrix()
+        Rp = build_aux("Rplus")
+        Rm = build_aux("Rminus")
+        splus = _s(1) + _s(-1)
+        xi = {(n, c): build_xi_quantum(c, n, lattice)
               for n in range(1, size + 1) for c in (1, 2)}
         items = []
         for n in range(1, size + 1):
             for m in range(1, n + 1):
                 if n > m:
-                    M, scale = Pm.mul(Rp), _c(1, registry)
+                    M, scale = Pm.mul(Rp), _c(1)
                 else:
                     # equal sites weight both exchange matrices by the
                     # deformed step value at zero; cleared of its denominator
@@ -711,7 +682,7 @@ def check_representation(check_id: str, size: int = 6,
                 for a in (1, 2):
                     for b in (1, 2):
                         lhs = xi[(n, a)] * xi[(m, b)] * scale
-                        rhs = WeylOp.zero(lattice, registry)
+                        rhs = WeylOp.zero(lattice)
                         col = 2 * (a - 1) + (b - 1)
                         for ap in (1, 2):
                             for bp in (1, 2):
@@ -722,85 +693,84 @@ def check_representation(check_id: str, size: int = 6,
         return _report(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "W_algebra_q":
-        W1 = {n: quantum_wronskian(1, n, lattice, registry) for n in range(1, size)}
-        W2 = {n: quantum_wronskian(2, n, lattice, registry) for n in range(1, size - 1)}
+        W1 = {n: quantum_wronskian(1, n, lattice) for n in range(1, size)}
+        W2 = {n: quantum_wronskian(2, n, lattice) for n in range(1, size - 1)}
         items = []
         for n in W1:
             for m in W1:
                 lhs = W1[n] * W1[m]
-                rhs = W1[m] * W1[n] * _s(d(n, m - 1) - d(n, m + 1), registry)
+                rhs = W1[m] * W1[n] * _s(d(n, m - 1) - d(n, m + 1))
                 items.append((f"11(n={n},m={m})", lhs - rhs))
         for n in W1:
             for m in W2:
                 lhs = W1[n] * W2[m]
                 rhs = W2[m] * W1[n] * _s(-d(n, m + 2) + d(n, m + 1)
-                                         - d(n, m) + d(n, m - 1), registry)
+                                         - d(n, m) + d(n, m - 1))
                 items.append((f"12(n={n},m={m})", lhs - rhs))
         for n in range(2, size - 2):
             for m in range(2, size - 2):
                 lhs = W2[n] * W2[m]
                 rhs = W2[m] * W2[n] * _s(d(n, m - 2) - d(n, m + 2)
-                                         + 2 * d(n, m + 1) - 2 * d(n, m - 1), registry)
+                                         + 2 * d(n, m + 1) - 2 * d(n, m - 1))
                 if d(n, m + 1):
-                    rhs = rhs + W1[n - 1] * W1[n + 1] * (_s(-1, registry) - _s(3, registry))
+                    rhs = rhs + W1[n - 1] * W1[n + 1] * (_s(-1) - _s(3))
                 if d(n, m - 1):
-                    rhs = rhs + W1[m - 1] * W1[m + 1] * (_s(1, registry) - _s(-3, registry))
+                    rhs = rhs + W1[m - 1] * W1[m + 1] * (_s(1) - _s(-3))
                 items.append((f"22(n={n},m={m})", lhs - rhs))
         return _report(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "QP_relations":
-        Q = {n: op_Q(lattice, n, registry) for n in range(1, size)}
-        P = {n: op_P(lattice, n, registry) for n in range(1, size)}
-        Q2 = {n: op_Q2(lattice, n, registry) for n in range(1, size)}
+        Q = {n: op_Q(lattice, n) for n in range(1, size)}
+        P = {n: op_P(lattice, n) for n in range(1, size)}
+        Q2 = {n: op_Q2(lattice, n) for n in range(1, size)}
         items = []
         for n in Q:
             for m in Q:
-                r1 = Q[n] * Q[m] - Q[m] * Q[n] * _s(d(n, m - 1) - d(n, m + 1), registry)
+                r1 = Q[n] * Q[m] - Q[m] * Q[n] * _s(d(n, m - 1) - d(n, m + 1))
                 items.append((f"QQ(n={n},m={m})", r1))
                 r2 = (P[n] * P[m] - P[m] * P[n]
-                      - (_s(3, registry) - _s(-1, registry))
+                      - (_s(3) - _s(-1))
                       * (Q2[n] * d(n + 1, m) - Q2[m] * d(n, m + 1)))
                 items.append((f"PP(n={n},m={m})", r2))
-                r3 = P[n] * Q[m] - Q[m] * P[n] * _s(2 * (d(n, m) - d(n, m + 1)), registry)
+                r3 = P[n] * Q[m] - Q[m] * P[n] * _s(2 * (d(n, m) - d(n, m + 1)))
                 items.append((f"PQ(n={n},m={m})", r3))
         return _report(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "W1_monomial":
         items = []
         for n in range(1, size):
-            w = quantum_wronskian(1, n, lattice, registry)
+            w = quantum_wronskian(1, n, lattice)
             if w.term_count() != 1:
                 items.append((f"n={n}", w))
             else:
-                items.append((f"n={n}", WeylOp.zero(lattice, registry)))
+                items.append((f"n={n}", WeylOp.zero(lattice)))
         return _report(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "QP_match":
         items = []
         for n in range(1, size):
-            w = quantum_wronskian(1, n, lattice, registry)
+            w = quantum_wronskian(1, n, lattice)
             qn = w.monomial_inverse()
-            items.append((f"Q2(n={n})", qn * qn - op_Q2(lattice, n, registry)))
+            items.append((f"Q2(n={n})", qn * qn - op_Q2(lattice, n)))
         for n in range(2, size):
-            w2 = quantum_wronskian(2, n - 1, lattice, registry)
-            qprev = quantum_wronskian(1, n - 1, lattice, registry).monomial_inverse()
-            qn = quantum_wronskian(1, n, lattice, registry).monomial_inverse()
+            w2 = quantum_wronskian(2, n - 1, lattice)
+            qprev = quantum_wronskian(1, n - 1, lattice).monomial_inverse()
+            qn = quantum_wronskian(1, n, lattice).monomial_inverse()
             left = qprev * qn * w2
             right = w2 * qprev * qn
             items.append((f"P orderings (n={n})", left - right))
-            items.append((f"P(n={n})", left - op_P(lattice, n, registry)))
+            items.append((f"P(n={n})", left - op_P(lattice, n)))
         return _report(check_id, run_params, _QANCHORS[check_id], items)
 
     raise ValueError(f"unknown realisation check {check_id!r}")
 
 
-def check_hamiltonians(check_id: str, N: int = 3,
-                       registry: VarRegistry = DEFAULT_REGISTRY) -> CheckReport:
+def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
     run_params = {"N": N}
     lattice = Lattice(N, True)
 
     if check_id == "commute":
-        hs = hamiltonians(N, ModelParams.generic(registry), registry)
+        hs = hamiltonians(N, ModelParams.generic())
         items = []
         for i in range(len(hs)):
             for j in range(i + 1, len(hs)):
@@ -809,78 +779,78 @@ def check_hamiltonians(check_id: str, N: int = 3,
 
     if check_id in ("tau_commute", "tloc_commute"):
         kind = "tau" if check_id == "tau_commute" else "tloc"
-        params = ModelParams.generic(registry)
-        l1 = Scalar.var("lam1", registry=registry)
-        l2 = Scalar.var("lam2", registry=registry)
+        params = ModelParams.generic()
+        l1 = Scalar.var("lam1")
+        l2 = Scalar.var("lam2")
         items = []
         for n in sorted({2, N}):
-            t1 = transfer_trace(kind, n, l1, params, registry)
-            t2 = transfer_trace(kind, n, l2, params, registry)
+            t1 = transfer_trace(kind, n, l1, params)
+            t2 = transfer_trace(kind, n, l2, params)
             items.append((f"N={n}", t1.commutator(t2)))
         return _report(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "H1_qToda":
-        hs = hamiltonians(N, ModelParams.q_toda(registry), registry)
-        expect = WeylOp.zero(lattice, registry)
-        d1 = Scalar.var("d1", registry=registry)
+        hs = hamiltonians(N, ModelParams.q_toda())
+        expect = WeylOp.zero(lattice)
+        d1 = Scalar.var("d1")
         for n in range(1, N + 1):
-            expect = expect + WeylOp.word(lattice, [(n, "V", -1)], registry=registry)
+            expect = expect + WeylOp.word(lattice, [(n, "V", -1)])
             expect = expect + WeylOp.word(
                 lattice, [(n, "U", -1), (n - 1, "U", 1), (n, "V", -1)],
-                coeff=_s(-2, registry) * d1, registry=registry)
+                coeff=_s(-2) * d1)
         return _report(check_id, run_params, _QANCHORS[check_id],
                        [("first charge", hs[1] - expect)])
 
     if check_id in ("H1_Toda2", "H2_Toda2"):
-        hs = hamiltonians(N, ModelParams.toda2(registry), registry)
-        d2 = Scalar.var("d2", registry=registry)
+        hs = hamiltonians(N, ModelParams.toda2())
+        d2 = Scalar.var("d2")
         if check_id == "H1_Toda2":
-            expect = WeylOp.zero(lattice, registry)
+            expect = WeylOp.zero(lattice)
             for n in range(1, N + 1):
-                expect = expect + WeylOp.word(lattice, [(n, "V", -1)], registry=registry)
+                expect = expect + WeylOp.word(lattice, [(n, "V", -1)])
                 expect = expect + WeylOp.word(lattice, [(n, "U", -1), (n - 1, "U", 1)],
-                                              coeff=d2, registry=registry)
+                                              coeff=d2)
             return _report(check_id, run_params, _QANCHORS[check_id],
                            [("first charge", hs[1] - expect)])
-        combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2), registry)
-        expect = WeylOp.zero(lattice, registry)
+        combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2))
+        expect = WeylOp.zero(lattice)
         for n in range(1, N + 1):
-            expect = expect + WeylOp.word(lattice, [(n, "V", -2)], registry=registry)
+            expect = expect + WeylOp.word(lattice, [(n, "V", -2)])
             expect = expect + WeylOp.word(
                 lattice, [(n, "V", -1), (n, "U", 1), (n + 1, "U", -1)],
-                coeff=d2 * (_c(1, registry) + _s(-4, registry)), registry=registry)
+                coeff=d2 * (_c(1) + _s(-4)))
             expect = expect + WeylOp.word(
                 lattice, [(n, "V", -1), (n - 1, "U", 1), (n, "U", -1)],
-                coeff=d2 * (_c(1, registry) + _s(4, registry)), registry=registry)
+                coeff=d2 * (_c(1) + _s(4)))
             expect = expect + WeylOp.word(lattice, [(n, "U", 2), (n + 1, "U", -2)],
-                                          coeff=d2 * d2, registry=registry)
-        expect = expect * _c(Fraction(-1, 2), registry)
+                                          coeff=d2 * d2)
+        expect = expect * _c(Fraction(-1, 2))
         return _report(check_id, run_params, _QANCHORS[check_id],
                        [("second charge combination", combo - expect)])
 
     if check_id == "trq_commute":
-        t1, t2 = trq(1, N, registry), trq(2, N, registry)
+        t1, t2 = trq(1, N), trq(2, N)
         return _report(check_id, run_params, _QANCHORS[check_id],
                        [("q-trace pair", t1.commutator(t2))])
 
     if check_id in ("trq_match1", "trq_match2"):
-        hs = hamiltonians(N, ModelParams.toda2(registry), registry)
+        hs = hamiltonians(N, ModelParams.toda2())
         if check_id == "trq_match1":
-            res = hs[1].substitute({"d2": 1}) - trq(1, N, registry)
+            res = hs[1].substitute({"d2": 1}) - trq(1, N)
             return _report(check_id, run_params, _QANCHORS[check_id],
                            [("first q-trace", res)])
-        combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2), registry)
-        res = combo.substitute({"d2": 1}) - trq(2, N, registry) * _c(Fraction(-1, 2), registry)
+        combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2))
+        res = combo.substitute({"d2": 1}) - trq(2, N) * _c(Fraction(-1, 2))
         return _report(check_id, run_params, _QANCHORS[check_id],
                        [("second q-trace", res)])
 
     if check_id == "qosc_coherence":
-        params = ModelParams.q_osc(registry)
-        lam = Scalar.var("lam", registry=registry)
-        t_preset = transfer_trace("tloc", N, lam, params, registry)
+        params = ModelParams.q_osc()
+        lam = Scalar.var("lam")
+        t_preset = transfer_trace("tloc", N, lam, params)
         prod = None
         for n in range(N, 0, -1):
-            f = build_lax("Lqosc", n, lam, params, lattice, registry)
+            f = build_lax("Lqosc", n, lam, params, lattice)
             prod = f if prod is None else prod.mul(f)
         return _report(check_id, run_params, _QANCHORS[check_id],
                        [("oscillator transfer", prod.trace() - t_preset)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -17,7 +18,6 @@ class RunConfig:
     sites: int = 3
     trunc: int = 6
     max_terms: int = 10 ** 6
-    seed: int = 0
 
     def __post_init__(self):
         if self.sites < 1 or self.trunc < 1:
@@ -174,7 +174,11 @@ def list_checks() -> list[CheckDef]:
 
 
 def run_checks(ids, cfg: RunConfig) -> list[CheckReport]:
-    """Run the named checks (sorted) and return their reports sorted by id."""
+    """Run the named checks (sorted) and return their reports sorted by id.
+
+    A check that raises yields a failed row whose witness names the exception
+    (its traceback goes to stderr); the remaining checks still run.
+    """
     unknown = [i for i in ids if i not in REGISTRY]
     if unknown:
         raise KeyError(f"unknown check ids: {', '.join(sorted(unknown))}")
@@ -190,6 +194,11 @@ def run_checks(ids, cfg: RunConfig) -> list[CheckReport]:
             except weyl.TermCapExceeded as exc:
                 report = CheckReport(cid, {"max_terms": cfg.max_terms}, FAIL, 0,
                                      f"term cap exceeded: {exc}", REGISTRY[cid].anchor)
+            except Exception as exc:
+                import traceback
+                traceback.print_exc(file=sys.stderr)
+                report = CheckReport(cid, {}, FAIL, 0, f"{type(exc).__name__}: {exc}",
+                                     REGISTRY[cid].anchor)
             report.elapsed = time.perf_counter() - t0
             report.id = cid
             if not report.anchor:

@@ -7,56 +7,34 @@ half-integer exponents are then integer powers of s and never leave the ring.
 
 A :class:`Scalar` is a dict from sparse exponent vectors to nonzero
 ``Fraction`` coefficients; two Scalars are equal iff their term maps are
-identical, so the representation is canonical.  Variables live in an
-append-only :class:`VarRegistry`; charts and model parameters register the
-names they need on the fly.
+identical, so the representation is canonical.  Variables live in one
+append-only table for the whole process; charts and model parameters register
+the names they need on first use.  Indices order the internal keys only:
+:meth:`Scalar.to_text` orders variables by name, so a polynomial's text does
+not depend on which variables were registered first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-__all__ = ["VarRegistry", "Scalar", "ScalarFraction", "RegistryMismatch", "DEFAULT_REGISTRY"]
-
-
-class RegistryMismatch(ValueError):
-    """Raised when two Scalars over different variable registries are combined."""
+__all__ = ["Scalar", "ScalarFraction", "var_index"]
 
 
-class VarRegistry:
-    """Append-only name <-> index table for polynomial variables."""
-
-    def __init__(self) -> None:
-        self._names: list[str] = []
-        self._index: dict[str, int] = {}
-
-    def add(self, name: str) -> int:
-        """Register ``name`` (idempotent) and return its index."""
-        idx = self._index.get(name)
-        if idx is None:
-            idx = len(self._names)
-            self._names.append(name)
-            self._index[name] = idx
-        return idx
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unregistered variable {name!r}") from None
-
-    def name(self, idx: int) -> str:
-        return self._names[idx]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def __len__(self) -> int:
-        return len(self._names)
+# The variable table: name <-> index, append-only, shared by every Scalar.
+_NAMES: list[str] = []
+_INDEX: dict[str, int] = {}
 
 
-DEFAULT_REGISTRY = VarRegistry()
+def var_index(name: str) -> int:
+    """Index of the variable ``name``, registering it on first use."""
+    idx = _INDEX.get(name)
+    if idx is None:
+        idx = _INDEX[name] = len(_NAMES)
+        _NAMES.append(name)
+    return idx
+
 
 # Exponent vectors are stored sparsely as tuples of (var_index, exponent),
 # sorted by index, zeros omitted.  The empty tuple is the constant monomial.
@@ -91,61 +69,50 @@ def _key_mul(k1: tuple, k2: tuple) -> tuple:
     return tuple(out)
 
 
-def _key_pow(k: tuple, n: int) -> tuple:
-    if n == 1:
-        return k
-    return tuple((v, e * n) for v, e in k)
-
-
 class Scalar:
-    """Immutable sparse Laurent polynomial over one :class:`VarRegistry`."""
+    """Immutable sparse Laurent polynomial over the shared variable table."""
 
-    __slots__ = ("registry", "terms", "_hash")
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[tuple, Fraction], registry: VarRegistry = DEFAULT_REGISTRY):
-        self.registry = registry
+    def __init__(self, terms: Mapping[tuple, Fraction]):
         self.terms = {k: c for k, c in terms.items() if c}
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, value, registry: VarRegistry = DEFAULT_REGISTRY) -> "Scalar":
+    def const(cls, value) -> "Scalar":
         c = Fraction(value)
-        return cls({_EMPTY: c} if c else {}, registry)
+        return cls({_EMPTY: c} if c else {})
 
     @classmethod
-    def zero(cls, registry: VarRegistry = DEFAULT_REGISTRY) -> "Scalar":
-        return cls({}, registry)
+    def zero(cls) -> "Scalar":
+        return cls({})
 
     @classmethod
-    def var(cls, name: str, power: int = 1, coeff=1,
-            registry: VarRegistry = DEFAULT_REGISTRY) -> "Scalar":
-        idx = registry.add(name)
+    def var(cls, name: str, power: int = 1, coeff=1) -> "Scalar":
+        idx = var_index(name)
         c = Fraction(coeff)
         if not c:
-            return cls({}, registry)
+            return cls({})
         key = ((idx, power),) if power else _EMPTY
-        return cls({key: c}, registry)
+        return cls({key: c})
 
     @classmethod
-    def monomial(cls, powers: Mapping[str, int], coeff=1,
-                 registry: VarRegistry = DEFAULT_REGISTRY) -> "Scalar":
+    def monomial(cls, powers: Mapping[str, int], coeff=1) -> "Scalar":
         c = Fraction(coeff)
         if not c:
-            return cls({}, registry)
-        key = tuple(sorted((registry.add(n), e) for n, e in powers.items() if e))
-        return cls({key: c}, registry)
+            return cls({})
+        key = tuple(sorted((var_index(n), e) for n, e in powers.items() if e))
+        return cls({key: c})
 
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.registry is not self.registry:
-                raise RegistryMismatch("Scalars over different variable registries")
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar.const(other, self.registry)
+            return Scalar.const(other)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
@@ -160,12 +127,12 @@ class Scalar:
                 out[k] = nc
             else:
                 out.pop(k, None)
-        return Scalar(out, self.registry)
+        return Scalar(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({k: -c for k, c in self.terms.items()}, self.registry)
+        return Scalar({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -189,7 +156,7 @@ class Scalar:
                     out[k] = c
                 else:
                     out.pop(k, None)
-        return Scalar(out, self.registry)
+        return Scalar(out)
 
     __rmul__ = __mul__
 
@@ -198,7 +165,7 @@ class Scalar:
             raise TypeError("Scalar powers must be integers")
         if n < 0:
             return self.monomial_inverse() ** (-n)
-        result = Scalar.const(1, self.registry)
+        result = Scalar.const(1)
         base = self
         while n:
             if n & 1:
@@ -210,7 +177,7 @@ class Scalar:
     # -- predicates and canonical form --------------------------------------
 
     def zero_like(self) -> "Scalar":
-        return Scalar({}, self.registry)
+        return Scalar({})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -226,14 +193,14 @@ class Scalar:
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible in the Laurent ring")
         (k, c), = self.terms.items()
-        return Scalar({tuple((v, -e) for v, e in k): Fraction(1) / c}, self.registry)
+        return Scalar({tuple((v, -e) for v, e in k): Fraction(1) / c})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.const(other, self.registry)
+            other = Scalar.const(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.registry is other.registry and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
@@ -250,12 +217,11 @@ class Scalar:
         """
         images: dict[int, Scalar] = {}
         for name, img in bindings.items():
-            idx = self.registry.index(name)
-            images[idx] = img if isinstance(img, Scalar) else Scalar.const(img, self.registry)
-        out = Scalar.zero(self.registry)
+            images[var_index(name)] = img if isinstance(img, Scalar) else Scalar.const(img)
+        out = Scalar.zero()
         for k, c in self.terms.items():
             fixed = []
-            factor = Scalar.const(c, self.registry)
+            factor = Scalar.const(c)
             for v, e in k:
                 img = images.get(v)
                 if img is None:
@@ -263,15 +229,15 @@ class Scalar:
                     continue
                 if e < 0 and not img.is_monomial():
                     raise ValueError(
-                        f"variable {self.registry.name(v)!r} occurs with negative power "
+                        f"variable {_NAMES[v]!r} occurs with negative power "
                         "but its image is not an invertible monomial")
                 factor = factor * (img ** e)
-            out = out + factor * Scalar({tuple(fixed): Fraction(1)}, self.registry)
+            out = out + factor * Scalar({tuple(fixed): Fraction(1)})
         return out
 
     def coeff_of(self, name: str, power: int) -> "Scalar":
         """Collect the coefficient of ``name**power`` (the variable removed)."""
-        idx = self.registry.index(name)
+        idx = var_index(name)
         out: dict[tuple, Fraction] = {}
         for k, c in self.terms.items():
             e = 0
@@ -283,40 +249,27 @@ class Scalar:
                     rest.append((v, ex))
             if e == power:
                 out[tuple(rest)] = out.get(tuple(rest), 0) + c
-        return Scalar(out, self.registry)
+        return Scalar(out)
 
     def degree_of(self, name: str) -> int | None:
         """Largest exponent of ``name``; None on the zero polynomial."""
         if not self.terms:
             return None
-        idx = self.registry.index(name)
+        idx = var_index(name)
         return max((dict(k).get(idx, 0) for k in self.terms), default=0)
 
     def variables(self) -> set[str]:
-        return {self.registry.name(v) for k in self.terms for v, _ in k}
-
-    def eval_rational(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at rational points; every occurring variable needs a value."""
-        total = Fraction(0)
-        for k, c in self.terms.items():
-            prod = c
-            for v, e in k:
-                name = self.registry.name(v)
-                if name not in values:
-                    raise KeyError(f"no value supplied for {name!r}")
-                prod *= Fraction(values[name]) ** e
-            total += prod
-        return total
+        return {_NAMES[v] for k in self.terms for v, _ in k}
 
     # -- canonical text ------------------------------------------------------
 
     @classmethod
-    def from_text(cls, text: str, registry: VarRegistry = DEFAULT_REGISTRY) -> "Scalar":
+    def from_text(cls, text: str) -> "Scalar":
         """Parse the canonical text form produced by :meth:`to_text`."""
         text = text.strip()
         if text == "0":
-            return cls.zero(registry)
-        total = cls.zero(registry)
+            return cls.zero()
+        total = cls.zero()
         for signed in text.replace(" - ", " + -").split(" + "):
             part = signed.strip()
             coeff = Fraction(1)
@@ -332,18 +285,18 @@ class Scalar:
                     coeff *= Fraction(factor)
                 elif factor:
                     powers[factor] = powers.get(factor, 0) + 1
-            total = total + cls.monomial(powers, coeff, registry)
+            total = total + cls.monomial(powers, coeff)
         return total
 
     def to_text(self) -> str:
+        """Canonical text: factors, then terms, ordered by variable name."""
         if not self.terms:
             return "0"
+        named = sorted((sorted((_NAMES[v], e) for v, e in k), c)
+                       for k, c in self.terms.items())
         parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            mono = "*".join(
-                f"{self.registry.name(v)}^{e}" if e != 1 else self.registry.name(v)
-                for v, e in k)
+        for factors, c in named:
+            mono = "*".join(f"{name}^{e}" if e != 1 else name for name, e in factors)
             if mono:
                 if c == 1:
                     parts.append(mono)
@@ -369,7 +322,7 @@ class ScalarFraction:
 
     def __init__(self, num: Scalar, den: Scalar | None = None):
         if den is None:
-            den = Scalar.const(1, num.registry)
+            den = Scalar.const(1)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num = num
@@ -385,7 +338,7 @@ class ScalarFraction:
         if isinstance(other, Scalar):
             return ScalarFraction(other)
         if isinstance(other, (int, Fraction)):
-            return ScalarFraction(Scalar.const(other, self.num.registry))
+            return ScalarFraction(Scalar.const(other))
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
@@ -449,10 +402,3 @@ class ScalarFraction:
 
     def __repr__(self):
         return f"ScalarFraction({self.to_text()})"
-
-
-def sum_scalars(items: Iterable[Scalar], registry: VarRegistry = DEFAULT_REGISTRY) -> Scalar:
-    total = Scalar.zero(registry)
-    for it in items:
-        total = total + it
-    return total

@@ -12,34 +12,31 @@ confined to the top levels, which the checks inspect rather than discard.
 from __future__ import annotations
 
 from fractions import Fraction
-from .ring import DEFAULT_REGISTRY, Scalar, ScalarFraction, VarRegistry
+from .ring import Scalar, ScalarFraction
 from .weyl import Lattice, WeylOp
 
 __all__ = ["FockVector", "fock_act", "build_state", "weyl_act",
            "osc_a", "osc_astar", "osc_qd"]
 
 
-def _q(k: int, registry: VarRegistry) -> Scalar:
-    return Scalar.var("s", 2 * k, registry=registry)
+def _q(k: int) -> Scalar:
+    return Scalar.var("s", 2 * k)
 
 
 class FockVector:
     """Left row vector: map from level tuples to exact fraction coefficients."""
 
-    __slots__ = ("sites", "trunc", "coeffs", "registry")
+    __slots__ = ("sites", "trunc", "coeffs")
 
-    def __init__(self, sites: int, trunc: int, coeffs: dict[tuple, ScalarFraction],
-                 registry: VarRegistry = DEFAULT_REGISTRY):
+    def __init__(self, sites: int, trunc: int, coeffs: dict[tuple, ScalarFraction]):
         self.sites = sites
         self.trunc = trunc
-        self.registry = registry
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
 
     @classmethod
-    def basis(cls, levels: tuple, trunc: int,
-              registry: VarRegistry = DEFAULT_REGISTRY) -> "FockVector":
-        one = ScalarFraction(Scalar.const(1, registry))
-        return cls(len(levels), trunc, {tuple(levels): one}, registry)
+    def basis(cls, levels: tuple, trunc: int) -> "FockVector":
+        one = ScalarFraction(Scalar.const(1))
+        return cls(len(levels), trunc, {tuple(levels): one})
 
     def __add__(self, other: "FockVector") -> "FockVector":
         if (self.sites, self.trunc) != (other.sites, other.trunc):
@@ -48,14 +45,14 @@ class FockVector:
         for k, c in other.coeffs.items():
             cur = out.get(k)
             out[k] = c if cur is None else cur + c
-        return FockVector(self.sites, self.trunc, out, self.registry)
+        return FockVector(self.sites, self.trunc, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(Scalar.const(-1, self.registry))
+        return self + other.scale(Scalar.const(-1))
 
     def scale(self, c) -> "FockVector":
         return FockVector(self.sites, self.trunc,
-                          {k: v * c for k, v in self.coeffs.items()}, self.registry)
+                          {k: v * c for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -63,23 +60,20 @@ class FockVector:
     def support_levels(self) -> set[tuple]:
         return set(self.coeffs)
 
-    def max_level(self) -> int:
-        return max((max(k) for k in self.coeffs), default=-1)
-
     def interior_part(self) -> "FockVector":
         """Components with every site level strictly below the truncation."""
         return FockVector(self.sites, self.trunc,
                           {k: c for k, c in self.coeffs.items()
-                           if all(x < self.trunc for x in k)}, self.registry)
+                           if all(x < self.trunc for x in k)})
 
     def boundary_part(self) -> "FockVector":
         return FockVector(self.sites, self.trunc,
                           {k: c for k, c in self.coeffs.items()
-                           if any(x >= self.trunc for x in k)}, self.registry)
+                           if any(x >= self.trunc for x in k)})
 
     def coefficient(self, levels: tuple) -> ScalarFraction:
         return self.coeffs.get(tuple(levels),
-                               ScalarFraction(Scalar.zero(self.registry)))
+                               ScalarFraction(Scalar.zero()))
 
     def to_text(self) -> str:
         if not self.coeffs:
@@ -99,7 +93,6 @@ def fock_act(op: str, site: int, v: FockVector) -> FockVector:
     Raising past the truncation level is recorded, not dropped: the overflow
     component at level K+1 stays in the vector and the checks locate it.
     """
-    reg = v.registry
     out: dict[tuple, ScalarFraction] = {}
 
     def add(levels: tuple, c: ScalarFraction) -> None:
@@ -115,63 +108,62 @@ def fock_act(op: str, site: int, v: FockVector) -> FockVector:
         k = levels[i]
         if op == "a":
             if k > 0:
-                coeff = Scalar.const(1, reg) - _q(-2 * k, reg)
+                coeff = Scalar.const(1) - _q(-2 * k)
                 add(levels[:i] + (k - 1,) + levels[i + 1:], c * coeff)
         elif op == "astar":
             add(levels[:i] + (k + 1,) + levels[i + 1:], c)
         elif op == "qD":
-            add(levels, c * _q(-2 * k, reg))
+            add(levels, c * _q(-2 * k))
         else:
             raise ValueError(f"unknown oscillator generator {op!r}")
-    return FockVector(v.sites, v.trunc, out, reg)
+    return FockVector(v.sites, v.trunc, out)
 
 
-def build_state(kind: str, K: int, N: int = 1, k: int = 0,
-                registry: VarRegistry = DEFAULT_REGISTRY) -> FockVector:
+def build_state(kind: str, K: int, N: int = 1, k: int = 0) -> FockVector:
     """Named left states: a basis level, the single-site geometric state on
     levels <= K, or its N-fold tensor power."""
     if kind == "vk":
-        return FockVector.basis((k,), K, registry)
+        return FockVector.basis((k,), K)
     if kind == "omega":
         # common denominator prod_{j<=K}(1 - q^(-2j)) keeps additions aligned
-        den = Scalar.const(1, registry)
+        den = Scalar.const(1)
         for j in range(1, K + 1):
-            den = den * (Scalar.const(1, registry) - _q(-2 * j, registry))
+            den = den * (Scalar.const(1) - _q(-2 * j))
         coeffs = {}
         for kk in range(K + 1):
-            num = _q(-2 * kk, registry)
+            num = _q(-2 * kk)
             for j in range(kk + 1, K + 1):
-                num = num * (Scalar.const(1, registry) - _q(-2 * j, registry))
+                num = num * (Scalar.const(1) - _q(-2 * j))
             coeffs[(kk,)] = ScalarFraction(num, den)
-        return FockVector(1, K, coeffs, registry)
+        return FockVector(1, K, coeffs)
     if kind == "Omega":
-        base = build_state("omega", K, registry=registry)
-        coeffs = {(): ScalarFraction(Scalar.const(1, registry))}
+        base = build_state("omega", K)
+        coeffs = {(): ScalarFraction(Scalar.const(1))}
         for _ in range(N):
             new = {}
             for levels, c in coeffs.items():
                 for (kk,), c2 in base.coeffs.items():
                     new[levels + (kk,)] = c * c2
             coeffs = new
-        return FockVector(N, K, coeffs, registry)
+        return FockVector(N, K, coeffs)
     raise ValueError(f"unknown state kind {kind!r}")
 
 
 # -- Weyl realisation ------------------------------------------------------------
 
 
-def osc_a(lattice: Lattice, n: int, registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
+def osc_a(lattice: Lattice, n: int) -> WeylOp:
     """a_n = (1 - V_n^-1) U_n^-1."""
-    return (WeylOp.word(lattice, [(n, "U", -1)], registry=registry)
-            - WeylOp.word(lattice, [(n, "V", -1), (n, "U", -1)], registry=registry))
+    return (WeylOp.word(lattice, [(n, "U", -1)])
+            - WeylOp.word(lattice, [(n, "V", -1), (n, "U", -1)]))
 
 
-def osc_astar(lattice: Lattice, n: int, registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
-    return WeylOp.word(lattice, [(n, "U", 1)], registry=registry)
+def osc_astar(lattice: Lattice, n: int) -> WeylOp:
+    return WeylOp.word(lattice, [(n, "U", 1)])
 
 
-def osc_qd(lattice: Lattice, n: int, registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
-    return WeylOp.word(lattice, [(n, "V", -1)], registry=registry)
+def osc_qd(lattice: Lattice, n: int) -> WeylOp:
+    return WeylOp.word(lattice, [(n, "V", -1)])
 
 
 def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
@@ -180,7 +172,6 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
     Levels pushed below zero annihilate the state; that matches the left
     oscillator action whenever the operator lies in the oscillator algebra.
     """
-    reg = v.registry
     out: dict[tuple, ScalarFraction] = {}
     for key, scal in op.terms.items():
         site_exp = {site: (a2, b2) for site, a2, b2 in key}
@@ -201,7 +192,7 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
                 continue
             coeff = c * scal
             if phase:
-                coeff = coeff * Scalar.var("s", phase, registry=reg)
+                coeff = coeff * Scalar.var("s", phase)
             tkey = tuple(new)
             cur = out.get(tkey)
             nc = coeff if cur is None else cur + coeff
@@ -209,32 +200,30 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
                 out.pop(tkey, None)
             else:
                 out[tkey] = nc
-    return FockVector(v.sites, v.trunc, out, reg)
+    return FockVector(v.sites, v.trunc, out)
 
 
-def stochastic_hamiltonian(lattice: Lattice,
-                           registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
+def stochastic_hamiltonian(lattice: Lattice) -> WeylOp:
     """H = sum_n { a_n a*_{n+1} + q^(2 D_n) } on the periodic chain."""
-    total = WeylOp.zero(lattice, registry)
+    total = WeylOp.zero(lattice)
     for n in range(1, lattice.size + 1):
-        total = total + osc_a(lattice, n, registry) * osc_astar(lattice, n + 1, registry)
-        total = total + osc_qd(lattice, n, registry)
+        total = total + osc_a(lattice, n) * osc_astar(lattice, n + 1)
+        total = total + osc_qd(lattice, n)
     return total
 
 
-def sign_probe(N: int = 2, K: int = 4, q=Fraction(1, 2),
-               registry: VarRegistry = DEFAULT_REGISTRY) -> dict:
+def sign_probe(N: int = 2, K: int = 4, q=Fraction(1, 2)) -> dict:
     """Numeric sign pattern of the off-diagonal generator entries at rational q.
 
     Report-only: counts the signs of the off-diagonal matrix elements of
     H - N id in the level basis, with all levels below the truncation.
     """
     lattice = Lattice(N, True)
-    H = stochastic_hamiltonian(lattice, registry)
+    H = stochastic_hamiltonian(lattice)
     from itertools import product
     counts = {"positive": 0, "negative": 0, "zero": 0}
     for levels in product(range(K), repeat=N):
-        v = FockVector.basis(levels, K, registry)
+        v = FockVector.basis(levels, K)
         image = weyl_act(v, H)
         for target, coeff in image.coeffs.items():
             if target == levels:
@@ -254,12 +243,12 @@ def sign_probe(N: int = 2, K: int = 4, q=Fraction(1, 2),
 def _eval_q(c: ScalarFraction, q: Fraction) -> Fraction:
     """Evaluate a fraction whose only variable is s, at s^2 = q exactly."""
     def eval_scalar(x: Scalar) -> Fraction:
+        if x.variables() - {"s"}:
+            raise ValueError("probe expressions must only involve the deformation")
         total = Fraction(0)
         for key, coeff in x.terms.items():
             val = coeff
-            for v, e in key:
-                if x.registry.name(v) != "s":
-                    raise ValueError("probe expressions must only involve the deformation")
+            for _, e in key:
                 if e % 2:
                     raise ValueError("odd half-power survives the probe")
                 val *= q ** (e // 2)
@@ -274,8 +263,7 @@ def _eval_q(c: ScalarFraction, q: Fraction) -> Fraction:
 # -- named checks ----------------------------------------------------------------
 
 
-def check_stoch(check_id: str, K: int = 6, N: int = 2,
-                registry: VarRegistry = DEFAULT_REGISTRY, mutate: bool = False):
+def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
     """Oscillator and stochastic-structure checks at truncation K."""
     from .quantum import ModelParams, build_lax
     from .reports import report_from_residuals
@@ -284,43 +272,42 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2,
         raise ValueError("truncation too small to leave interior levels")
     run_params = {"K": K, "N": N}
     lat1 = Lattice(1, True)
-    s4 = lambda k: Scalar.var("s", k, registry=registry)
+    s4 = lambda k: Scalar.var("s", k)
 
     if check_id == "qosc_algebra":
         latN = Lattice(max(N, 2), True)
         items = []
         for n in (1, 2):
-            a = osc_a(latN, n, registry)
-            astar = osc_astar(latN, n, registry)
-            qd = osc_qd(latN, n, registry)
-            one = WeylOp.one(latN, registry)
+            a = osc_a(latN, n)
+            astar = osc_astar(latN, n)
+            qd = osc_qd(latN, n)
+            one = WeylOp.one(latN)
             items += [
                 (f"a a* (site {n})", a * astar - (one - qd)),
                 (f"a* a (site {n})", astar * a - (one - qd * s4(-4))),
                 (f"a qD (site {n})", a * qd - qd * a * s4(4)),
                 (f"a* qD (site {n})", astar * qd - qd * astar * s4(-4)),
             ]
-        items.append(("cross-site", osc_a(latN, 1, registry).commutator(
-            osc_astar(latN, 2, registry))))
+        items.append(("cross-site", osc_a(latN, 1).commutator(osc_astar(latN, 2))))
         return report_from_residuals(check_id, run_params, _SANCHORS[check_id], items)
 
     if check_id == "Lqosc_match":
-        params = ModelParams.q_osc(registry)
-        lam = Scalar.var("lam", registry=registry)
-        lhs = build_lax("Lloc", 1, lam, params, lat1, registry)
-        rhs = build_lax("Lqosc", 1, lam, params, lat1, registry)
+        params = ModelParams.q_osc()
+        lam = Scalar.var("lam")
+        lhs = build_lax("Lloc", 1, lam, params, lat1)
+        rhs = build_lax("Lqosc", 1, lam, params, lat1)
         res, _ = lhs.residual(rhs)
         return report_from_residuals(check_id, run_params, _SANCHORS[check_id],
                                      [("preset substitution", res)])
 
     if check_id == "column_eigen":
-        params = ModelParams.q_osc(registry)
-        lam = Scalar.var("lam", registry=registry)
-        om = build_state("omega", K, registry=registry)
-        L = build_lax("Lqosc", 1, lam, params, lat1, registry)
-        eigen = lam - Scalar.const(1, registry)
+        params = ModelParams.q_osc()
+        lam = Scalar.var("lam")
+        om = build_state("omega", K)
+        L = build_lax("Lqosc", 1, lam, params, lat1)
+        eigen = lam - Scalar.const(1)
         if mutate:
-            eigen = lam + Scalar.const(1, registry)
+            eigen = lam + Scalar.const(1)
         items = []
         for col in (0, 1):
             colsum = L.entries[0][col] + L.entries[1][col]
@@ -329,26 +316,26 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2,
         return report_from_residuals(check_id, run_params, _SANCHORS[check_id], items)
 
     if check_id == "omega_identity":
-        om = build_state("omega", K, registry=registry)
+        om = build_state("omega", K)
         lhs = fock_act("astar", 1, om).scale(-s4(-4))
         rhs = fock_act("qD", 1, om) - om
         diff = lhs - rhs
         bad = {lv for lv in diff.support_levels() if lv[0] <= K}
         items = [("interior part", diff.interior_part()),
                  ("defect below top level",
-                  FockVector(1, K, {lv: diff.coeffs[lv] for lv in bad}, registry))]
+                  FockVector(1, K, {lv: diff.coeffs[lv] for lv in bad}))]
         return report_from_residuals(check_id, run_params, _SANCHORS[check_id], items)
 
     if check_id in ("Omega_H1", "zero_column_sum"):
         latN = Lattice(N, True)
-        Om = build_state("Omega", K, N=N, registry=registry)
-        H = stochastic_hamiltonian(latN, registry)
+        Om = build_state("Omega", K, N=N)
+        H = stochastic_hamiltonian(latN)
         image = weyl_act(Om, H)
-        target = Om.scale(Scalar.const(N, registry))
+        target = Om.scale(Scalar.const(N))
         diff = image - target
         if check_id == "Omega_H1":
             stray = FockVector(N, K, {lv: c for lv, c in diff.coeffs.items()
-                                      if all(x < K for x in lv)}, registry)
+                                      if all(x < K for x in lv)})
             items = [("interior levels", stray)]
             return report_from_residuals(check_id, run_params, _SANCHORS[check_id], items)
         # per-column statement: interior columns of the truncated generator
@@ -363,10 +350,10 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2,
     if check_id == "realisation_consistency":
         items = []
         for k in range(0, K):
-            v = build_state("vk", K, k=k, registry=registry)
-            for name, wop in (("a", osc_a(lat1, 1, registry)),
-                              ("a*", osc_astar(lat1, 1, registry)),
-                              ("qD", osc_qd(lat1, 1, registry))):
+            v = build_state("vk", K, k=k)
+            for name, wop in (("a", osc_a(lat1, 1)),
+                              ("a*", osc_astar(lat1, 1)),
+                              ("qD", osc_qd(lat1, 1))):
                 items.append((f"{name} on level {k}",
                               fock_act({"a": "a", "a*": "astar", "qD": "qD"}[name], 1, v)
                               - weyl_act(v, wop)))

@@ -13,9 +13,9 @@ ascending order.  A :class:`WeylOp` is a merged sum of such monomials with
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .ring import DEFAULT_REGISTRY, Scalar, VarRegistry
+from .ring import Scalar
 
 __all__ = ["Lattice", "WeylOp", "TermCapExceeded", "TERM_CAP"]
 
@@ -87,45 +87,40 @@ def _key_merge(k1: tuple, k2: tuple) -> tuple[tuple, int]:
 class WeylOp:
     """Normal-ordered finite sum of multi-site Weyl monomials."""
 
-    __slots__ = ("lattice", "terms", "registry")
+    __slots__ = ("lattice", "terms")
 
-    def __init__(self, lattice: Lattice, terms: dict[tuple, Scalar],
-                 registry: VarRegistry = DEFAULT_REGISTRY):
+    def __init__(self, lattice: Lattice, terms: dict[tuple, Scalar]):
         self.lattice = lattice
-        self.registry = registry
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, lattice: Lattice, registry: VarRegistry = DEFAULT_REGISTRY) -> "WeylOp":
-        return cls(lattice, {}, registry)
+    def zero(cls, lattice: Lattice) -> "WeylOp":
+        return cls(lattice, {})
 
     @classmethod
-    def scalar(cls, coeff, lattice: Lattice,
-               registry: VarRegistry = DEFAULT_REGISTRY) -> "WeylOp":
-        c = coeff if isinstance(coeff, Scalar) else Scalar.const(coeff, registry)
-        return cls(lattice, {(): c}, c.registry)
+    def scalar(cls, coeff, lattice: Lattice) -> "WeylOp":
+        c = coeff if isinstance(coeff, Scalar) else Scalar.const(coeff)
+        return cls(lattice, {(): c})
 
     @classmethod
-    def one(cls, lattice: Lattice, registry: VarRegistry = DEFAULT_REGISTRY) -> "WeylOp":
-        return cls.scalar(1, lattice, registry)
+    def one(cls, lattice: Lattice) -> "WeylOp":
+        return cls.scalar(1, lattice)
 
     @classmethod
-    def generator(cls, lattice: Lattice, site: int, kind: str, power=1,
-                  registry: VarRegistry = DEFAULT_REGISTRY) -> "WeylOp":
+    def generator(cls, lattice: Lattice, site: int, kind: str, power=1) -> "WeylOp":
         """A single U or V generator raised to a half-integer power."""
-        return cls.word(lattice, [(site, kind, power)], registry=registry)
+        return cls.word(lattice, [(site, kind, power)])
 
     @classmethod
-    def word(cls, lattice: Lattice, factors: Sequence[tuple], coeff=1,
-             registry: VarRegistry = DEFAULT_REGISTRY) -> "WeylOp":
+    def word(cls, lattice: Lattice, factors: Sequence[tuple], coeff=1) -> "WeylOp":
         """Normal-order an ordered product of (site, 'U'|'V', power) factors.
 
         The factors multiply left to right; all reordering phases q^(2ab)
         are absorbed into the coefficient.
         """
-        c = coeff if isinstance(coeff, Scalar) else Scalar.const(coeff, registry)
+        c = coeff if isinstance(coeff, Scalar) else Scalar.const(coeff)
         key: tuple = ()
         s_exp = 0
         for site, kind, power in factors:
@@ -142,8 +137,8 @@ class WeylOp:
             key, ph = _key_merge(key, fk)
             s_exp += ph
         if s_exp:
-            c = c * Scalar.var("s", s_exp, registry=c.registry)
-        return cls(lattice, {key: c}, c.registry)
+            c = c * Scalar.var("s", s_exp)
+        return cls(lattice, {key: c})
 
     # -- linear structure ----------------------------------------------------
 
@@ -153,7 +148,7 @@ class WeylOp:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = WeylOp.scalar(other, self.lattice, self.registry)
+            other = WeylOp.scalar(other, self.lattice)
         if not isinstance(other, WeylOp):
             return NotImplemented
         self._check(other)
@@ -167,16 +162,16 @@ class WeylOp:
                 out.pop(k, None)
             else:
                 out[k] = nc
-        return WeylOp(self.lattice, out, self.registry)
+        return WeylOp(self.lattice, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylOp(self.lattice, {k: -c for k, c in self.terms.items()}, self.registry)
+        return WeylOp(self.lattice, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = WeylOp.scalar(other, self.lattice, self.registry)
+            other = WeylOp.scalar(other, self.lattice)
         if not isinstance(other, WeylOp):
             return NotImplemented
         return self + (-other)
@@ -186,14 +181,13 @@ class WeylOp:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            c = other if isinstance(other, Scalar) else Scalar.const(other, self.registry)
-            return WeylOp(self.lattice, {k: co * c for k, co in self.terms.items()},
-                          self.registry)
+            c = other if isinstance(other, Scalar) else Scalar.const(other)
+            return WeylOp(self.lattice, {k: co * c for k, co in self.terms.items()})
         if not isinstance(other, WeylOp):
             return NotImplemented
         self._check(other)
         out: dict[tuple, Scalar] = {}
-        s = Scalar.var("s", registry=self.registry)
+        s = Scalar.var("s")
         phase_cache: dict[int, Scalar] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -213,7 +207,7 @@ class WeylOp:
                     out[k] = nc
                     if len(out) > TERM_CAP:
                         raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
-        return WeylOp(self.lattice, out, self.registry)
+        return WeylOp(self.lattice, out)
 
     def __rmul__(self, other):
         # Only scalars reach here; they commute with everything.
@@ -234,7 +228,7 @@ class WeylOp:
             if not nc.is_zero():
                 prev = out.get(k)
                 out[k] = nc if prev is None else prev + nc
-        return WeylOp(self.lattice, out, self.registry)
+        return WeylOp(self.lattice, out)
 
     def conjugate_v(self) -> "WeylOp":
         """Conjugation by the product over sites of the d2-twist operator.
@@ -247,9 +241,9 @@ class WeylOp:
             if w % 2:
                 raise ValueError("conjugation would need a half-integer power of d2")
             if w:
-                c = c * Scalar.var("d2", w // 2, registry=self.registry)
+                c = c * Scalar.var("d2", w // 2)
             out[k] = c
-        return WeylOp(self.lattice, out, self.registry)
+        return WeylOp(self.lattice, out)
 
     def monomial_inverse(self) -> "WeylOp":
         """Inverse of a single-term operator with invertible coefficient."""
@@ -260,17 +254,13 @@ class WeylOp:
         phase = sum(a2 * b2 for _, a2, b2 in k)
         inv_c = c.monomial_inverse()
         if phase:
-            inv_c = inv_c * Scalar.var("s", phase, registry=self.registry)
-        return WeylOp(self.lattice, {tuple((n, -a2, -b2) for n, a2, b2 in k): inv_c},
-                      self.registry)
-
-    def map_coeffs(self, fn) -> "WeylOp":
-        return WeylOp(self.lattice, {k: fn(c) for k, c in self.terms.items()}, self.registry)
+            inv_c = inv_c * Scalar.var("s", phase)
+        return WeylOp(self.lattice, {tuple((n, -a2, -b2) for n, a2, b2 in k): inv_c})
 
     # -- inspection ----------------------------------------------------------
 
     def zero_like(self) -> "WeylOp":
-        return WeylOp(self.lattice, {}, self.registry)
+        return WeylOp(self.lattice, {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -288,25 +278,15 @@ class WeylOp:
             nc = c.coeff_of(name, power)
             if not nc.is_zero():
                 out[k] = nc
-        return WeylOp(self.lattice, out, self.registry)
+        return WeylOp(self.lattice, out)
 
     def degree_of_var(self, name: str) -> int:
         degs = [c.degree_of(name) for c in self.terms.values()]
         return max((d for d in degs if d is not None), default=0)
 
-    def s_exponents_all_even(self) -> bool:
-        idx = self.registry.index("s") if "s" in self.registry else None
-        if idx is None:
-            return True
-        for c in self.terms.values():
-            for key in c.terms:
-                if dict(key).get(idx, 0) % 2:
-                    return False
-        return True
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = WeylOp.scalar(other, self.lattice, self.registry)
+            other = WeylOp.scalar(other, self.lattice)
         if not isinstance(other, WeylOp):
             return NotImplemented
         return self.lattice == other.lattice and self.terms == other.terms
@@ -337,10 +317,3 @@ class WeylOp:
 def _fmt_half(doubled: int) -> str:
     return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
 
-
-def weyl_sum(items: Iterable[WeylOp], lattice: Lattice,
-             registry: VarRegistry = DEFAULT_REGISTRY) -> WeylOp:
-    total = WeylOp.zero(lattice, registry)
-    for it in items:
-        total = total + it
-    return total

@@ -6,8 +6,13 @@ criterion.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import toda2
 from toda2 import cli
 from toda2.registry import REGISTRY, RunConfig, run_checks
 from toda2.reports import DEGENERATE, PASS
@@ -124,3 +129,29 @@ def test_criterion_12_deterministic_reports(tmp_path):
           f"reports ({elapsed:.1f}s)")
     assert identical
     assert [r["id"] for r in rows] == sorted(REGISTRY)
+
+
+def _rows_in_fresh_process(ids, path):
+    """Run ``toda2 verify`` on ``ids`` in a new interpreter; rows by id."""
+    src = str(Path(toda2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "toda2.cli", "verify", *ids,
+                           "--json", str(path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return {row["id"]: row for row in json.loads(path.read_text())}
+
+
+def test_criterion_12_rows_independent_of_run_order(tmp_path):
+    # checks that run earlier in a process must not change a later row's text
+    mutations = sorted(cid for cid in REGISTRY if cid.startswith("mutation_"))
+    alone = {}
+    for cid in mutations:
+        alone.update(_rows_in_fresh_process([cid], tmp_path / f"{cid}.json"))
+    together = _rows_in_fresh_process(["AD", "H1_Toda2", *mutations],
+                                      tmp_path / "together.json")
+    differing = [cid for cid in mutations if alone[cid] != together[cid]]
+    print(f"ACCEPTANCE 12 [{'FAIL' if differing else 'PASS'}] rows independent "
+          f"of run order ({len(mutations)} probes)")
+    assert not differing

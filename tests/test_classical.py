@@ -13,8 +13,8 @@ from toda2.ring import Scalar
 def test_big_lax_shape_n3():
     chart = make_chart("qp", 3, periodic=True)
     L = big_lax(chart)
-    mu = chart.from_scalar(Scalar.var("mu", registry=chart.registry))
-    mu_inv = chart.from_scalar(Scalar.var("mu", registry=chart.registry).monomial_inverse())
+    mu = chart.from_scalar(Scalar.var("mu"))
+    mu_inv = chart.from_scalar(Scalar.var("mu").monomial_inverse())
     assert L.entries[0][2] == mu_inv * chart.gen("Q3")
     assert L.entries[2][0] == mu * chart.gen("Q3")
     for n in (1, 2, 3):
@@ -26,8 +26,8 @@ def test_big_lax_shape_n3():
 def test_big_lax_degenerate_corners_sum():
     chart = make_chart("qp", 2, periodic=True)
     L = big_lax(chart)
-    mu = chart.from_scalar(Scalar.var("mu", registry=chart.registry))
-    mu_inv = chart.from_scalar(Scalar.var("mu", registry=chart.registry).monomial_inverse())
+    mu = chart.from_scalar(Scalar.var("mu"))
+    mu_inv = chart.from_scalar(Scalar.var("mu").monomial_inverse())
     assert L.entries[0][1] == chart.gen("Q1") + mu_inv * chart.gen("Q2")
     assert L.entries[1][0] == chart.gen("Q1") + mu * chart.gen("Q2")
 
@@ -85,7 +85,7 @@ def test_monodromy_determinant_is_spectral_product():
         det = T.det()
         assert (det - prod * prod).is_zero()
         # lam-free: equal to its own image under a fresh spectral variable
-        nu = Scalar.var("nu", registry=chart.registry)
+        nu = Scalar.var("nu")
         from toda2.poisson import PoissonElem
         from toda2.ring import ScalarFraction
         shifted = PoissonElem(chart, ScalarFraction(
@@ -97,14 +97,14 @@ def test_two_by_two_determinant_expansion():
     # cofactor oracle at N = 2: det[L + lam] expanded by hand
     chart = make_chart("qp", 2, periodic=True)
     L = big_lax(chart)
-    lam = chart.from_scalar(Scalar.var("lam", registry=chart.registry))
+    lam = chart.from_scalar(Scalar.var("lam"))
     shifted = OpMatrix([[L.entries[0][0] + lam, L.entries[0][1]],
                         [L.entries[1][0], L.entries[1][1] + lam]])
     got = shifted.det()
     p1, p2 = chart.gen("P1"), chart.gen("P2")
     q1, q2 = chart.gen("Q1"), chart.gen("Q2")
-    mu = chart.from_scalar(Scalar.var("mu", registry=chart.registry))
-    mu_inv = chart.from_scalar(Scalar.var("mu", registry=chart.registry).monomial_inverse())
+    mu = chart.from_scalar(Scalar.var("mu"))
+    mu_inv = chart.from_scalar(Scalar.var("mu").monomial_inverse())
     expect = ((lam - p1) * (lam - p2)
               - (q1 + mu_inv * q2) * (q1 + mu * q2))
     assert (got - expect).is_zero()

@@ -78,6 +78,17 @@ def test_failing_check_gives_exit_one(monkeypatch, tmp_path):
     assert cli.main(["verify", "Lqosc_match"]) == 1
 
 
+def test_raising_check_becomes_failed_row(tmp_path):
+    # a truncation below 3 makes every oscillator check raise ValueError
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "AD", "Omega_H1", "--trunc", "2", "--json", str(out)]) == 1
+    rows = {r["id"]: r for r in json.loads(out.read_text())}
+    assert rows["AD"]["status"] == "pass"
+    assert rows["Omega_H1"]["status"] == "fail"
+    assert rows["Omega_H1"]["witness"] == \
+        "ValueError: truncation too small to leave interior levels"
+
+
 def test_unwritable_report_path_is_io_error(tmp_path):
     bad = tmp_path / "missing" / "report.json"
     assert cli.main(["verify", "Lqosc_match", "--json", str(bad)]) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda2.ring import RegistryMismatch, Scalar, ScalarFraction, VarRegistry
+from toda2.ring import Scalar, ScalarFraction
 
 s = Scalar.var("s")
 lam = Scalar.var("lam")
@@ -110,13 +110,6 @@ def test_fraction_equality_is_cross_multiplied():
 def test_fraction_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         ScalarFraction(s, Scalar.zero())
-
-
-def test_registry_mismatch_raises():
-    other = VarRegistry()
-    a = Scalar.var("x", registry=other)
-    with pytest.raises(RegistryMismatch):
-        _ = a + s
 
 
 def test_canonical_text_round_trip():
