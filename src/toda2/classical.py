@@ -9,28 +9,14 @@ are verified entrywise over the fraction field of the periodic qp chart.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .matops import OpMatrix
 from .poisson import Chart, PoissonElem, make_chart
 from .ring import Scalar, ScalarFraction
 
-__all__ = ["ClassicalModel", "build_model", "build_structure", "swap_two_leg",
-           "bracket_matrix", "big_lax", "local_lax", "classical_monodromy"]
-
-
-class ClassicalModel:
-    """Chart plus both Lax presentations at chain length N."""
-
-    def __init__(self, N: int):
-        if N < 2:
-            raise ValueError("the chain needs at least two sites")
-        self.N = N
-        self.chart = make_chart("qp", N, periodic=True)
-        self.L = big_lax(self.chart, "mu")
-        self.T = classical_monodromy(self.chart, "lam")
-
-
-def build_model(N: int) -> ClassicalModel:
-    return ClassicalModel(N)
+__all__ = ["build_structure", "swap_two_leg", "bracket_matrix", "big_lax",
+           "local_lax", "classical_monodromy"]
 
 
 def big_lax(chart: Chart, mu_name: str = "mu") -> OpMatrix:
@@ -60,11 +46,8 @@ def local_lax(chart: Chart, n: int, lam_name: str = "lam") -> OpMatrix:
 
 
 def classical_monodromy(chart: Chart, lam_name: str = "lam") -> OpMatrix:
-    t = None
-    for n in range(chart.size, 0, -1):
-        f = local_lax(chart, n, lam_name)
-        t = f if t is None else t.mul(f)
-    return t
+    return reduce(OpMatrix.mul, (local_lax(chart, n, lam_name)
+                                 for n in range(chart.size, 0, -1)))
 
 
 def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2") -> OpMatrix:
@@ -108,21 +91,14 @@ def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2")
             a = swap_two_leg(a, N)
         # d12 right-multiplies the second-leg copy; the swapped d21 the first-leg one.
         Lother = leg_embed(big_lax(chart, mu2 if not swap else mu1), 2 if not swap else 1, chart)
-        rp = promote(r, chart)
-        ap = promote(a, chart)
+        rp = OpMatrix(r.entries)
         den_elem = chart.from_scalar(r.den)
         # combine over the common denominator mu1 - mu2 (or its swap)
-        minus = rp.sub(ap.scale(den_elem))
-        plus = rp.add(ap.scale(den_elem))
+        minus = rp.sub(a.scale(den_elem))
+        plus = rp.add(a.scale(den_elem))
         out = minus.mul(Lother).neg().sub(Lother.mul(plus))
         return OpMatrix(out.entries, r.den)
     raise ValueError(f"unknown structure kind {kind!r}")
-
-
-def promote(m: OpMatrix, chart: Chart) -> OpMatrix:
-    """Scalar-entry matrix -> PoissonElem entries (denominator dropped)."""
-    return OpMatrix([[x if isinstance(x, PoissonElem) else chart.from_scalar(x)
-                      for x in row] for row in m.entries])
 
 
 def leg_embed(m: OpMatrix, leg: int, chart: Chart) -> OpMatrix:
@@ -203,15 +179,15 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
             d12 = build_structure("d12", chart)
             d21 = build_structure("d21", chart)
             den21 = chart.from_scalar(d21.den)
-            d12p, d21p = promote(d12, chart), promote(d21, chart)
+            d12p, d21p = OpMatrix(d12.entries), OpMatrix(d21.entries)
             rhs = (d12p.mul(L1).sub(L1.mul(d12p))).scale(den21).sub(
                 (d21p.mul(L2).sub(L2.mul(d21p))).scale(den12))
             res, _ = BM.scale(den12 * den21).residual(rhs)
             return report_from_residuals(check_id, run_params, _CANCHORS[check_id],
                                          [("entry brackets vs commutator form", res)],
                                          degenerate)
-        r12 = promote(build_structure("r12", chart), chart)
-        a12 = promote(build_structure("a12", chart), chart)
+        r12 = OpMatrix(build_structure("r12", chart).entries)
+        a12 = build_structure("a12", chart)
         if mutate:
             a12 = a12.neg()
         two = chart.const(2)

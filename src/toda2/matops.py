@@ -1,8 +1,10 @@
 """Dense small-matrix algebra over exact ring entries.
 
 Entries may be Scalars, ScalarFractions, Weyl operators or Poisson elements;
-any type with +, -, *, ``is_zero`` and ``zero_like`` works, and mixed
-scalar/operator products promote through the operand's reflected operators.
+any type with +, -, *, ``is_zero`` and ``zero_like`` works.  Matrices over
+different entry rings multiply directly: a c-number matrix times an operator
+matrix (on either side) promotes entrywise through the operand's reflected
+operators, so no caller lifts its scalar entries first.
 A matrix optionally carries a shared commutative denominator so that
 R-matrix identities can be verified as cleared polynomial statements.
 """
@@ -68,7 +70,8 @@ class OpMatrix:
                         continue
                     p = a * b
                     orow[j] = p if orow[j] is None else orow[j] + p
-        zero = _first_zero(self, other)
+        # the zero of the product ring, without multiplying two real entries
+        zero = self.entries[0][0].zero_like() * other.entries[0][0].zero_like()
         entries = [[e if e is not None else zero for e in row] for row in out]
         den = _den_mul(self.den, other.den)
         return OpMatrix(entries, den)
@@ -239,11 +242,6 @@ def _den_eq(d1: Scalar | None, d2: Scalar | None) -> bool:
     if d1 is None or d2 is None:
         return (d1 or d2).is_one()
     return d1 == d2
-
-
-def _first_zero(a: OpMatrix, b: OpMatrix):
-    probe = a.entries[0][0] * b.entries[0][0]
-    return probe.zero_like()
 
 
 def tensor_embed(m: OpMatrix, leg: int) -> OpMatrix:

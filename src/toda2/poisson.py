@@ -37,6 +37,7 @@ _R_MINUS = [
     [0, Fraction(-4), Fraction(1), 0],
     [0, 0, 0, Fraction(-1)],
 ]
+_R_EQUAL = [[(p + m) / 2 for p, m in zip(rp, rm)] for rp, rm in zip(_R_PLUS, _R_MINUS)]
 
 
 class Chart:
@@ -253,11 +254,7 @@ def _make_exlat(size: int) -> Chart:
 
     for n in range(1, size + 1):
         for m in range(1, n + 1):
-            if n > m:
-                struct = _R_PLUS
-            else:
-                struct = [[(_R_PLUS[i][j] + _R_MINUS[i][j]) / 2 for j in range(4)]
-                          for i in range(4)]
+            struct = _R_PLUS if n > m else _R_EQUAL
             for a in (1, 2):
                 for b in (1, 2):
                     if n == m and a >= b:
@@ -279,11 +276,6 @@ def _make_qp(size: int, periodic: bool) -> Chart:
         chart._add_gen(f"Q{n}")
         chart._add_gen(f"P{n}")
 
-    def delta(a: int, b: int) -> int:
-        if periodic:
-            return 1 if (a - b) % size == 0 else 0
-        return 1 if a == b else 0
-
     def Q(n: int) -> Scalar:
         return Scalar.var(f"Q{n}")
 
@@ -293,15 +285,15 @@ def _make_qp(size: int, periodic: bool) -> Chart:
     rng = range(1, size + 1)
     for n in rng:
         for m in rng:
-            cqq = delta(n + 1, m) - delta(n, m + 1)
+            cqq = _delta(chart, n + 1, m) - _delta(chart, n, m + 1)
             if cqq and n < m:
                 chart._set_bracket(f"Q{n}", f"Q{m}", Scalar.const(cqq) * Q(n) * Q(m))
-            cqp = -2 * (delta(n, m) - delta(n + 1, m))
+            cqp = -2 * (_delta(chart, n, m) - _delta(chart, n + 1, m))
             if cqp:
                 chart._set_bracket(f"Q{n}", f"P{m}", Scalar.const(cqp) * Q(n) * P(m))
             if n < m:
-                val = (Scalar.const(-4 * delta(n, m + 1)) * Q(m) * Q(m)
-                       + Scalar.const(4 * delta(n + 1, m)) * Q(n) * Q(n))
+                val = (Scalar.const(-4 * _delta(chart, n, m + 1)) * Q(m) * Q(m)
+                       + Scalar.const(4 * _delta(chart, n + 1, m)) * Q(n) * Q(n))
                 if not val.is_zero():
                     chart._set_bracket(f"P{n}", f"P{m}", val)
     return chart
@@ -501,11 +493,7 @@ def residuals_exlat_from_darboux(chart: Chart) -> list[tuple[str, PoissonElem]]:
     out = []
     for n in range(1, chart.size + 1):
         for m in range(1, n + 1):
-            if n > m:
-                struct = _R_PLUS
-            else:
-                struct = [[(_R_PLUS[i][j] + _R_MINUS[i][j]) / 2 for j in range(4)]
-                          for i in range(4)]
+            struct = _R_PLUS if n > m else _R_EQUAL
             for a in (1, 2):
                 for b in (1, 2):
                     lhs = chart.bracket(xi[(n, a)], xi[(m, b)])

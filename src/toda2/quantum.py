@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .matops import OpMatrix, embed_two_leg, tensor_embed
 from .reports import CheckReport, report_from_residuals
@@ -194,20 +195,6 @@ def op_Q(lattice: Lattice, n: int) -> WeylOp:
     return WeylOp.word(lattice, [(n + 1, "V", -h), (n, "U", h), (n + 1, "U", -h)])
 
 
-def _wrap(lattice: Lattice, entries) -> OpMatrix:
-    """Promote a 2x2 nested list of WeylOps/Scalars to a WeylOp matrix."""
-    out = []
-    for row in entries:
-        new = []
-        for x in row:
-            if isinstance(x, WeylOp):
-                new.append(x)
-            else:
-                new.append(WeylOp.scalar(x, lattice))
-        out.append(new)
-    return OpMatrix(out)
-
-
 def build_lax(kind: str, n: int, lam: Scalar | None = None,
               params: ModelParams | None = None,
               lattice: Lattice | None = None) -> OpMatrix:
@@ -220,7 +207,7 @@ def build_lax(kind: str, n: int, lam: Scalar | None = None,
     W = lambda factors, coeff=1: WeylOp.word(lattice, factors, coeff)
 
     if kind == "l":
-        return _wrap(lattice, [
+        return OpMatrix([
             [WeylOp.scalar(lam, lattice) - op_P(lattice, n), -one],
             [op_Q2(lattice, n), zero]])
 
@@ -228,8 +215,7 @@ def build_lax(kind: str, n: int, lam: Scalar | None = None,
         if params is None:
             raise ValueError("lhat needs model parameters")
         return build_lax("l", n, lam, params, lattice).mul(
-            build_scalar_aux("G0", lam, params).map(
-                lambda x: WeylOp.scalar(x, lattice)))
+            build_scalar_aux("G0", lam, params))
 
     if kind == "lhat_display":
         # The dressed Lax matrix written out entrywise (gamma reabsorbed as q^2).
@@ -255,7 +241,7 @@ def build_lax(kind: str, n: int, lam: Scalar | None = None,
               e12],
              [W([(n, "U", 1)], _s(1)),
               -one + W([(n, "V", -1)], _s(4) * d23 * lam)]]
-        return _wrap(lattice, m)
+        return OpMatrix(m)
 
     if kind == "Lloc":
         if params is None:
@@ -267,24 +253,24 @@ def build_lax(kind: str, n: int, lam: Scalar | None = None,
         m = [[WeylOp.scalar(lam, lattice) - W([(n, "V", -1)]), e12],
              [W([(n, "U", 1)], -_s(-4)),
               WeylOp.scalar(-d2, lattice) + W([(n, "V", -1)], d3 * lam)]]
-        return _wrap(lattice, m)
+        return OpMatrix(m)
 
     if kind == "Lqosc":
         e12 = (W([(n, "U", -1)], _s(4) * lam)
                - W([(n, "V", -1), (n, "U", -1)], _s(4) * lam))
         m = [[WeylOp.scalar(lam, lattice) - W([(n, "V", -1)]), e12],
              [W([(n, "U", 1)], -_s(-4)), -one]]
-        return _wrap(lattice, m)
+        return OpMatrix(m)
 
     if kind == "gaugeN":
         m = [[one, W([(n, "U", -1)], -_s(-1))],
              [zero, W([(n, "V", -1), (n, "U", -1)])]]
-        return _wrap(lattice, m)
+        return OpMatrix(m)
 
     if kind == "gaugeNinv":
         m = [[one, W([(n, "V", 1)], _s(-1))],
              [zero, W([(n, "U", 1), (n, "V", 1)])]]
-        return _wrap(lattice, m)
+        return OpMatrix(m)
 
     if kind == "gauge_l_display":
         # N_{n+1}^-1 l_n N_n, which is already ultralocal at site n.
@@ -292,7 +278,7 @@ def build_lax(kind: str, n: int, lam: Scalar | None = None,
                + W([(n, "V", -1), (n, "U", -1)], _s(-1) - _c(1)))
         m = [[WeylOp.scalar(lam, lattice) - W([(n, "V", -1)]), e12],
              [W([(n, "U", 1)], _s(1)), -one]]
-        return _wrap(lattice, m)
+        return OpMatrix(m)
 
     if kind == "gauge_G_display":
         # N_n^-1 G0 N_n with both long entries written out.
@@ -309,7 +295,7 @@ def build_lax(kind: str, n: int, lam: Scalar | None = None,
                - W([(n, "V", 1)], (_s(3) - _s(7)) * lam))
         m = [[one + W([(n, "V", 1)], (_s(-1) - _s(3)) * lam), e12],
              [W([(n, "U", 1), (n, "V", 1)], (_c(1) - _s(4)) * lam), e22]]
-        return _wrap(lattice, m)
+        return OpMatrix(m)
 
     raise ValueError(f"unknown Lax kind {kind!r}")
 
@@ -323,12 +309,8 @@ def monodromy(N: int, lam: Scalar | None = None, params: ModelParams | None = No
     lam = lam if lam is not None else Scalar.var("lam")
     if params is None:
         params = ModelParams.generic()
-    t = None
-    for n in range(N, 1, -1):
-        f = build_lax("lhat", n, lam, params, lattice)
-        t = f if t is None else t.mul(f)
-    l1 = build_lax("l", 1, lam, params, lattice)
-    return l1 if t is None else t.mul(l1)
+    factors = [build_lax("lhat", n, lam, params, lattice) for n in range(N, 1, -1)]
+    return reduce(OpMatrix.mul, factors + [build_lax("l", 1, lam, params, lattice)])
 
 
 def transfer_trace(kind: str, N: int, lam: Scalar | None = None,
@@ -341,14 +323,10 @@ def transfer_trace(kind: str, N: int, lam: Scalar | None = None,
     if kind == "tau":
         t = monodromy(N, lam, params)
         close = build_scalar_aux("Gtilde0", lam, params).mul(q_sigma_z(-1))
-        prod = t.mul(close.map(lambda x: WeylOp.scalar(x, lattice)))
-        return prod.trace()
+        return t.mul(close).trace()
     if kind == "tloc":
-        t = None
-        for n in range(N, 0, -1):
-            f = build_lax("Lloc", n, lam, params, lattice)
-            t = f if t is None else t.mul(f)
-        return t.trace()
+        return reduce(OpMatrix.mul, (build_lax("Lloc", n, lam, params, lattice)
+                                     for n in range(N, 0, -1))).trace()
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
@@ -415,15 +393,6 @@ def quantum_wronskian(p: int, n: int, lattice: Lattice) -> WeylOp:
 # -- named checks ------------------------------------------------------------------
 
 
-def _weylify(m: OpMatrix, lattice: Lattice) -> OpMatrix:
-    return OpMatrix([[WeylOp.scalar(x, lattice) for x in row]
-                     for row in m.entries], m.den)
-
-
-def _report(check_id, params, anchor, items, degenerate=False) -> CheckReport:
-    return report_from_residuals(check_id, params, anchor, items, degenerate)
-
-
 def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
     """Quadratic exchange structure: site relations, compatibility, monodromy."""
     params = ModelParams.generic()
@@ -444,22 +413,22 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
             if check_id == "AD":
                 x1 = tensor_embed(build_lax("l", n, l1, params, lattice), 1)
                 x2 = tensor_embed(build_lax("l", n, l2, params, lattice), 2)
-                lhs = _weylify(A, lattice).mul(x1).mul(x2)
-                rhs = x2.mul(x1).mul(_weylify(D, lattice))
+                lhs = A.mul(x1).mul(x2)
+                rhs = x2.mul(x1).mul(D)
             elif check_id == "B":
                 # neighbouring sites exchange through the C-type matrix
                 x1 = tensor_embed(build_lax("l", n, l1, params, lattice), 1)
                 y2 = tensor_embed(build_lax("l", n + 1, l2, params, lattice), 2)
                 lhs = x1.mul(y2)
-                rhs = y2.mul(_weylify(C, lattice)).mul(x1)
+                rhs = y2.mul(C).mul(x1)
             else:
                 x2 = tensor_embed(build_lax("l", n, l2, params, lattice), 2)
                 y1 = tensor_embed(build_lax("l", n + 1, l1, params, lattice), 1)
                 lhs = x2.mul(y1)
-                rhs = y1.mul(_weylify(B, lattice)).mul(x2)
+                rhs = y1.mul(B).mul(x2)
             res, _ = lhs.residual(rhs)
             items.append((f"site {n}", res))
-        return _report(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "DGCG_general":
         greek = tuple(Scalar.var(nm) for nm in ("alpha", "beta", "gamma", "delta"))
@@ -478,39 +447,34 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
         lhs = D.mul(M1).mul(C).mul(M2)
         rhs = M2.mul(B).mul(M1).mul(A)
         res, _ = lhs.residual(rhs)
-        return _report(check_id, {"parameters": "free"}, _QANCHORS[check_id],
-                       [("compatibility", res)])
+        return report_from_residuals(check_id, {"parameters": "free"}, _QANCHORS[check_id],
+                                     [("compatibility", res)])
 
     if check_id == "dual_general":
         greekt = tuple(Scalar.var(nm) for nm in ("alphat", "betat", "gammat", "deltat"))
-        frac = lambda m: m.map(lambda x: x if isinstance(x, ScalarFraction)
-                               else ScalarFraction(x))
         Bt = B.partial_transpose(1).inverse_comm().partial_transpose(1)
         Ct = C.partial_transpose(2).inverse_comm().partial_transpose(2)
         one4 = OpMatrix.identity(4, ScalarFraction(_c(1)))
-        invB, okB = frac(Bt.partial_transpose(1)).mul(
-            frac(B.partial_transpose(1))).residual(one4)
-        invC, okC = frac(Ct.partial_transpose(2)).mul(
-            frac(C.partial_transpose(2))).residual(one4)
+        invB, okB = Bt.partial_transpose(1).mul(B.partial_transpose(1)).residual(one4)
+        invC, okC = Ct.partial_transpose(2).mul(C.partial_transpose(2)).residual(one4)
         Mt1 = tensor_embed(build_scalar_aux("Mtilde0", l1, greek=greekt), 1)
         Mt2 = tensor_embed(build_scalar_aux("Mtilde0", l2, greek=greekt), 2)
-        lhs = frac(D).mul(frac(Mt2)).mul(frac(Bt)).mul(frac(Mt1))
-        rhs = frac(Mt1).mul(frac(Ct)).mul(frac(Mt2)).mul(frac(A))
+        lhs = D.mul(Mt2).mul(Bt).mul(Mt1)
+        rhs = Mt1.mul(Ct).mul(Mt2).mul(A)
         res, _ = lhs.residual(rhs)
-        return _report(check_id, {"parameters": "free"}, _QANCHORS[check_id],
-                       [("partial-transpose inverse (B)", invB),
-                        ("partial-transpose inverse (C)", invC),
-                        ("dual compatibility", res)])
+        return report_from_residuals(check_id, {"parameters": "free"}, _QANCHORS[check_id],
+                                     [("partial-transpose inverse (B)", invB),
+                                      ("partial-transpose inverse (C)", invC),
+                                      ("dual compatibility", res)])
 
     if check_id == "ATT_TTD":
-        lattice = Lattice(N, True)
         T1 = tensor_embed(monodromy(N, l1, params), 1)
         T2 = tensor_embed(monodromy(N, l2, params), 2)
-        lhs = _weylify(A, lattice).mul(T1).mul(_weylify(B, lattice)).mul(T2)
-        rhs = T2.mul(_weylify(C, lattice)).mul(T1).mul(_weylify(D, lattice))
+        lhs = A.mul(T1).mul(B).mul(T2)
+        rhs = T2.mul(C).mul(T1).mul(D)
         res, _ = lhs.residual(rhs)
-        return _report(check_id, run_params, _QANCHORS[check_id],
-                       [("quadratic algebra", res)], degenerate=N < 3)
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+                                     [("quadratic algebra", res)], degenerate=N < 3)
 
     if check_id == "distant_commute":
         size = max(N, 5)
@@ -531,7 +495,7 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
                                 if not c.is_zero():
                                     items.append((f"[l_{n}({i}{j}), l_{m}({a}{b})]", c))
         items = items or [("all distant entry pairs", WeylOp.zero(lattice))]
-        return _report(check_id, {"N": size}, _QANCHORS[check_id], items)
+        return report_from_residuals(check_id, {"N": size}, _QANCHORS[check_id], items)
 
     raise ValueError(f"unknown exchange check {check_id!r}")
 
@@ -545,12 +509,12 @@ def check_ybe(check_id: str, mutate: bool = False) -> CheckReport:
         R13 = embed_two_leg(build_aux("Rtwisted", l1, l3), (1, 3))
         R23 = embed_two_leg(build_aux("Rtwisted", l2, l3), (2, 3))
         res, _ = R12.mul(R13).mul(R23).residual(R23.mul(R13).mul(R12))
-        return _report(check_id, {"legs": 3}, _QANCHORS[check_id],
-                       [("triple exchange", res)])
+        return report_from_residuals(check_id, {"legs": 3}, _QANCHORS[check_id],
+                                     [("triple exchange", res)])
     if check_id == "RLL_ultralocal":
         params = ModelParams.generic()
         lattice = Lattice(3, True)
-        R = _weylify(build_aux("Rtwisted", l1, l2), lattice)
+        R = build_aux("Rtwisted", l1, l2)
         items = []
         for n in (1, 2):
             L1 = tensor_embed(build_lax("Lloc", n, l1, params, lattice), 1)
@@ -562,7 +526,7 @@ def check_ybe(check_id: str, mutate: bool = False) -> CheckReport:
             items.append((f"site {n}", res))
             if mutate:
                 break
-        return _report(check_id, {"d": "generic"}, _QANCHORS[check_id], items)
+        return report_from_residuals(check_id, {"d": "generic"}, _QANCHORS[check_id], items)
     raise ValueError(f"unknown exchange check {check_id!r}")
 
 
@@ -584,8 +548,7 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> Chec
                 g0 = build_scalar_aux("G0", lam, params)
                 if mutate:
                     g0.entries[1][0] = -g0.entries[1][0]
-                lhs = build_lax("gaugeNinv", n, lam, params, lattice).mul(
-                    _weylify(g0, lattice)).mul(
+                lhs = build_lax("gaugeNinv", n, lam, params, lattice).mul(g0).mul(
                     build_lax("gaugeN", n, lam, params, lattice))
                 rhs = build_lax("gauge_G_display", n, lam, params, lattice)
             elif step == "scriptL_assembly":
@@ -605,44 +568,35 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> Chec
                 rhs = build_lax("Lloc", n, lam, params, lattice)
             res, _ = lhs.residual(rhs)
             items.append((f"site {n}", res))
-        return _report(step, {"N": 3}, _QANCHORS[step], items)
+        return report_from_residuals(step, {"N": 3}, _QANCHORS[step], items)
 
     if step == "trace_identity":
         lattice = Lattice(N, True)
-        wey = lambda m: _weylify(m, lattice)
+        gtilde = build_scalar_aux("Gtilde0", lam, params)
         # site-1 closure factor: gauge transform of the bare Lax dressed by
         # the trace-closing companion matrix
         lt = build_lax("gaugeNinv", 2, lam, params, lattice).mul(
-            build_lax("l", 1, lam, params, lattice)).mul(
-            wey(build_scalar_aux("Gtilde0", lam, params))).mul(
+            build_lax("l", 1, lam, params, lattice)).mul(gtilde).mul(
             build_lax("gaugeN", 1, lam, params, lattice))
         T = monodromy(N, lam, params)
-        lhs_m = T.mul(wey(build_scalar_aux("Gtilde0", lam, params))).mul(
-            wey(q_sigma_z(-1)))
-        prod = None
-        for n in range(N, 1, -1):
-            f = build_lax("scriptL", n, lam, params, lattice)
-            prod = f if prod is None else prod.mul(f)
-        prod = lt if prod is None else prod.mul(lt)
+        lhs_m = T.mul(gtilde).mul(q_sigma_z(-1))
+        scriptL = [build_lax("scriptL", n, lam, params, lattice) for n in range(N, 1, -1)]
+        prod = reduce(OpMatrix.mul, scriptL + [lt])
         rhs_m = build_lax("gaugeN", N + 1, lam, params, lattice).mul(prod).mul(
-            build_lax("gaugeNinv", 1, lam, params, lattice)).mul(
-            wey(q_sigma_z(-1)))
+            build_lax("gaugeNinv", 1, lam, params, lattice)).mul(q_sigma_z(-1))
         gauge_res, _ = lhs_m.residual(rhs_m)
         lhs_tr = rhs_m.trace()
-        prod2 = None
-        for n in range(N, 0, -1):
-            f = build_lax("scriptL", n, lam, params, lattice)
-            prod2 = f if prod2 is None else prod2.mul(f)
-        rhs_tr = prod2.trace() * _s(-2)
+        scriptL1 = build_lax("scriptL", 1, lam, params, lattice)
+        rhs_tr = reduce(OpMatrix.mul, scriptL + [scriptL1]).trace() * _s(-2)
         # the d1-shift shortcut for the site-one factor is only valid when the
         # top coupling vanishes; assert agreement on that locus
         shortcut, _ = lt.map(lambda e: e.substitute({"d3": 0})).residual(
             build_lax("scriptLtilde", 1, lam, params, lattice).map(
                 lambda e: e.substitute({"d3": 0})))
-        return _report(step, run_params, _QANCHORS[step],
-                       [("gauged monodromy", gauge_res),
-                        ("closed trace", lhs_tr - rhs_tr),
-                        ("site-one shortcut without top coupling", shortcut)])
+        return report_from_residuals(step, run_params, _QANCHORS[step],
+                                     [("gauged monodromy", gauge_res),
+                                      ("closed trace", lhs_tr - rhs_tr),
+                                      ("site-one shortcut without top coupling", shortcut)])
 
     if step == "taut":
         tau = transfer_trace("tau", N, lam, params)
@@ -650,8 +604,8 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> Chec
         shifted = tau.substitute({"lam": _s(-4) * d2.monomial_inverse() * lam})
         lhs = shifted.conjugate_v() * (d2 ** N) * _s(2)
         tloc = transfer_trace("tloc", N, lam, params)
-        return _report(step, run_params, _QANCHORS[step],
-                       [("twisted rescaled trace", lhs - tloc)])
+        return report_from_residuals(step, run_params, _QANCHORS[step],
+                                     [("twisted rescaled trace", lhs - tloc)])
 
     raise ValueError(f"unknown ultralocalisation step {step!r}")
 
@@ -690,7 +644,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                                 if not cf.is_zero():
                                     rhs = rhs + xi[(m, ap)] * xi[(n, bp)] * cf
                         items.append((f"(n={n},m={m},a={a},b={b})", lhs - rhs))
-        return _report(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "W_algebra_q":
         W1 = {n: quantum_wronskian(1, n, lattice) for n in range(1, size)}
@@ -717,7 +671,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                 if d(n, m - 1):
                     rhs = rhs + W1[m - 1] * W1[m + 1] * (_s(1) - _s(-3))
                 items.append((f"22(n={n},m={m})", lhs - rhs))
-        return _report(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "QP_relations":
         Q = {n: op_Q(lattice, n) for n in range(1, size)}
@@ -734,7 +688,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                 items.append((f"PP(n={n},m={m})", r2))
                 r3 = P[n] * Q[m] - Q[m] * P[n] * _s(2 * (d(n, m) - d(n, m + 1)))
                 items.append((f"PQ(n={n},m={m})", r3))
-        return _report(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "W1_monomial":
         items = []
@@ -744,7 +698,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                 items.append((f"n={n}", w))
             else:
                 items.append((f"n={n}", WeylOp.zero(lattice)))
-        return _report(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "QP_match":
         items = []
@@ -760,7 +714,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
             right = w2 * qprev * qn
             items.append((f"P orderings (n={n})", left - right))
             items.append((f"P(n={n})", left - op_P(lattice, n)))
-        return _report(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
 
     raise ValueError(f"unknown realisation check {check_id!r}")
 
@@ -775,7 +729,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
         for i in range(len(hs)):
             for j in range(i + 1, len(hs)):
                 items.append((f"[H{i},H{j}]", hs[i].commutator(hs[j])))
-        return _report(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id in ("tau_commute", "tloc_commute"):
         kind = "tau" if check_id == "tau_commute" else "tloc"
@@ -787,7 +741,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
             t1 = transfer_trace(kind, n, l1, params)
             t2 = transfer_trace(kind, n, l2, params)
             items.append((f"N={n}", t1.commutator(t2)))
-        return _report(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
 
     if check_id == "H1_qToda":
         hs = hamiltonians(N, ModelParams.q_toda())
@@ -798,8 +752,8 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
             expect = expect + WeylOp.word(
                 lattice, [(n, "U", -1), (n - 1, "U", 1), (n, "V", -1)],
                 coeff=_s(-2) * d1)
-        return _report(check_id, run_params, _QANCHORS[check_id],
-                       [("first charge", hs[1] - expect)])
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+                                     [("first charge", hs[1] - expect)])
 
     if check_id in ("H1_Toda2", "H2_Toda2"):
         hs = hamiltonians(N, ModelParams.toda2())
@@ -810,8 +764,8 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
                 expect = expect + WeylOp.word(lattice, [(n, "V", -1)])
                 expect = expect + WeylOp.word(lattice, [(n, "U", -1), (n - 1, "U", 1)],
                                               coeff=d2)
-            return _report(check_id, run_params, _QANCHORS[check_id],
-                           [("first charge", hs[1] - expect)])
+            return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+                                         [("first charge", hs[1] - expect)])
         combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2))
         expect = WeylOp.zero(lattice)
         for n in range(1, N + 1):
@@ -825,35 +779,33 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
             expect = expect + WeylOp.word(lattice, [(n, "U", 2), (n + 1, "U", -2)],
                                           coeff=d2 * d2)
         expect = expect * _c(Fraction(-1, 2))
-        return _report(check_id, run_params, _QANCHORS[check_id],
-                       [("second charge combination", combo - expect)])
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+                                     [("second charge combination", combo - expect)])
 
     if check_id == "trq_commute":
         t1, t2 = trq(1, N), trq(2, N)
-        return _report(check_id, run_params, _QANCHORS[check_id],
-                       [("q-trace pair", t1.commutator(t2))])
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+                                     [("q-trace pair", t1.commutator(t2))])
 
     if check_id in ("trq_match1", "trq_match2"):
         hs = hamiltonians(N, ModelParams.toda2())
         if check_id == "trq_match1":
             res = hs[1].substitute({"d2": 1}) - trq(1, N)
-            return _report(check_id, run_params, _QANCHORS[check_id],
-                           [("first q-trace", res)])
+            return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+                                         [("first q-trace", res)])
         combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2))
         res = combo.substitute({"d2": 1}) - trq(2, N) * _c(Fraction(-1, 2))
-        return _report(check_id, run_params, _QANCHORS[check_id],
-                       [("second q-trace", res)])
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+                                     [("second q-trace", res)])
 
     if check_id == "qosc_coherence":
         params = ModelParams.q_osc()
         lam = Scalar.var("lam")
         t_preset = transfer_trace("tloc", N, lam, params)
-        prod = None
-        for n in range(N, 0, -1):
-            f = build_lax("Lqosc", n, lam, params, lattice)
-            prod = f if prod is None else prod.mul(f)
-        return _report(check_id, run_params, _QANCHORS[check_id],
-                       [("oscillator transfer", prod.trace() - t_preset)])
+        prod = reduce(OpMatrix.mul, (build_lax("Lqosc", n, lam, params, lattice)
+                                     for n in range(N, 0, -1)))
+        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+                                     [("oscillator transfer", prod.trace() - t_preset)])
 
     raise ValueError(f"unknown Hamiltonian check {check_id!r}")
 

@@ -20,8 +20,12 @@ class RunConfig:
     max_terms: int = 10 ** 6
 
     def __post_init__(self):
-        if self.sites < 1 or self.trunc < 1:
-            raise ValueError("sites and trunc must be positive")
+        if self.sites < 1:
+            raise ValueError("sites must be positive")
+        if self.trunc < stoch.MIN_TRUNC:
+            raise ValueError(f"trunc must be at least {stoch.MIN_TRUNC}")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be positive")
 
 
 @dataclass(frozen=True)
@@ -31,10 +35,6 @@ class CheckDef:
     anchor: str
     defaults: dict
     fn: Callable[[RunConfig], CheckReport]
-
-
-def _def(check_id: str, module: str, anchor: str, defaults: dict, fn) -> CheckDef:
-    return CheckDef(check_id, module, anchor, defaults, fn)
 
 
 def _expect_failure(check_id: str, anchor: str, inner: Callable[[], CheckReport]) -> CheckReport:
@@ -56,114 +56,114 @@ def _build_registry() -> dict[str, CheckDef]:
                 "exlat_from_darboux", "qp_from_rep", "jacobi"):
         defaults = {"size": 8} if cid in ("w1w1", "w1w2", "w2w2", "virlat",
                                           "qq", "qp", "pp") else {}
-        defs.append(_def(cid, "poisson", poisson._ANCHORS[cid], defaults,
-                         lambda cfg, c=cid: poisson.check_bracket_identity(c)))
+        defs.append(CheckDef(cid, "poisson", poisson._ANCHORS[cid], defaults,
+                             lambda cfg, c=cid: poisson.check_bracket_identity(c)))
 
     for cid in ("AD", "B", "C", "ATT_TTD"):
-        defs.append(_def(cid, "quantum", quantum._QANCHORS[cid], {"N": 3},
-                         lambda cfg, c=cid: quantum.check_fm(c, N=max(cfg.sites, 3))))
+        defs.append(CheckDef(cid, "quantum", quantum._QANCHORS[cid], {"N": 3},
+                             lambda cfg, c=cid: quantum.check_fm(c, N=max(cfg.sites, 3))))
     for cid in ("DGCG_general", "dual_general"):
-        defs.append(_def(cid, "quantum", quantum._QANCHORS[cid], {"parameters": "free"},
-                         lambda cfg, c=cid: quantum.check_fm(c)))
-    defs.append(_def("distant_commute", "quantum", quantum._QANCHORS["distant_commute"],
-                     {"N": 5}, lambda cfg: quantum.check_fm("distant_commute",
-                                                            N=max(cfg.sites, 5))))
+        defs.append(CheckDef(cid, "quantum", quantum._QANCHORS[cid], {"parameters": "free"},
+                             lambda cfg, c=cid: quantum.check_fm(c)))
+    defs.append(CheckDef("distant_commute", "quantum", quantum._QANCHORS["distant_commute"],
+                         {"N": 5}, lambda cfg: quantum.check_fm("distant_commute",
+                                                                N=max(cfg.sites, 5))))
 
-    defs.append(_def("YBE_twisted", "quantum", quantum._QANCHORS["YBE_twisted"], {},
-                     lambda cfg: quantum.check_ybe("YBE_twisted")))
-    defs.append(_def("RLL_ultralocal", "quantum", quantum._QANCHORS["RLL_ultralocal"], {},
-                     lambda cfg: quantum.check_ybe("RLL_ultralocal")))
+    defs.append(CheckDef("YBE_twisted", "quantum", quantum._QANCHORS["YBE_twisted"], {},
+                         lambda cfg: quantum.check_ybe("YBE_twisted")))
+    defs.append(CheckDef("RLL_ultralocal", "quantum", quantum._QANCHORS["RLL_ultralocal"], {},
+                         lambda cfg: quantum.check_ybe("RLL_ultralocal")))
 
     for cid in ("gauge_l", "gauge_G", "scriptL_assembly", "entrywise_conjugation"):
-        defs.append(_def(cid, "quantum", quantum._QANCHORS[cid], {"N": 3},
-                         lambda cfg, c=cid: quantum.check_ultralocalisation(c)))
-    defs.append(_def("trace_identity", "quantum", quantum._QANCHORS["trace_identity"],
-                     {"N": 3}, lambda cfg: quantum.check_ultralocalisation(
-                         "trace_identity", N=cfg.sites)))
-    defs.append(_def("taut", "quantum", quantum._QANCHORS["taut"], {"N": "1..3"},
-                     lambda cfg: _taut_sweep(cfg)))
+        defs.append(CheckDef(cid, "quantum", quantum._QANCHORS[cid], {"N": 3},
+                             lambda cfg, c=cid: quantum.check_ultralocalisation(c)))
+    defs.append(CheckDef("trace_identity", "quantum", quantum._QANCHORS["trace_identity"],
+                         {"N": 3}, lambda cfg: quantum.check_ultralocalisation(
+                             "trace_identity", N=cfg.sites)))
+    defs.append(CheckDef("taut", "quantum", quantum._QANCHORS["taut"], {"N": "1..3"},
+                         lambda cfg: _sweep(
+                             "taut", quantum._QANCHORS["taut"], f"1..{max(cfg.sites, 3)}",
+                             [quantum.check_ultralocalisation("taut", N=n)
+                              for n in range(1, max(cfg.sites, 3) + 1)])))
 
     for cid in ("exchange_xi", "W_algebra_q", "QP_relations", "W1_monomial", "QP_match"):
-        defs.append(_def(cid, "quantum", quantum._QANCHORS[cid], {"size": 6},
-                         lambda cfg, c=cid: quantum.check_representation(c)))
+        defs.append(CheckDef(cid, "quantum", quantum._QANCHORS[cid], {"size": 6},
+                             lambda cfg, c=cid: quantum.check_representation(c)))
 
     for cid in ("commute", "H1_qToda", "H1_Toda2", "H2_Toda2",
                 "trq_commute", "trq_match1", "trq_match2", "qosc_coherence"):
-        defs.append(_def(cid, "quantum", quantum._QANCHORS[cid], {"N": 3},
-                         lambda cfg, c=cid: quantum.check_hamiltonians(c, N=max(cfg.sites, 2))))
+        defs.append(CheckDef(cid, "quantum", quantum._QANCHORS[cid], {"N": 3},
+                             lambda cfg, c=cid: quantum.check_hamiltonians(
+                                 c, N=max(cfg.sites, 2))))
     for cid in ("tau_commute", "tloc_commute"):
-        defs.append(_def(cid, "quantum", quantum._QANCHORS[cid], {"N": "2,3"},
-                         lambda cfg, c=cid: quantum.check_hamiltonians(c, N=max(cfg.sites, 3))))
+        defs.append(CheckDef(cid, "quantum", quantum._QANCHORS[cid], {"N": "2,3"},
+                             lambda cfg, c=cid: quantum.check_hamiltonians(
+                                 c, N=max(cfg.sites, 3))))
 
     for cid in ("poissonL_explicit", "poissonL_dform", "involution",
                 "curve_NxN", "curve_2x2"):
-        defs.append(_def(cid, "classical", classical._CANCHORS[cid], {"N": 3},
-                         lambda cfg, c=cid: classical.check_classical(c, N=max(cfg.sites, 3))))
-    defs.append(_def("poissonL_degenerate", "classical",
-                     classical._CANCHORS["poissonL_explicit"] + " (degenerate wrap)",
-                     {"N": 2}, lambda cfg: classical.check_classical("poissonL_explicit", N=2)))
-    defs.append(_def("pN_equals_trT", "classical", classical._CANCHORS["pN_equals_trT"],
-                     {"N": "2,3,4"}, lambda cfg: _pn_sweep(cfg)))
+        defs.append(CheckDef(cid, "classical", classical._CANCHORS[cid], {"N": 3},
+                             lambda cfg, c=cid: classical.check_classical(
+                                 c, N=max(cfg.sites, 3))))
+    defs.append(CheckDef("poissonL_degenerate", "classical",
+                         classical._CANCHORS["poissonL_explicit"] + " (degenerate wrap)",
+                         {"N": 2},
+                         lambda cfg: classical.check_classical("poissonL_explicit", N=2)))
+    defs.append(CheckDef("pN_equals_trT", "classical", classical._CANCHORS["pN_equals_trT"],
+                         {"N": "2,3,4"}, lambda cfg: _sweep(
+                             "pN_equals_trT", classical._CANCHORS["pN_equals_trT"], "2,3,4",
+                             [classical.check_classical("pN_equals_trT", N=n)
+                              for n in (2, 3, 4)])))
 
     for cid in ("qosc_algebra", "Lqosc_match", "column_eigen", "omega_identity",
                 "Omega_H1", "zero_column_sum", "realisation_consistency"):
-        defs.append(_def(cid, "stoch", stoch._SANCHORS[cid], {"K": 6, "N": 2},
-                         lambda cfg, c=cid: stoch.check_stoch(
-                             c, K=cfg.trunc, N=min(max(cfg.sites, 2), 3))))
+        defs.append(CheckDef(cid, "stoch", stoch._SANCHORS[cid], {"K": 6, "N": 2},
+                             lambda cfg, c=cid: stoch.check_stoch(
+                                 c, K=cfg.trunc, N=min(max(cfg.sites, 2), 3))))
 
     # mutation sensitivity: one corrupted run per suite must be caught
-    defs.append(_def("mutation_poisson", "poisson",
-                     "corrupted Wronskian bracket identity is caught", {},
-                     lambda cfg: _expect_failure(
-                         "mutation_poisson", "corrupted Wronskian bracket identity is caught",
-                         lambda: poisson.check_bracket_identity("w1w1", mutate=True))))
-    defs.append(_def("mutation_fm", "quantum",
-                     "sign-flipped compatibility parameter is caught", {},
-                     lambda cfg: _expect_failure(
-                         "mutation_fm", "sign-flipped compatibility parameter is caught",
-                         lambda: quantum.check_fm("DGCG_general", mutate=True))))
-    defs.append(_def("mutation_rll", "quantum",
-                     "zeroed ultralocal Lax entry is caught", {},
-                     lambda cfg: _expect_failure(
-                         "mutation_rll", "zeroed ultralocal Lax entry is caught",
-                         lambda: quantum.check_ybe("RLL_ultralocal", mutate=True))))
-    defs.append(_def("mutation_gauge", "quantum",
-                     "sign-flipped companion entry is caught", {},
-                     lambda cfg: _expect_failure(
-                         "mutation_gauge", "sign-flipped companion entry is caught",
-                         lambda: quantum.check_ultralocalisation("gauge_G", mutate=True))))
-    defs.append(_def("mutation_classical", "classical",
-                     "sign-flipped antisymmetric structure matrix is caught", {},
-                     lambda cfg: _expect_failure(
-                         "mutation_classical",
-                         "sign-flipped antisymmetric structure matrix is caught",
-                         lambda: classical.check_classical("poissonL_explicit", mutate=True))))
-    defs.append(_def("mutation_stoch", "stoch",
-                     "wrong column eigenvalue is caught", {},
-                     lambda cfg: _expect_failure(
-                         "mutation_stoch", "wrong column eigenvalue is caught",
-                         lambda: stoch.check_stoch("column_eigen", mutate=True))))
+    defs.append(CheckDef("mutation_poisson", "poisson",
+                         "corrupted Wronskian bracket identity is caught", {},
+                         lambda cfg: _expect_failure(
+                             "mutation_poisson", "corrupted Wronskian bracket identity is caught",
+                             lambda: poisson.check_bracket_identity("w1w1", mutate=True))))
+    defs.append(CheckDef("mutation_fm", "quantum",
+                         "sign-flipped compatibility parameter is caught", {},
+                         lambda cfg: _expect_failure(
+                             "mutation_fm", "sign-flipped compatibility parameter is caught",
+                             lambda: quantum.check_fm("DGCG_general", mutate=True))))
+    defs.append(CheckDef("mutation_rll", "quantum",
+                         "zeroed ultralocal Lax entry is caught", {},
+                         lambda cfg: _expect_failure(
+                             "mutation_rll", "zeroed ultralocal Lax entry is caught",
+                             lambda: quantum.check_ybe("RLL_ultralocal", mutate=True))))
+    defs.append(CheckDef("mutation_gauge", "quantum",
+                         "sign-flipped companion entry is caught", {},
+                         lambda cfg: _expect_failure(
+                             "mutation_gauge", "sign-flipped companion entry is caught",
+                             lambda: quantum.check_ultralocalisation("gauge_G", mutate=True))))
+    defs.append(CheckDef("mutation_classical", "classical",
+                         "sign-flipped antisymmetric structure matrix is caught", {},
+                         lambda cfg: _expect_failure(
+                             "mutation_classical",
+                             "sign-flipped antisymmetric structure matrix is caught",
+                             lambda: classical.check_classical("poissonL_explicit", mutate=True))))
+    defs.append(CheckDef("mutation_stoch", "stoch",
+                         "wrong column eigenvalue is caught", {},
+                         lambda cfg: _expect_failure(
+                             "mutation_stoch", "wrong column eigenvalue is caught",
+                             lambda: stoch.check_stoch("column_eigen", mutate=True))))
 
     return {d.id: d for d in defs}
 
 
-def _taut_sweep(cfg: RunConfig) -> CheckReport:
-    reports = [quantum.check_ultralocalisation("taut", N=n)
-               for n in range(1, max(cfg.sites, 3) + 1)]
+def _sweep(check_id: str, anchor: str, sizes: str, reports: list[CheckReport]) -> CheckReport:
+    """One row for a check run at several chain lengths ``sizes``: residual
+    terms add up and the first nonempty witness is kept."""
     total = sum(r.residual_terms for r in reports)
     witness = next((r.witness for r in reports if r.witness), "")
-    status = PASS if total == 0 else FAIL
-    return CheckReport("taut", {"N": f"1..{max(cfg.sites, 3)}"}, status, total,
-                       witness, quantum._QANCHORS["taut"])
-
-
-def _pn_sweep(cfg: RunConfig) -> CheckReport:
-    reports = [classical.check_classical("pN_equals_trT", N=n) for n in (2, 3, 4)]
-    total = sum(r.residual_terms for r in reports)
-    witness = next((r.witness for r in reports if r.witness), "")
-    status = PASS if total == 0 else FAIL
-    return CheckReport("pN_equals_trT", {"N": "2,3,4"}, status, total, witness,
-                       classical._CANCHORS["pN_equals_trT"])
+    return CheckReport(check_id, {"N": sizes}, PASS if total == 0 else FAIL, total,
+                       witness, anchor)
 
 
 REGISTRY = _build_registry()

@@ -11,12 +11,14 @@ confined to the top levels, which the checks inspect rather than discard.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from .ring import Scalar, ScalarFraction
 from .weyl import Lattice, WeylOp
 
 __all__ = ["FockVector", "fock_act", "build_state", "weyl_act",
-           "osc_a", "osc_astar", "osc_qd"]
+           "osc_a", "osc_astar", "osc_qd", "MIN_TRUNC"]
+
+# Smallest truncation level that leaves interior levels for the checks.
+MIN_TRUNC = 3
 
 
 def _q(k: int) -> Scalar:
@@ -212,54 +214,6 @@ def stochastic_hamiltonian(lattice: Lattice) -> WeylOp:
     return total
 
 
-def sign_probe(N: int = 2, K: int = 4, q=Fraction(1, 2)) -> dict:
-    """Numeric sign pattern of the off-diagonal generator entries at rational q.
-
-    Report-only: counts the signs of the off-diagonal matrix elements of
-    H - N id in the level basis, with all levels below the truncation.
-    """
-    lattice = Lattice(N, True)
-    H = stochastic_hamiltonian(lattice)
-    from itertools import product
-    counts = {"positive": 0, "negative": 0, "zero": 0}
-    for levels in product(range(K), repeat=N):
-        v = FockVector.basis(levels, K)
-        image = weyl_act(v, H)
-        for target, coeff in image.coeffs.items():
-            if target == levels:
-                continue
-            if any(x >= K for x in target):
-                continue
-            val = _eval_q(coeff, q)
-            if val > 0:
-                counts["positive"] += 1
-            elif val < 0:
-                counts["negative"] += 1
-            else:
-                counts["zero"] += 1
-    return counts
-
-
-def _eval_q(c: ScalarFraction, q: Fraction) -> Fraction:
-    """Evaluate a fraction whose only variable is s, at s^2 = q exactly."""
-    def eval_scalar(x: Scalar) -> Fraction:
-        if x.variables() - {"s"}:
-            raise ValueError("probe expressions must only involve the deformation")
-        total = Fraction(0)
-        for key, coeff in x.terms.items():
-            val = coeff
-            for _, e in key:
-                if e % 2:
-                    raise ValueError("odd half-power survives the probe")
-                val *= q ** (e // 2)
-            total += val
-        return total
-    den = eval_scalar(c.den)
-    if den == 0:
-        raise ZeroDivisionError("denominator vanishes at the probe point")
-    return eval_scalar(c.num) / den
-
-
 # -- named checks ----------------------------------------------------------------
 
 
@@ -268,7 +222,7 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
     from .quantum import ModelParams, build_lax
     from .reports import report_from_residuals
 
-    if K < 3:
+    if K < MIN_TRUNC:
         raise ValueError("truncation too small to leave interior levels")
     run_params = {"K": K, "N": N}
     lat1 = Lattice(1, True)

@@ -17,6 +17,9 @@ from toda2 import cli
 from toda2.registry import REGISTRY, RunConfig, run_checks
 from toda2.reports import DEGENERATE, PASS
 
+CATALOGUE_REFERENCE = (Path(__file__).resolve().parent.parent
+                       / "bench" / "reference" / "catalogue.json")
+
 
 def _run(ids, **cfg):
     t0 = time.perf_counter()
@@ -129,6 +132,14 @@ def test_criterion_12_deterministic_reports(tmp_path):
           f"reports ({elapsed:.1f}s)")
     assert identical
     assert [r["id"] for r in rows] == sorted(REGISTRY)
+    # the benchmark's reference rows of the same command; witness text is
+    # left out because the reference predates name-ordered residual text
+    ref = json.loads(CATALOGUE_REFERENCE.read_text())["rows"]
+    keys = ("id", "status", "residual_terms", "anchor")
+    got = [dict({k: r[k] for k in keys},
+                params={k: v for k, v in r["params"].items() if k != "seed"})
+           for r in rows]
+    assert got == [dict({k: r[k] for k in keys}, params=r["params"]) for r in ref]
 
 
 def _rows_in_fresh_process(ids, path):

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from toda2.classical import (big_lax, bracket_matrix, build_model, build_structure,
-                             check_classical, classical_monodromy, local_lax,
-                             swap_two_leg)
+from toda2.classical import (big_lax, bracket_matrix, build_structure, check_classical,
+                             classical_monodromy, local_lax, swap_two_leg)
 from toda2.matops import OpMatrix
 from toda2.poisson import make_chart
 from toda2.ring import Scalar
@@ -114,14 +113,13 @@ def test_two_by_two_determinant_expansion():
 
 
 def test_local_lax_and_model():
-    model = build_model(3)
-    assert model.N == 3
-    chart = model.chart
+    chart = make_chart("qp", 3, periodic=True)
+    assert chart.size == 3
     l2 = local_lax(chart, 2)
     assert l2.entries[0][1] == -chart.const(1)
     assert l2.entries[1][1].is_zero()
     with pytest.raises(ValueError):
-        build_model(1)
+        make_chart("qp", 1, periodic=True)
 
 
 def test_mutated_structure_matrix_fails():

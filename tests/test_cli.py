@@ -78,15 +78,41 @@ def test_failing_check_gives_exit_one(monkeypatch, tmp_path):
     assert cli.main(["verify", "Lqosc_match"]) == 1
 
 
-def test_raising_check_becomes_failed_row(tmp_path):
-    # a truncation below 3 makes every oscillator check raise ValueError
+def test_raising_check_becomes_failed_row(monkeypatch, tmp_path):
+    import toda2.registry as reg
+
+    def raising(cfg):
+        raise ValueError("forced inside the check")
+    monkeypatch.setitem(
+        reg.REGISTRY, "Omega_H1",
+        reg.CheckDef("Omega_H1", "stoch", "forced exception", {}, raising))
     out = tmp_path / "r.json"
-    assert cli.main(["verify", "AD", "Omega_H1", "--trunc", "2", "--json", str(out)]) == 1
+    assert cli.main(["verify", "AD", "Omega_H1", "--json", str(out)]) == 1
     rows = {r["id"]: r for r in json.loads(out.read_text())}
     assert rows["AD"]["status"] == "pass"
     assert rows["Omega_H1"]["status"] == "fail"
-    assert rows["Omega_H1"]["witness"] == \
-        "ValueError: truncation too small to leave interior levels"
+    assert rows["Omega_H1"]["witness"] == "ValueError: forced inside the check"
+
+
+def test_too_small_truncation_is_rejected_before_any_check(monkeypatch, tmp_path, capsys):
+    import toda2.registry as reg
+
+    ran = []
+    for cid in ("AD", "Omega_H1"):
+        d = reg.REGISTRY[cid]
+        monkeypatch.setitem(reg.REGISTRY, cid, reg.CheckDef(
+            cid, d.module, d.anchor, d.defaults, lambda cfg, c=cid: ran.append(c)))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "AD", "Omega_H1", "--trunc", "2", "--json", str(out)]) == 2
+    assert "trunc must be at least 3" in capsys.readouterr().err
+    assert not out.exists()
+    assert ran == []
+
+
+@pytest.mark.parametrize("kwargs", [{"sites": 0}, {"trunc": 2}, {"max_terms": 0}])
+def test_run_config_rejects_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        RunConfig(**kwargs)
 
 
 def test_unwritable_report_path_is_io_error(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toda2.matops import OpMatrix, embed_two_leg, tensor_embed
+from toda2.poisson import PoissonElem, make_chart
 from toda2.ring import Scalar, ScalarFraction
 from toda2.weyl import Lattice, WeylOp
 from toda2.quantum import ModelParams, build_lax, build_scalar_aux, q_sigma_z
@@ -202,3 +203,36 @@ def test_three_leg_embedding_matches_two_leg():
             else:
                 expect = m.entries[2 * rb[0] + rb[1]][2 * cb[0] + cb[1]]
                 assert (e12.entries[r][c] - expect).is_zero()
+
+
+def _other_ring_case(ring):
+    """A matrix over ``ring`` with a zero column, its entry type, and the
+    inline lift of a Scalar into that ring."""
+    if ring == "weyl":
+        U1, V1 = WeylOp.generator(LAT, 1, "U"), WeylOp.generator(LAT, 1, "V")
+        zero = WeylOp.zero(LAT)
+        return OpMatrix([[U1, zero], [V1, zero]]), WeylOp, lambda x: WeylOp.scalar(x, LAT)
+    if ring == "fraction":
+        lam, zero = Scalar.var("lam"), ScalarFraction(sc(0))
+        return (OpMatrix([[ScalarFraction(lam, lam + sc(1)), zero],
+                          [ScalarFraction(Scalar.var("s", 2)), zero]]),
+                ScalarFraction, ScalarFraction)
+    chart = make_chart("qp", 3, periodic=True)
+    return (OpMatrix([[chart.gen("Q1"), chart.zero()],
+                      [chart.gen("P2") / chart.gen("Q3"), chart.zero()]]),
+            PoissonElem, chart.from_scalar)
+
+
+@pytest.mark.parametrize("ring", ["weyl", "fraction", "poisson"])
+def test_scalar_matrix_multiplies_into_other_rings_on_both_sides(ring):
+    lam, s2 = Scalar.var("lam"), Scalar.var("s", 2)
+    S = OpMatrix([[lam, sc(0)], [sc(1) - s2 * s2, s2]], lam - s2)
+    X, kind, lift = _other_ring_case(ring)
+    # oracle: the same products with every scalar entry lifted by hand
+    lifted = OpMatrix([[lift(x) for x in row] for row in S.entries], S.den)
+    for got, oracle in ((S.mul(X), lifted.mul(X)), (X.mul(S), X.mul(lifted))):
+        assert got.den == S.den
+        entries = [x for row in got.entries for x in row]
+        assert all(isinstance(x, kind) for x in entries)
+        assert entries[1].is_zero() and entries[3].is_zero()
+        assert all(g == o for g, o in zip(entries, (x for row in oracle.entries for x in row)))

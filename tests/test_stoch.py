@@ -4,8 +4,7 @@ import pytest
 
 from toda2.ring import Scalar, ScalarFraction
 from toda2.stoch import (FockVector, build_state, check_stoch, fock_act, osc_a,
-                         osc_astar, sign_probe, stochastic_hamiltonian,
-                         weyl_act)
+                         osc_astar, stochastic_hamiltonian, weyl_act)
 from toda2.weyl import Lattice
 
 
@@ -89,12 +88,6 @@ def test_tensor_state_coefficients_factorise():
     for k1 in range(K + 1):
         for k2 in range(K + 1):
             assert Om.coefficient((k1, k2)) == om.coefficient((k1,)) * om.coefficient((k2,))
-
-
-def test_sign_probe_reports_counts():
-    counts = sign_probe(N=2, K=3)
-    assert set(counts) == {"positive", "negative", "zero"}
-    assert sum(counts.values()) > 0
 
 
 def test_defect_confined_to_boundary_levels():
