@@ -10,7 +10,7 @@ arithmetic.  See :mod:`toda2.registry` for the catalogue of named checks and
 from .ring import Scalar, ScalarFraction
 from .weyl import Lattice, WeylOp
 from .matops import OpMatrix
-from .poisson import Chart, PoissonElem, make_chart, build_classical
+from .poisson import Chart, make_chart, build_classical
 from .reports import CheckReport
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .matops import OpMatrix
-from .poisson import Chart, PoissonElem, make_chart
+from .poisson import Chart, make_chart
 from .ring import Scalar, ScalarFraction
 
 __all__ = ["build_structure", "swap_two_leg", "bracket_matrix", "big_lax",
@@ -51,7 +51,8 @@ def classical_monodromy(chart: Chart, lam_name: str = "lam") -> OpMatrix:
 
 
 def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2") -> OpMatrix:
-    """N^2 x N^2 structure matrices; r-type carry the denominator mu1 - mu2."""
+    """N^2 x N^2 structure matrices, cleared: r- and d-type are the numerators
+    over the denominator mu1 - mu2 (d21 over mu2 - mu1)."""
     N = chart.size
     m1 = Scalar.var(mu1)
     m2 = Scalar.var(mu2)
@@ -65,14 +66,13 @@ def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2")
     if kind in ("r12", "r21"):
         entries = [[zero] * N * N for _ in range(N * N)]
         u, v = (m1, m2) if kind == "r12" else (m2, m1)
-        den = u - v
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 # E_ij (x) E_ji and E_ji (x) E_ij blocks
                 at(entries, i, j, j, i, 2 * v)
                 at(entries, j, i, i, j, 2 * u)
             at(entries, i, i, i, i, u + v)
-        mat = OpMatrix(entries, den)
+        mat = OpMatrix(entries)
         return mat if kind == "r12" else swap_two_leg(mat, N)
     if kind in ("a12", "a21"):
         entries = [[zero] * N * N for _ in range(N * N)]
@@ -84,20 +84,19 @@ def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2")
         return mat if kind == "a12" else swap_two_leg(mat, N)
     if kind in ("d12", "d21"):
         swap = kind == "d21"
-        r = build_structure("r12", chart, (mu2 if swap else mu1), (mu1 if swap else mu2))
+        first, second = (mu2, mu1) if swap else (mu1, mu2)
+        r = build_structure("r12", chart, first, second)
         a = build_structure("a12", chart)
         if swap:
             r = swap_two_leg(r, N)
             a = swap_two_leg(a, N)
         # d12 right-multiplies the second-leg copy; the swapped d21 the first-leg one.
-        Lother = leg_embed(big_lax(chart, mu2 if not swap else mu1), 2 if not swap else 1, chart)
-        rp = OpMatrix(r.entries)
-        den_elem = chart.from_scalar(r.den)
-        # combine over the common denominator mu1 - mu2 (or its swap)
-        minus = rp.sub(a.scale(den_elem))
-        plus = rp.add(a.scale(den_elem))
-        out = minus.mul(Lother).neg().sub(Lother.mul(plus))
-        return OpMatrix(out.entries, r.den)
+        Lother = leg_embed(big_lax(chart, second), 1 if swap else 2, chart)
+        # combine over the common denominator of r
+        den = chart.from_scalar(Scalar.var(first) - Scalar.var(second))
+        minus = r.sub(a.scale(den))
+        plus = r.add(a.scale(den))
+        return minus.mul(Lother).neg().sub(Lother.mul(plus))
     raise ValueError(f"unknown structure kind {kind!r}")
 
 
@@ -128,7 +127,7 @@ def swap_two_leg(m: OpMatrix, N: int) -> OpMatrix:
             for b in range(N):
                 for d in range(N):
                     out[c * N + a][d * N + b] = m.entries[a * N + c][b * N + d]
-    return OpMatrix(out, m.den)
+    return OpMatrix(out)
 
 
 def bracket_matrix(chart: Chart, mu1: str = "mu1", mu2: str = "mu2") -> OpMatrix:
@@ -174,19 +173,18 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
         BM = bracket_matrix(chart)
         L1 = leg_embed(big_lax(chart, "mu1"), 1, chart)
         L2 = leg_embed(big_lax(chart, "mu2"), 2, chart)
-        den12 = chart.from_scalar(build_structure("r12", chart).den)
+        den12 = chart.from_scalar(Scalar.var("mu1") - Scalar.var("mu2"))
         if check_id == "poissonL_dform":
             d12 = build_structure("d12", chart)
             d21 = build_structure("d21", chart)
-            den21 = chart.from_scalar(d21.den)
-            d12p, d21p = OpMatrix(d12.entries), OpMatrix(d21.entries)
-            rhs = (d12p.mul(L1).sub(L1.mul(d12p))).scale(den21).sub(
-                (d21p.mul(L2).sub(L2.mul(d21p))).scale(den12))
+            den21 = -den12
+            rhs = (d12.mul(L1).sub(L1.mul(d12))).scale(den21).sub(
+                (d21.mul(L2).sub(L2.mul(d21))).scale(den12))
             res, _ = BM.scale(den12 * den21).residual(rhs)
             return report_from_residuals(check_id, run_params, _CANCHORS[check_id],
                                          [("entry brackets vs commutator form", res)],
                                          degenerate)
-        r12 = OpMatrix(build_structure("r12", chart).entries)
+        r12 = build_structure("r12", chart)
         a12 = build_structure("a12", chart)
         if mutate:
             a12 = a12.neg()
@@ -246,8 +244,8 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
             # mu-freeness through a fresh spectral variable: unreduced
             # fractions make an exponent scan unreliable
             nu = Scalar.var("nu")
-            pN_nu = PoissonElem(chart, ScalarFraction(
-                pN.value.num.substitute({"mu": nu}), pN.value.den.substitute({"mu": nu})))
+            pN_nu = ScalarFraction(pN.num.substitute({"mu": nu}),
+                                   pN.den.substitute({"mu": nu}))
             return report_from_residuals(check_id, run_params, _CANCHORS[check_id],
                                          [("corner-free remainder", pN - pN_nu)],
                                          degenerate)

@@ -1,12 +1,12 @@
 """Dense small-matrix algebra over exact ring entries.
 
-Entries may be Scalars, ScalarFractions, Weyl operators or Poisson elements;
-any type with +, -, *, ``is_zero`` and ``zero_like`` works.  Matrices over
-different entry rings multiply directly: a c-number matrix times an operator
-matrix (on either side) promotes entrywise through the operand's reflected
-operators, so no caller lifts its scalar entries first.
-A matrix optionally carries a shared commutative denominator so that
-R-matrix identities can be verified as cleared polynomial statements.
+Entries may be Scalars, ScalarFractions or Weyl operators; any type with the
+ring operators, ``is_zero`` and ``zero_like`` works.  Matrices over different
+entry rings multiply directly: a c-number matrix times an operator matrix (on
+either side) promotes entrywise through the operand's reflected operators, so
+no caller lifts its scalar entries first.  A matrix is just its entries and
+carries no denominator: structure matrices with rational spectral dependence
+come cleared, and each identity using them is checked as a polynomial one.
 """
 
 from __future__ import annotations
@@ -19,17 +19,14 @@ __all__ = ["OpMatrix", "tensor_embed", "embed_two_leg"]
 
 
 class OpMatrix:
-    __slots__ = ("rows", "cols", "entries", "den")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence], den: Scalar | None = None):
+    def __init__(self, entries: Sequence[Sequence]):
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(r) != self.cols for r in self.entries):
             raise ValueError("ragged matrix")
-        if den is not None and den.is_zero():
-            raise ValueError("zero denominator")
-        self.den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -37,14 +34,6 @@ class OpMatrix:
     def identity(cls, n: int, one) -> "OpMatrix":
         zero = one.zero_like()
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def filled(cls, rows: int, cols: int, zero) -> "OpMatrix":
-        return cls([[zero for _ in range(cols)] for _ in range(rows)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -72,43 +61,30 @@ class OpMatrix:
                     orow[j] = p if orow[j] is None else orow[j] + p
         # the zero of the product ring, without multiplying two real entries
         zero = self.entries[0][0].zero_like() * other.entries[0][0].zero_like()
-        entries = [[e if e is not None else zero for e in row] for row in out]
-        den = _den_mul(self.den, other.den)
-        return OpMatrix(entries, den)
+        return OpMatrix([[e if e is not None else zero for e in row] for row in out])
 
     def add(self, other: "OpMatrix") -> "OpMatrix":
-        a, b = self._aligned(other)
+        self._same_shape(other)
         return OpMatrix([[x + y for x, y in zip(ra, rb)]
-                         for ra, rb in zip(a.entries, b.entries)], a.den)
+                         for ra, rb in zip(self.entries, other.entries)])
 
     def sub(self, other: "OpMatrix") -> "OpMatrix":
-        a, b = self._aligned(other)
+        self._same_shape(other)
         return OpMatrix([[x - y for x, y in zip(ra, rb)]
-                         for ra, rb in zip(a.entries, b.entries)], a.den)
+                         for ra, rb in zip(self.entries, other.entries)])
 
-    def _aligned(self, other: "OpMatrix") -> tuple["OpMatrix", "OpMatrix"]:
-        """Bring both matrices over a common denominator before +/-."""
+    def _same_shape(self, other: "OpMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        d1, d2 = self.den, other.den
-        if _den_eq(d1, d2):
-            return self, other
-        a = self if d2 is None else self.scale(d2)
-        b = other if d1 is None else other.scale(d1)
-        return OpMatrix(a.entries, _den_mul(d1, d2)), OpMatrix(b.entries, _den_mul(d1, d2))
 
     def neg(self) -> "OpMatrix":
-        return OpMatrix([[-x for x in row] for row in self.entries], self.den)
+        return OpMatrix([[-x for x in row] for row in self.entries])
 
     def scale(self, c) -> "OpMatrix":
-        return OpMatrix([[c * x for x in row] for row in self.entries], self.den)
+        return OpMatrix([[c * x for x in row] for row in self.entries])
 
     def map(self, fn: Callable) -> "OpMatrix":
-        return OpMatrix([[fn(x) for x in row] for row in self.entries], self.den)
-
-    def transpose(self) -> "OpMatrix":
-        return OpMatrix([[self.entries[j][i] for j in range(self.rows)]
-                         for i in range(self.cols)], self.den)
+        return OpMatrix([[fn(x) for x in row] for row in self.entries])
 
     # -- reductions ----------------------------------------------------------
 
@@ -118,11 +94,7 @@ class OpMatrix:
         total = self.entries[0][0]
         for i in range(1, self.rows):
             total = total + self.entries[i][i]
-        if self.den is None or self.den.is_one():
-            return total
-        if isinstance(total, Scalar):
-            return ScalarFraction(total, self.den)
-        raise ValueError("nontrivial denominator on a noncommutative trace")
+        return total
 
     def det(self):
         """Exact determinant by cofactor expansion; commutative entries only."""
@@ -131,15 +103,12 @@ class OpMatrix:
             raise ValueError("determinant of a non-square matrix")
         if any(isinstance(x, WeylOp) for row in self.entries for x in row):
             raise TypeError("determinant requires commutative entries")
-        if self.den is not None and not self.den.is_one():
-            raise ValueError("clear the denominator before taking determinants")
         return _det(self.entries)
 
     def residual(self, other: "OpMatrix") -> tuple["OpMatrix", bool]:
-        """Entrywise difference after clearing denominators, plus all-zero flag."""
+        """Entrywise difference, plus all-zero flag."""
         diff = self.sub(other)
-        flat = OpMatrix(diff.entries, None)
-        return flat, all(x.is_zero() for row in flat.entries for x in row)
+        return diff, diff.is_zero()
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
@@ -165,15 +134,13 @@ class OpMatrix:
                     out[2 * a + d][2 * cc + b] = self.entries[r][c]
                 else:
                     raise ValueError("leg must be 1 or 2")
-        return OpMatrix(out, self.den)
+        return OpMatrix(out)
 
     def inverse_comm(self) -> "OpMatrix":
         """Adjugate/determinant inverse over the fraction field."""
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        if self.den is not None and not self.den.is_one():
-            raise ValueError("clear the denominator before inverting")
         entries = [[_as_fraction(x) for x in row] for row in self.entries]
         d = _det(entries)
         if d.is_zero():
@@ -193,8 +160,7 @@ class OpMatrix:
         return [[x.to_text() for x in row] for row in self.entries]
 
     def __repr__(self):
-        den = f" / ({self.den.to_text()})" if self.den is not None and not self.den.is_one() else ""
-        return f"OpMatrix({self.rows}x{self.cols}){den}"
+        return f"OpMatrix({self.rows}x{self.cols})"
 
 
 def _as_fraction(x):
@@ -228,22 +194,6 @@ def _det(entries):
     return total if total is not None else entries[0][0].zero_like()
 
 
-def _den_mul(d1: Scalar | None, d2: Scalar | None) -> Scalar | None:
-    if d1 is None:
-        return d2
-    if d2 is None:
-        return d1
-    return d1 * d2
-
-
-def _den_eq(d1: Scalar | None, d2: Scalar | None) -> bool:
-    if d1 is None and d2 is None:
-        return True
-    if d1 is None or d2 is None:
-        return (d1 or d2).is_one()
-    return d1 == d2
-
-
 def tensor_embed(m: OpMatrix, leg: int) -> OpMatrix:
     """Embed a 2x2 matrix into C^2 (x) C^2 on the given leg (basis 11,12,21,22)."""
     if (m.rows, m.cols) != (2, 2):
@@ -260,7 +210,7 @@ def tensor_embed(m: OpMatrix, leg: int) -> OpMatrix:
                         out[2 * a + b][2 * c + d] = m.entries[b][d]
     if leg not in (1, 2):
         raise ValueError("leg must be 1 or 2")
-    return OpMatrix(out, m.den)
+    return OpMatrix(out)
 
 
 def embed_two_leg(m: OpMatrix, legs: tuple[int, int], nlegs: int = 3) -> OpMatrix:
@@ -282,4 +232,4 @@ def embed_two_leg(m: OpMatrix, legs: tuple[int, int], nlegs: int = 3) -> OpMatri
             mr = 2 * rbits[l1 - 1] + rbits[l2 - 1]
             mc = 2 * cbits[l1 - 1] + cbits[l2 - 1]
             out[r][c] = m.entries[mr][mc]
-    return OpMatrix(out, m.den)
+    return OpMatrix(out)

@@ -1,8 +1,9 @@
 """Classical phase-space engine: charts, Poisson brackets, lattice fields.
 
 A :class:`Chart` declares commuting generators and an antisymmetric bracket
-table on them; the bracket of arbitrary Laurent-polynomial fractions follows
-by bilinearity, the Leibniz rule and the quotient rule.  Three charts ship:
+table on them; the bracket of arbitrary Laurent-polynomial fractions
+(:class:`~toda2.ring.ScalarFraction`) follows by bilinearity, the Leibniz
+rule and the quotient rule.  Three charts ship:
 
 * ``exlat``    -- open chain of row doublets (xi1_n, xi2_n) whose bracket is
                   the componentwise action of the rational r-matrices,
@@ -19,7 +20,7 @@ from itertools import combinations
 from .ring import Scalar, ScalarFraction, var_index
 from .ring import _key_mul  # sparse exponent-vector merge
 
-__all__ = ["Chart", "PoissonElem", "make_chart", "build_classical"]
+__all__ = ["Chart", "make_chart", "build_classical"]
 
 
 # Componentwise coefficients of the rational exchange structure on the
@@ -79,19 +80,19 @@ class Chart:
 
     # -- element constructors ------------------------------------------------
 
-    def gen(self, name: str, power: int = 1) -> "PoissonElem":
+    def gen(self, name: str, power: int = 1) -> ScalarFraction:
         if name not in self._gen_index:
             raise KeyError(f"{name!r} is not a generator of this chart")
-        return PoissonElem(self, ScalarFraction(Scalar.var(name, power)))
+        return ScalarFraction(Scalar.var(name, power))
 
-    def const(self, value) -> "PoissonElem":
-        return PoissonElem(self, ScalarFraction(Scalar.const(value)))
+    def const(self, value) -> ScalarFraction:
+        return ScalarFraction(Scalar.const(value))
 
-    def from_scalar(self, s: Scalar) -> "PoissonElem":
-        return PoissonElem(self, ScalarFraction(s))
+    def from_scalar(self, s: Scalar) -> ScalarFraction:
+        return ScalarFraction(s)
 
-    def zero(self) -> "PoissonElem":
-        return PoissonElem(self, ScalarFraction(Scalar.zero()))
+    def zero(self) -> ScalarFraction:
+        return ScalarFraction(Scalar.zero())
 
     # -- the bracket ----------------------------------------------------------
 
@@ -119,112 +120,18 @@ class Chart:
                         out = out + mono * t
         return out
 
-    def bracket(self, f: "PoissonElem", g: "PoissonElem") -> "PoissonElem":
+    def bracket(self, f: ScalarFraction, g: ScalarFraction) -> ScalarFraction:
         """Bracket of fractions via the quotient rule over a common denominator."""
-        if f.chart is not self or g.chart is not self:
-            raise ValueError("elements from a different chart")
-        a, b = f.value.num, f.value.den
-        c, d = g.value.num, g.value.den
+        a, b = f.num, f.den
+        c, d = g.num, g.den
         pb = self.poly_bracket
         num = (pb(a, c) * b * d - pb(a, d) * c * b
                - pb(b, c) * a * d + pb(b, d) * a * c)
         den = b * b * d * d
-        return PoissonElem(self, ScalarFraction(num, den))
+        return ScalarFraction(num, den)
 
     def __repr__(self):
         return f"Chart({self.kind!r}, size={self.size}, periodic={self.periodic})"
-
-
-class PoissonElem:
-    """A phase-space function: fraction of Laurent polynomials on a chart."""
-
-    __slots__ = ("chart", "value")
-
-    def __init__(self, chart: Chart, value: ScalarFraction):
-        self.chart = chart
-        self.value = value
-
-    def _coerce(self, other) -> "PoissonElem":
-        if isinstance(other, PoissonElem):
-            if other.chart is not self.chart:
-                raise ValueError("mixing elements of different charts")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.chart.const(other)
-        if isinstance(other, Scalar):
-            return self.chart.from_scalar(other)
-        if isinstance(other, ScalarFraction):
-            return PoissonElem(self.chart, other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return PoissonElem(self.chart, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PoissonElem(self.chart, -self.value)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return PoissonElem(self.chart, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return PoissonElem(self.chart, self.value / o.value)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return PoissonElem(self.chart, ScalarFraction(self.value.den, self.value.num)) ** (-n)
-        out = self.chart.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def bracket(self, other: "PoissonElem") -> "PoissonElem":
-        return self.chart.bracket(self, other)
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def zero_like(self) -> "PoissonElem":
-        return self.chart.zero()
-
-    def num_terms(self) -> int:
-        return len(self.value.num.terms)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.value == o.value
-
-    def __hash__(self):
-        raise TypeError("PoissonElem is not hashable")
-
-    def to_text(self) -> str:
-        return self.value.to_text()
-
-    def __repr__(self):
-        return f"PoissonElem({self.to_text()})"
 
 
 def make_chart(kind: str, size: int, periodic: bool = False) -> Chart:
@@ -313,7 +220,7 @@ def _make_darboux(size: int) -> Chart:
 # -- lattice fields ------------------------------------------------------------
 
 
-def build_classical(symbol: str, n: int, chart: Chart) -> PoissonElem:
+def build_classical(symbol: str, n: int, chart: Chart) -> ScalarFraction:
     """Construct the named phase-space function at site n."""
     if symbol == "W1":
         return _wronskian(chart, n, 1)
@@ -350,7 +257,7 @@ def build_classical(symbol: str, n: int, chart: Chart) -> PoissonElem:
     raise ValueError(f"unknown classical symbol {symbol!r}")
 
 
-def _wronskian(chart: Chart, n: int, p: int) -> PoissonElem:
+def _wronskian(chart: Chart, n: int, p: int) -> ScalarFraction:
     if chart.kind != "exlat":
         raise ValueError("lattice Wronskians live on the exchange-doublet chart")
     return (chart.gen(f"xi1_{n}") * chart.gen(f"xi2_{n + p}")
@@ -366,7 +273,7 @@ def _delta(chart: Chart, a: int, b: int) -> int:
     return 1 if a == b else 0
 
 
-def residuals_w1w1(chart: Chart, window) -> list[tuple[str, PoissonElem]]:
+def residuals_w1w1(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
     out = []
     w = lambda k: _wronskian(chart, k, 1)
     for n in window:
@@ -377,7 +284,7 @@ def residuals_w1w1(chart: Chart, window) -> list[tuple[str, PoissonElem]]:
     return out
 
 
-def residuals_w1w2(chart: Chart, window) -> list[tuple[str, PoissonElem]]:
+def residuals_w1w2(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
     out = []
     for n in window:
         for m in window:
@@ -390,7 +297,7 @@ def residuals_w1w2(chart: Chart, window) -> list[tuple[str, PoissonElem]]:
     return out
 
 
-def residuals_w2w2(chart: Chart, window) -> list[tuple[str, PoissonElem]]:
+def residuals_w2w2(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
     out = []
     w = lambda k, p: _wronskian(chart, k, p)
     for n in window:
@@ -407,7 +314,7 @@ def residuals_w2w2(chart: Chart, window) -> list[tuple[str, PoissonElem]]:
     return out
 
 
-def residuals_virlat(chart: Chart, window) -> list[tuple[str, PoissonElem]]:
+def residuals_virlat(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
     """Closure of the cubic subalgebra and its decoupling from the Wronskians."""
     out = []
     S = {k: build_classical("S", k, chart) for k in
@@ -433,7 +340,7 @@ def residuals_virlat(chart: Chart, window) -> list[tuple[str, PoissonElem]]:
 
 
 def residuals_qp_algebra(which: str, chart: Chart, window,
-                         q_of=None, p_of=None) -> list[tuple[str, PoissonElem]]:
+                         q_of=None, p_of=None) -> list[tuple[str, ScalarFraction]]:
     """Residuals of the closed Q/P bracket relations.
 
     ``q_of``/``p_of`` supply the realisation (defaults: the chart's own
@@ -463,7 +370,7 @@ def residuals_qp_algebra(which: str, chart: Chart, window,
 
 
 def residuals_qp_squared(which: str, chart: Chart, window,
-                         q2_of, p_of) -> list[tuple[str, PoissonElem]]:
+                         q2_of, p_of) -> list[tuple[str, ScalarFraction]]:
     """Same relations expressed through Q^2 where only Q^2 is realised."""
     out = []
     for n in window:
@@ -484,7 +391,7 @@ def residuals_qp_squared(which: str, chart: Chart, window,
     return out
 
 
-def residuals_exlat_from_darboux(chart: Chart) -> list[tuple[str, PoissonElem]]:
+def residuals_exlat_from_darboux(chart: Chart) -> list[tuple[str, ScalarFraction]]:
     """Check the doublet exchange bracket on the canonical-pair realisation."""
     xi = {}
     for n in range(1, chart.size + 1):
@@ -508,7 +415,7 @@ def residuals_exlat_from_darboux(chart: Chart) -> list[tuple[str, PoissonElem]]:
     return out
 
 
-def residuals_jacobi(chart: Chart) -> list[tuple[str, PoissonElem]]:
+def residuals_jacobi(chart: Chart) -> list[tuple[str, ScalarFraction]]:
     """Jacobi identity on all generator triples of the chart."""
     out = []
     gens = [chart.gen(name) for name in chart.gen_names]

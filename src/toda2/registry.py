@@ -37,16 +37,18 @@ class CheckDef:
     fn: Callable[[RunConfig], CheckReport]
 
 
-def _expect_failure(check_id: str, anchor: str, inner: Callable[[], CheckReport]) -> CheckReport:
-    """Run a deliberately corrupted identity; pass iff the corruption is caught."""
-    report = inner()
+def _expect_failure(probe: Callable[[], CheckReport]) -> CheckReport:
+    """Run a deliberately corrupted identity; pass iff the corruption is caught.
+
+    The row's id and anchor are left empty for :func:`run_checks` to fill in.
+    """
+    report = probe()
     caught = report.status == FAIL and report.residual_terms > 0 and bool(report.witness)
     return CheckReport(
-        check_id, dict(report.params), PASS if caught else FAIL,
+        "", dict(report.params), PASS if caught else FAIL,
         report.residual_terms,
         f"corruption detected: {report.witness}" if caught
-        else "corrupted input was not detected",
-        anchor)
+        else "corrupted input was not detected")
 
 
 def _build_registry() -> dict[str, CheckDef]:
@@ -122,37 +124,24 @@ def _build_registry() -> dict[str, CheckDef]:
                                  c, K=cfg.trunc, N=min(max(cfg.sites, 2), 3))))
 
     # mutation sensitivity: one corrupted run per suite must be caught
-    defs.append(CheckDef("mutation_poisson", "poisson",
-                         "corrupted Wronskian bracket identity is caught", {},
-                         lambda cfg: _expect_failure(
-                             "mutation_poisson", "corrupted Wronskian bracket identity is caught",
-                             lambda: poisson.check_bracket_identity("w1w1", mutate=True))))
-    defs.append(CheckDef("mutation_fm", "quantum",
-                         "sign-flipped compatibility parameter is caught", {},
-                         lambda cfg: _expect_failure(
-                             "mutation_fm", "sign-flipped compatibility parameter is caught",
-                             lambda: quantum.check_fm("DGCG_general", mutate=True))))
-    defs.append(CheckDef("mutation_rll", "quantum",
-                         "zeroed ultralocal Lax entry is caught", {},
-                         lambda cfg: _expect_failure(
-                             "mutation_rll", "zeroed ultralocal Lax entry is caught",
-                             lambda: quantum.check_ybe("RLL_ultralocal", mutate=True))))
-    defs.append(CheckDef("mutation_gauge", "quantum",
-                         "sign-flipped companion entry is caught", {},
-                         lambda cfg: _expect_failure(
-                             "mutation_gauge", "sign-flipped companion entry is caught",
-                             lambda: quantum.check_ultralocalisation("gauge_G", mutate=True))))
-    defs.append(CheckDef("mutation_classical", "classical",
-                         "sign-flipped antisymmetric structure matrix is caught", {},
-                         lambda cfg: _expect_failure(
-                             "mutation_classical",
-                             "sign-flipped antisymmetric structure matrix is caught",
-                             lambda: classical.check_classical("poissonL_explicit", mutate=True))))
-    defs.append(CheckDef("mutation_stoch", "stoch",
-                         "wrong column eigenvalue is caught", {},
-                         lambda cfg: _expect_failure(
-                             "mutation_stoch", "wrong column eigenvalue is caught",
-                             lambda: stoch.check_stoch("column_eigen", mutate=True))))
+    mutations = (
+        ("mutation_poisson", "poisson", "corrupted Wronskian bracket identity is caught",
+         lambda: poisson.check_bracket_identity("w1w1", mutate=True)),
+        ("mutation_fm", "quantum", "sign-flipped compatibility parameter is caught",
+         lambda: quantum.check_fm("DGCG_general", mutate=True)),
+        ("mutation_rll", "quantum", "zeroed ultralocal Lax entry is caught",
+         lambda: quantum.check_ybe("RLL_ultralocal", mutate=True)),
+        ("mutation_gauge", "quantum", "sign-flipped companion entry is caught",
+         lambda: quantum.check_ultralocalisation("gauge_G", mutate=True)),
+        ("mutation_classical", "classical",
+         "sign-flipped antisymmetric structure matrix is caught",
+         lambda: classical.check_classical("poissonL_explicit", mutate=True)),
+        ("mutation_stoch", "stoch", "wrong column eigenvalue is caught",
+         lambda: stoch.check_stoch("column_eigen", mutate=True)),
+    )
+    for cid, module, anchor, probe in mutations:
+        defs.append(CheckDef(cid, module, anchor, {},
+                             lambda cfg, p=probe: _expect_failure(p)))
 
     return {d.id: d for d in defs}
 

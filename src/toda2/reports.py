@@ -21,10 +21,6 @@ class CheckReport:
     anchor: str = ""
     elapsed: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
     def as_row(self) -> dict:
         return {
             "id": self.id,
@@ -39,7 +35,6 @@ class CheckReport:
 def residual_size(obj) -> int:
     """Number of surviving terms in a residual of any supported kind."""
     from .matops import OpMatrix
-    from .poisson import PoissonElem
     from .ring import Scalar, ScalarFraction
     from .stoch import FockVector
     from .weyl import WeylOp
@@ -48,8 +43,6 @@ def residual_size(obj) -> int:
         return sum(residual_size(x) for row in obj.entries for x in row)
     if isinstance(obj, WeylOp):
         return sum(len(c.terms) for c in obj.terms.values())
-    if isinstance(obj, PoissonElem):
-        return len(obj.value.num.terms)
     if isinstance(obj, ScalarFraction):
         return len(obj.num.terms)
     if isinstance(obj, Scalar):

@@ -1,9 +1,11 @@
 """Sparse multivariate Laurent polynomials with exact rational coefficients.
 
-Everything downstream (Weyl operators, Poisson elements, matrices) uses this
-ring for its coefficients.  The deformation parameter is stored through the
-variable ``s`` with q = s**2: reordering factors of the form q^(ab/2) with
-half-integer exponents are then integer powers of s and never leave the ring.
+Everything downstream (Weyl operators, matrices) uses this ring for its
+coefficients, and :class:`ScalarFraction` is the only fraction type: the
+Poisson side computes with it directly.  The deformation parameter is stored
+through the variable ``s`` with q = s**2: reordering factors of the form
+q^(ab/2) with half-integer exponents are then integer powers of s and never
+leave the ring.
 
 A :class:`Scalar` is a dict from sparse exponent vectors to nonzero
 ``Fraction`` coefficients; two Scalars are equal iff their term maps are
@@ -258,9 +260,6 @@ class Scalar:
         idx = var_index(name)
         return max((dict(k).get(idx, 0) for k in self.terms), default=0)
 
-    def variables(self) -> set[str]:
-        return {_NAMES[v] for k in self.terms for v, _ in k}
-
     # -- canonical text ------------------------------------------------------
 
     @classmethod
@@ -328,10 +327,6 @@ class ScalarFraction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_scalar(cls, s: Scalar) -> "ScalarFraction":
-        return cls(s)
-
     def _coerce(self, other) -> "ScalarFraction":
         if isinstance(other, ScalarFraction):
             return other
@@ -378,6 +373,11 @@ class ScalarFraction:
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero fraction")
         return ScalarFraction(self.num * o.den, self.den * o.num)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return ScalarFraction(self.den, self.num) ** (-n)
+        return ScalarFraction(self.num ** n, self.den ** n)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

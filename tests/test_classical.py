@@ -6,7 +6,7 @@ from toda2.classical import (big_lax, bracket_matrix, build_structure, check_cla
                              classical_monodromy, local_lax, swap_two_leg)
 from toda2.matops import OpMatrix
 from toda2.poisson import make_chart
-from toda2.ring import Scalar
+from toda2.ring import Scalar, ScalarFraction
 
 
 def test_big_lax_shape_n3():
@@ -35,7 +35,6 @@ def test_structure_matrix_entries():
     chart = make_chart("qp", 3, periodic=True)
     r = build_structure("r12", chart)
     mu1, mu2 = Scalar.var("mu1"), Scalar.var("mu2")
-    assert r.den == mu1 - mu2
     N = 3
     for i in range(N):
         assert r.entries[i * N + i][i * N + i] == mu1 + mu2
@@ -85,10 +84,7 @@ def test_monodromy_determinant_is_spectral_product():
         assert (det - prod * prod).is_zero()
         # lam-free: equal to its own image under a fresh spectral variable
         nu = Scalar.var("nu")
-        from toda2.poisson import PoissonElem
-        from toda2.ring import ScalarFraction
-        shifted = PoissonElem(chart, ScalarFraction(
-            det.value.num.substitute({"lam": nu}), det.value.den))
+        shifted = ScalarFraction(det.num.substitute({"lam": nu}), det.den)
         assert (det - shifted).is_zero()
 
 

@@ -77,14 +77,14 @@ def test_quotient_rule_against_expansion():
 def test_builder_shapes():
     chart = make_chart("exlat", 8)
     w1 = build_classical("W1", 2, chart)
-    assert w1.num_terms() == 2
+    assert len(w1.num.terms) == 2
     dch = make_chart("darboux", 6)
-    assert build_classical("repP", 2, dch).num_terms() == 2
-    assert build_classical("repQ2", 2, dch).num_terms() == 1
+    assert len(build_classical("repP", 2, dch).num.terms) == 2
+    assert len(build_classical("repQ2", 2, dch).num.terms) == 1
     xi2 = build_classical("xi2_darboux", 2, dch)
-    assert xi2.num_terms() == 2  # one summand per lattice site up the chain
+    assert len(xi2.num.terms) == 2  # one summand per lattice site up the chain
     xi1 = build_classical("xi1_darboux", 3, dch)
-    assert xi1.num_terms() == 1
+    assert len(xi1.num.terms) == 1
 
 
 def test_out_of_range_site_rejected():

@@ -1,0 +1,90 @@
+"""Differential tests of the coefficient ring against sympy as an oracle.
+
+Small Laurent polynomials in two or three variables with small rational
+coefficients are built twice, as :class:`Scalar` and as a sympy expression;
+every ring operation must agree with sympy up to ``sympy.cancel``.  The
+results are read back through their canonical text, so ``to_text`` is checked
+along the way.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from toda2.ring import Scalar, ScalarFraction
+
+sympy = pytest.importorskip("sympy")
+
+NAMES = ("s", "lam", "mu")
+SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
+# sympy.cancel dominates the cost; these bounds keep the file near 3 s
+ORACLE = settings(max_examples=30, deadline=None)
+FIELD_ORACLE = settings(max_examples=15, deadline=None)
+
+
+@st.composite
+def laurent(draw, max_terms=4):
+    """A Scalar and the same polynomial as a sympy expression."""
+    names = NAMES[:draw(st.integers(2, 3))]
+    scalar, expr = Scalar.zero(), sympy.Integer(0)
+    for _ in range(draw(st.integers(0, max_terms))):
+        powers = {n: draw(st.integers(-2, 2)) for n in names}
+        coeff = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        scalar = scalar + Scalar.monomial(powers, coeff)
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for n, e in powers.items():
+            term *= SYMBOLS[n] ** e
+        expr += term
+    return scalar, expr
+
+
+@st.composite
+def fraction(draw):
+    """A ScalarFraction with a nonzero denominator and its sympy quotient."""
+    num, num_expr = draw(laurent(3))
+    den, den_expr = draw(laurent(2))
+    assume(not den.is_zero())
+    return ScalarFraction(num, den), num_expr / den_expr
+
+
+def as_sympy(x) -> "sympy.Expr":
+    return sympy.sympify(x.to_text().replace("^", "**"), locals=SYMBOLS)
+
+
+def agrees(x, expr) -> bool:
+    return sympy.cancel(as_sympy(x) - expr) == 0
+
+
+@ORACLE
+@given(laurent(), laurent())
+def test_scalar_ring_matches_sympy(a, b):
+    (x, ex), (y, ey) = a, b
+    assert agrees(x + y, ex + ey)
+    assert agrees(x - y, ex - ey)
+    assert agrees(x * y, ex * ey)
+
+
+@FIELD_ORACLE
+@given(fraction(), fraction())
+def test_fraction_field_matches_sympy(a, b):
+    (x, ex), (y, ey) = a, b
+    assert agrees(x + y, ex + ey)
+    assert agrees(x - y, ex - ey)
+    assert agrees(x * y, ex * ey)
+    if not y.is_zero():
+        assert agrees(x / y, ex / ey)
+
+
+@FIELD_ORACLE
+@given(fraction(), st.integers(-2, 3))
+def test_fraction_powers_match_sympy(a, n):
+    x, ex = a
+    assume(n >= 0 or not x.is_zero())
+    assert agrees(x ** n, ex ** n)
+
+
+def test_zero_fraction_has_no_inverse():
+    with pytest.raises(ZeroDivisionError):
+        ScalarFraction(Scalar.zero()) ** -1
