@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .matops import OpMatrix
+from .matops import OpMatrix, tensor_embed
 from .poisson import Chart, make_chart
 from .ring import Scalar, ScalarFraction
 
@@ -91,32 +91,13 @@ def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2")
             r = swap_two_leg(r, N)
             a = swap_two_leg(a, N)
         # d12 right-multiplies the second-leg copy; the swapped d21 the first-leg one.
-        Lother = leg_embed(big_lax(chart, second), 1 if swap else 2, chart)
+        Lother = tensor_embed(big_lax(chart, second), 1 if swap else 2)
         # combine over the common denominator of r
         den = chart.from_scalar(Scalar.var(first) - Scalar.var(second))
         minus = r.sub(a.scale(den))
         plus = r.add(a.scale(den))
         return minus.mul(Lother).neg().sub(Lother.mul(plus))
     raise ValueError(f"unknown structure kind {kind!r}")
-
-
-def leg_embed(m: OpMatrix, leg: int, chart: Chart) -> OpMatrix:
-    """Embed an N x N matrix on one leg of the doubled space.
-
-    Leg 1 carries the matrix content as M (x) id, leg 2 as id (x) M.
-    """
-    N = m.rows
-    zero = chart.zero()
-    out = [[zero] * N * N for _ in range(N * N)]
-    for a in range(N):
-        for c in range(N):
-            for b in range(N):
-                for d in range(N):
-                    if leg == 1 and c == d:
-                        out[a * N + c][b * N + d] = m.entries[a][b]
-                    elif leg == 2 and a == b:
-                        out[a * N + c][b * N + d] = m.entries[c][d]
-    return OpMatrix(out)
 
 
 def swap_two_leg(m: OpMatrix, N: int) -> OpMatrix:
@@ -171,8 +152,8 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
 
     if check_id in ("poissonL_explicit", "poissonL_dform"):
         BM = bracket_matrix(chart)
-        L1 = leg_embed(big_lax(chart, "mu1"), 1, chart)
-        L2 = leg_embed(big_lax(chart, "mu2"), 2, chart)
+        L1 = tensor_embed(big_lax(chart, "mu1"), 1)
+        L2 = tensor_embed(big_lax(chart, "mu2"), 2)
         den12 = chart.from_scalar(Scalar.var("mu1") - Scalar.var("mu2"))
         if check_id == "poissonL_dform":
             d12 = build_structure("d12", chart)
@@ -181,7 +162,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
             rhs = (d12.mul(L1).sub(L1.mul(d12))).scale(den21).sub(
                 (d21.mul(L2).sub(L2.mul(d21))).scale(den12))
             res, _ = BM.scale(den12 * den21).residual(rhs)
-            return report_from_residuals(check_id, run_params, _CANCHORS[check_id],
+            return report_from_residuals(run_params,
                                          [("entry brackets vs commutator form", res)],
                                          degenerate)
         r12 = build_structure("r12", chart)
@@ -196,7 +177,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
             .sub(L1.mul(a12).mul(L2).scale(two).scale(den12)) \
             .sub(L2.mul(a12).mul(L1).scale(two).scale(den12))
         res, _ = BM.scale(den12).residual(rhs)
-        return report_from_residuals(check_id, run_params, _CANCHORS[check_id],
+        return report_from_residuals(run_params,
                                      [("entry brackets vs explicit form", res)],
                                      degenerate)
 
@@ -213,8 +194,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
         for n in (1, 2, 3):
             items.append((f"center(n={n})",
                           chart.bracket(prod_q, _trace_power(La, n))))
-        return report_from_residuals(check_id, run_params, _CANCHORS[check_id],
-                                     items, degenerate)
+        return report_from_residuals(run_params, items, degenerate)
 
     if check_id in ("curve_NxN", "pN_equals_trT", "curve_2x2"):
         lam = chart.from_scalar(Scalar.var("lam"))
@@ -229,7 +209,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
                                  for j in range(2)] for i in range(2)])
             lhs = shifted.det() * mu_inv
             rhs = mu + prod_q * prod_q * mu_inv - T.trace()
-            return report_from_residuals(check_id, run_params, _CANCHORS[check_id],
+            return report_from_residuals(run_params,
                                          [("characteristic relation", lhs - rhs),
                                           ("spectral determinant", T.det() - prod_q * prod_q)],
                                          degenerate)
@@ -246,22 +226,12 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
             nu = Scalar.var("nu")
             pN_nu = ScalarFraction(pN.num.substitute({"mu": nu}),
                                    pN.den.substitute({"mu": nu}))
-            return report_from_residuals(check_id, run_params, _CANCHORS[check_id],
+            return report_from_residuals(run_params,
                                          [("corner-free remainder", pN - pN_nu)],
                                          degenerate)
         T = classical_monodromy(chart, "lam")
-        return report_from_residuals(check_id, run_params, _CANCHORS[check_id],
+        return report_from_residuals(run_params,
                                      [("trace identification", pN - T.trace())],
                                      degenerate)
 
     raise ValueError(f"unknown classical check {check_id!r}")
-
-
-_CANCHORS = {
-    "poissonL_explicit": "entry brackets of the big Lax match the explicit quadratic form",
-    "poissonL_dform": "entry brackets of the big Lax match the commutator form",
-    "involution": "trace powers are in involution and the corner product is central",
-    "curve_NxN": "characteristic polynomial splits off the corner term",
-    "curve_2x2": "monodromy characteristic relation and spectral determinant",
-    "pN_equals_trT": "corner-free characteristic part equals the monodromy trace",
-}

@@ -171,7 +171,7 @@ def _as_fraction(x):
 
 def _one_fraction(sample):
     if isinstance(sample, ScalarFraction):
-        return ScalarFraction(Scalar.const(1))
+        return ScalarFraction(1)
     return Scalar.const(1)
 
 
@@ -195,21 +195,23 @@ def _det(entries):
 
 
 def tensor_embed(m: OpMatrix, leg: int) -> OpMatrix:
-    """Embed a 2x2 matrix into C^2 (x) C^2 on the given leg (basis 11,12,21,22)."""
-    if (m.rows, m.cols) != (2, 2):
-        raise ValueError("tensor_embed expects a 2x2 matrix")
-    zero = m.entries[0][0].zero_like()
-    out = [[zero] * 4 for _ in range(4)]
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    if leg == 1 and b == d:
-                        out[2 * a + b][2 * c + d] = m.entries[a][c]
-                    elif leg == 2 and a == c:
-                        out[2 * a + b][2 * c + d] = m.entries[b][d]
+    """Embed an n x n matrix on one leg of C^n (x) C^n: leg 1 as M (x) id,
+    leg 2 as id (x) M (basis index n * a + b for the pair (a, b))."""
     if leg not in (1, 2):
         raise ValueError("leg must be 1 or 2")
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("tensor_embed expects a square matrix")
+    zero = m.entries[0][0].zero_like()
+    out = [[zero] * n * n for _ in range(n * n)]
+    for a in range(n):
+        for c in range(n):
+            x = m.entries[a][c]
+            for b in range(n):
+                if leg == 1:
+                    out[n * a + b][n * c + b] = x
+                else:
+                    out[n * b + a][n * b + c] = x
     return OpMatrix(out)
 
 

@@ -86,7 +86,7 @@ class Chart:
         return ScalarFraction(Scalar.var(name, power))
 
     def const(self, value) -> ScalarFraction:
-        return ScalarFraction(Scalar.const(value))
+        return ScalarFraction(value)
 
     def from_scalar(self, s: Scalar) -> ScalarFraction:
         return ScalarFraction(s)
@@ -461,13 +461,12 @@ def check_bracket_identity(check_id: str, size: int = 8, mutate: bool = False):
             pof = lambda k: build_classical("P", k, chart)
             items = residuals_qp_algebra(check_id, chart, range(2, size),
                                          q_of=qof, p_of=pof)
-        return report_from_residuals(check_id, params, _ANCHORS[check_id], items)
+        return report_from_residuals(params, items)
 
     if check_id == "exlat_from_darboux":
         chart = make_chart("darboux", min(size, 6))
         items = residuals_exlat_from_darboux(chart)
-        return report_from_residuals(check_id, {"size": chart.size},
-                                     _ANCHORS[check_id], items)
+        return report_from_residuals({"size": chart.size}, items)
 
     if check_id == "qp_from_rep":
         chart = make_chart("darboux", min(size, 6))
@@ -477,8 +476,7 @@ def check_bracket_identity(check_id: str, size: int = 8, mutate: bool = False):
         for which in ("qq", "qp", "pp"):
             items += [(f"{which}{lab}", r) for lab, r in residuals_qp_squared(
                 which, chart, range(1, chart.size), q2_of=q2of, p_of=pof)]
-        return report_from_residuals(check_id, {"size": chart.size},
-                                     _ANCHORS[check_id], items)
+        return report_from_residuals({"size": chart.size}, items)
 
     if check_id == "jacobi":
         items = []
@@ -486,21 +484,6 @@ def check_bracket_identity(check_id: str, size: int = 8, mutate: bool = False):
                              ("qp", 2, True), ("darboux", 4, False)):
             chart = make_chart(kind, n, per)
             items += [(f"{kind}/N={n}{lab}", r) for lab, r in residuals_jacobi(chart)]
-        return report_from_residuals(check_id, {"charts": "exlat,qp,darboux"},
-                                     _ANCHORS[check_id], items)
+        return report_from_residuals({"charts": "exlat,qp,darboux"}, items)
 
     raise ValueError(f"unknown bracket identity {check_id!r}")
-
-
-_ANCHORS = {
-    "w1w1": "adjacent-step Wronskian brackets close quadratically",
-    "w1w2": "mixed-step Wronskian brackets close quadratically",
-    "w2w2": "double-step Wronskian brackets close with quartic tail",
-    "virlat": "cubic subalgebra closes and decouples from the Wronskians",
-    "qq": "Q-Q bracket recovered from the Wronskian realisation",
-    "qp": "Q-P bracket recovered from the Wronskian realisation",
-    "pp": "P-P bracket recovered from the Wronskian realisation",
-    "exlat_from_darboux": "canonical-pair realisation satisfies the doublet exchange bracket",
-    "qp_from_rep": "canonical-pair realisation reproduces the quadratic Q/P brackets",
-    "jacobi": "Jacobi identity for every shipped bracket table",
-}

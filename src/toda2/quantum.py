@@ -69,8 +69,8 @@ def theta_q(n: int) -> ScalarFraction:
     if n < 0:
         return ScalarFraction(Scalar.zero())
     if n > 0:
-        return ScalarFraction(_c(1))
-    return ScalarFraction(_c(1), _s(1) + _s(-1))
+        return ScalarFraction(1)
+    return ScalarFraction(1, _s(1) + _s(-1))
 
 
 # -- auxiliary-space structure matrices ------------------------------------------
@@ -430,7 +430,7 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
                 rhs = y1.mul(B).mul(x2)
             res, _ = lhs.residual(rhs)
             items.append((f"site {n}", res))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id == "DGCG_general":
         greek = tuple(Scalar.var(nm) for nm in ("alpha", "beta", "gamma", "delta"))
@@ -449,14 +449,13 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
         lhs = D.mul(M1).mul(C).mul(M2)
         rhs = M2.mul(B).mul(M1).mul(A)
         res, _ = lhs.residual(rhs)
-        return report_from_residuals(check_id, {"parameters": "free"}, _QANCHORS[check_id],
-                                     [("compatibility", res)])
+        return report_from_residuals({"parameters": "free"}, [("compatibility", res)])
 
     if check_id == "dual_general":
         greekt = tuple(Scalar.var(nm) for nm in ("alphat", "betat", "gammat", "deltat"))
         Bt = B.partial_transpose(1).inverse_comm().partial_transpose(1)
         Ct = C.partial_transpose(2).inverse_comm().partial_transpose(2)
-        one4 = OpMatrix.identity(4, ScalarFraction(_c(1)))
+        one4 = OpMatrix.identity(4, ScalarFraction(1))
         invB, okB = Bt.partial_transpose(1).mul(B.partial_transpose(1)).residual(one4)
         invC, okC = Ct.partial_transpose(2).mul(C.partial_transpose(2)).residual(one4)
         Mt1 = tensor_embed(build_scalar_aux("Mtilde0", l1, greek=greekt), 1)
@@ -464,7 +463,7 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
         lhs = D.mul(Mt2).mul(Bt).mul(Mt1)
         rhs = Mt1.mul(Ct).mul(Mt2).mul(A)
         res, _ = lhs.residual(rhs)
-        return report_from_residuals(check_id, {"parameters": "free"}, _QANCHORS[check_id],
+        return report_from_residuals({"parameters": "free"},
                                      [("partial-transpose inverse (B)", invB),
                                       ("partial-transpose inverse (C)", invC),
                                       ("dual compatibility", res)])
@@ -475,7 +474,7 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
         lhs = A.mul(T1).mul(B).mul(T2)
         rhs = T2.mul(C).mul(T1).mul(D)
         res, _ = lhs.residual(rhs)
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+        return report_from_residuals(run_params,
                                      [("quadratic algebra", res)], degenerate=N < 3)
 
     if check_id == "distant_commute":
@@ -497,7 +496,7 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
                                 if not c.is_zero():
                                     items.append((f"[l_{n}({i}{j}), l_{m}({a}{b})]", c))
         items = items or [("all distant entry pairs", WeylOp.zero(lattice))]
-        return report_from_residuals(check_id, {"N": size}, _QANCHORS[check_id], items)
+        return report_from_residuals({"N": size}, items)
 
     raise ValueError(f"unknown exchange check {check_id!r}")
 
@@ -511,8 +510,7 @@ def check_ybe(check_id: str, mutate: bool = False) -> CheckReport:
         R13 = embed_two_leg(build_aux("Rtwisted", l1, l3), (1, 3))
         R23 = embed_two_leg(build_aux("Rtwisted", l2, l3), (2, 3))
         res, _ = R12.mul(R13).mul(R23).residual(R23.mul(R13).mul(R12))
-        return report_from_residuals(check_id, {"legs": 3}, _QANCHORS[check_id],
-                                     [("triple exchange", res)])
+        return report_from_residuals({"legs": 3}, [("triple exchange", res)])
     if check_id == "RLL_ultralocal":
         params = ModelParams.generic()
         lattice = Lattice(3, True)
@@ -528,7 +526,7 @@ def check_ybe(check_id: str, mutate: bool = False) -> CheckReport:
             items.append((f"site {n}", res))
             if mutate:
                 break
-        return report_from_residuals(check_id, {"d": "generic"}, _QANCHORS[check_id], items)
+        return report_from_residuals({"d": "generic"}, items)
     raise ValueError(f"unknown exchange check {check_id!r}")
 
 
@@ -570,7 +568,7 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> Chec
                 rhs = build_lax("Lloc", n, lam, params, lattice)
             res, _ = lhs.residual(rhs)
             items.append((f"site {n}", res))
-        return report_from_residuals(step, {"N": 3}, _QANCHORS[step], items)
+        return report_from_residuals({"N": 3}, items)
 
     if step == "trace_identity":
         lattice = Lattice(N, True)
@@ -595,7 +593,7 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> Chec
         shortcut, _ = lt.map(lambda e: e.substitute({"d3": 0})).residual(
             build_lax("scriptLtilde", 1, lam, params, lattice).map(
                 lambda e: e.substitute({"d3": 0})))
-        return report_from_residuals(step, run_params, _QANCHORS[step],
+        return report_from_residuals(run_params,
                                      [("gauged monodromy", gauge_res),
                                       ("closed trace", lhs_tr - rhs_tr),
                                       ("site-one shortcut without top coupling", shortcut)])
@@ -606,8 +604,7 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> Chec
         shifted = tau.substitute({"lam": _s(-4) * d2.monomial_inverse() * lam})
         lhs = shifted.conjugate_v() * (d2 ** N) * _s(2)
         tloc = transfer_trace("tloc", N, lam, params)
-        return report_from_residuals(step, run_params, _QANCHORS[step],
-                                     [("twisted rescaled trace", lhs - tloc)])
+        return report_from_residuals(run_params, [("twisted rescaled trace", lhs - tloc)])
 
     raise ValueError(f"unknown ultralocalisation step {step!r}")
 
@@ -646,7 +643,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                                 if not cf.is_zero():
                                     rhs = rhs + xi[(m, ap)] * xi[(n, bp)] * cf
                         items.append((f"(n={n},m={m},a={a},b={b})", lhs - rhs))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id == "W_algebra_q":
         W1 = {n: quantum_wronskian(1, n, lattice) for n in range(1, size)}
@@ -673,7 +670,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                 if d(n, m - 1):
                     rhs = rhs + W1[m - 1] * W1[m + 1] * (_s(1) - _s(-3))
                 items.append((f"22(n={n},m={m})", lhs - rhs))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id == "QP_relations":
         Q = {n: op_Q(lattice, n) for n in range(1, size)}
@@ -690,7 +687,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                 items.append((f"PP(n={n},m={m})", r2))
                 r3 = P[n] * Q[m] - Q[m] * P[n] * _s(2 * (d(n, m) - d(n, m + 1)))
                 items.append((f"PQ(n={n},m={m})", r3))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id == "W1_monomial":
         items = []
@@ -700,7 +697,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                 items.append((f"n={n}", w))
             else:
                 items.append((f"n={n}", WeylOp.zero(lattice)))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id == "QP_match":
         items = []
@@ -716,7 +713,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
             right = w2 * qprev * qn
             items.append((f"P orderings (n={n})", left - right))
             items.append((f"P(n={n})", left - op_P(lattice, n)))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     raise ValueError(f"unknown realisation check {check_id!r}")
 
@@ -731,7 +728,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
         for i in range(len(hs)):
             for j in range(i + 1, len(hs)):
                 items.append((f"[H{i},H{j}]", hs[i].commutator(hs[j])))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id in ("tau_commute", "tloc_commute"):
         kind = "tau" if check_id == "tau_commute" else "tloc"
@@ -743,7 +740,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
             t1 = transfer_trace(kind, n, l1, params)
             t2 = transfer_trace(kind, n, l2, params)
             items.append((f"N={n}", t1.commutator(t2)))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id == "H1_qToda":
         hs = hamiltonians(N, ModelParams.q_toda())
@@ -754,8 +751,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
             expect = expect + WeylOp.word(
                 lattice, [(n, "U", -1), (n - 1, "U", 1), (n, "V", -1)],
                 coeff=_s(-2) * d1)
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
-                                     [("first charge", hs[1] - expect)])
+        return report_from_residuals(run_params, [("first charge", hs[1] - expect)])
 
     if check_id in ("H1_Toda2", "H2_Toda2"):
         hs = hamiltonians(N, ModelParams.toda2())
@@ -766,8 +762,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
                 expect = expect + WeylOp.word(lattice, [(n, "V", -1)])
                 expect = expect + WeylOp.word(lattice, [(n, "U", -1), (n - 1, "U", 1)],
                                               coeff=d2)
-            return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
-                                         [("first charge", hs[1] - expect)])
+            return report_from_residuals(run_params, [("first charge", hs[1] - expect)])
         combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2))
         expect = WeylOp.zero(lattice)
         for n in range(1, N + 1):
@@ -781,24 +776,21 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
             expect = expect + WeylOp.word(lattice, [(n, "U", 2), (n + 1, "U", -2)],
                                           coeff=d2 * d2)
         expect = expect * _c(Fraction(-1, 2))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+        return report_from_residuals(run_params,
                                      [("second charge combination", combo - expect)])
 
     if check_id == "trq_commute":
         t1, t2 = trq(1, N), trq(2, N)
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
-                                     [("q-trace pair", t1.commutator(t2))])
+        return report_from_residuals(run_params, [("q-trace pair", t1.commutator(t2))])
 
     if check_id in ("trq_match1", "trq_match2"):
         hs = hamiltonians(N, ModelParams.toda2())
         if check_id == "trq_match1":
             res = hs[1].substitute({"d2": 1}) - trq(1, N)
-            return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
-                                         [("first q-trace", res)])
+            return report_from_residuals(run_params, [("first q-trace", res)])
         combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2))
         res = combo.substitute({"d2": 1}) - trq(2, N) * _c(Fraction(-1, 2))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
-                                     [("second q-trace", res)])
+        return report_from_residuals(run_params, [("second q-trace", res)])
 
     if check_id == "qosc_coherence":
         params = ModelParams.q_osc()
@@ -806,41 +798,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
         t_preset = transfer_trace("tloc", N, lam, params)
         prod = reduce(OpMatrix.mul, (build_lax("Lqosc", n, lam, params, lattice)
                                      for n in range(N, 0, -1)))
-        return report_from_residuals(check_id, run_params, _QANCHORS[check_id],
+        return report_from_residuals(run_params,
                                      [("oscillator transfer", prod.trace() - t_preset)])
 
     raise ValueError(f"unknown Hamiltonian check {check_id!r}")
-
-
-_QANCHORS = {
-    "AD": "same-site Lax exchange through the A/D pair",
-    "B": "adjacent-site Lax exchange through the C-type matrix",
-    "C": "adjacent-site Lax exchange through the B-type matrix",
-    "DGCG_general": "companion-matrix compatibility for free parameters",
-    "dual_general": "dual compatibility for the trace-closing companion",
-    "ATT_TTD": "monodromy quadratic exchange algebra",
-    "distant_commute": "Lax entries at distant sites commute",
-    "YBE_twisted": "twisted R-matrix satisfies the Yang-Baxter equation",
-    "RLL_ultralocal": "RLL exchange for the ultralocal Lax matrix",
-    "gauge_l": "gauge transform of the bare Lax is ultralocal",
-    "gauge_G": "gauge transform of the companion matrix, long entries included",
-    "scriptL_assembly": "gauged Lax times gauged companion equals the dressed form",
-    "trace_identity": "closed trace of the gauged chain drops the twist",
-    "entrywise_conjugation": "entrywise twist carries the gauged Lax to the ultralocal one",
-    "taut": "twisted rescaled transfer trace equals the ultralocal transfer matrix",
-    "exchange_xi": "doublet exchange algebra, including the equal-site weight",
-    "W_algebra_q": "deformed Wronskian algebra closes",
-    "QP_relations": "closed-form Q/P commutation relations",
-    "W1_monomial": "step-one Wronskian collapses to an invertible monomial",
-    "QP_match": "Wronskian-built Q/P equal their closed forms",
-    "commute": "transfer-derived charges commute pairwise",
-    "tau_commute": "dressed transfer traces commute at two spectral points",
-    "tloc_commute": "ultralocal transfer traces commute at two spectral points",
-    "H1_qToda": "first charge at the hopping-free point",
-    "H1_Toda2": "first charge of the quadratic-bracket chain",
-    "H2_Toda2": "second charge combination of the quadratic-bracket chain",
-    "trq_commute": "the two deformed trace charges commute",
-    "trq_match1": "first deformed trace matches the first charge",
-    "trq_match2": "second deformed trace matches the second charge combination",
-    "qosc_coherence": "oscillator Lax transfer equals the preset transfer",
-}

@@ -66,9 +66,11 @@ def _clip(text: str, limit: int = 200) -> str:
     return text if len(text) <= limit else text[:limit] + " ..."
 
 
-def report_from_residuals(check_id: str, params: dict, anchor: str,
-                          items, degenerate: bool = False) -> CheckReport:
-    """Summarise labelled residuals: pass iff every residual is zero."""
+def report_from_residuals(params: dict, items, degenerate: bool = False) -> CheckReport:
+    """Summarise labelled residuals: pass iff every residual is zero.
+
+    The row's id and anchor are left empty; the registry fills them in.
+    """
     total = 0
     witness = ""
     for label, res in items:
@@ -76,10 +78,5 @@ def report_from_residuals(check_id: str, params: dict, anchor: str,
         if n and not witness:
             witness = f"{label}: {_witness_text(res)}"
         total += n
-    if total == 0:
-        status = DEGENERATE if degenerate else PASS
-    else:
-        status = DEGENERATE if degenerate else FAIL
-    if degenerate and total:
-        witness = witness or "nonzero residual under degenerate wrap"
-    return CheckReport(check_id, params, status, total, witness)
+    status = DEGENERATE if degenerate else FAIL if total else PASS
+    return CheckReport("", params, status, total, witness)

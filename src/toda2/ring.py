@@ -319,9 +319,11 @@ class ScalarFraction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Scalar, den: Scalar | None = None):
-        if den is None:
-            den = Scalar.const(1)
+    def __init__(self, num: Scalar | int | Fraction, den: Scalar | int | Fraction = 1):
+        if not isinstance(num, Scalar):
+            num = Scalar.const(num)
+        if not isinstance(den, Scalar):
+            den = Scalar.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num = num
@@ -330,10 +332,8 @@ class ScalarFraction:
     def _coerce(self, other) -> "ScalarFraction":
         if isinstance(other, ScalarFraction):
             return other
-        if isinstance(other, Scalar):
+        if isinstance(other, (Scalar, int, Fraction)):
             return ScalarFraction(other)
-        if isinstance(other, (int, Fraction)):
-            return ScalarFraction(Scalar.const(other))
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):

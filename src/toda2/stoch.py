@@ -37,7 +37,7 @@ class FockVector:
 
     @classmethod
     def basis(cls, levels: tuple, trunc: int) -> "FockVector":
-        one = ScalarFraction(Scalar.const(1))
+        one = ScalarFraction(1)
         return cls(len(levels), trunc, {tuple(levels): one})
 
     def __add__(self, other: "FockVector") -> "FockVector":
@@ -140,7 +140,7 @@ def build_state(kind: str, K: int, N: int = 1, k: int = 0) -> FockVector:
         return FockVector(1, K, coeffs)
     if kind == "Omega":
         base = build_state("omega", K)
-        coeffs = {(): ScalarFraction(Scalar.const(1))}
+        coeffs = {(): ScalarFraction(1)}
         for _ in range(N):
             new = {}
             for levels, c in coeffs.items():
@@ -243,7 +243,7 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
                 (f"a* qD (site {n})", astar * qd - qd * astar * s4(-4)),
             ]
         items.append(("cross-site", osc_a(latN, 1).commutator(osc_astar(latN, 2))))
-        return report_from_residuals(check_id, run_params, _SANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id == "Lqosc_match":
         params = ModelParams.q_osc()
@@ -251,8 +251,7 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
         lhs = build_lax("Lloc", 1, lam, params, lat1)
         rhs = build_lax("Lqosc", 1, lam, params, lat1)
         res, _ = lhs.residual(rhs)
-        return report_from_residuals(check_id, run_params, _SANCHORS[check_id],
-                                     [("preset substitution", res)])
+        return report_from_residuals(run_params, [("preset substitution", res)])
 
     if check_id == "column_eigen":
         params = ModelParams.q_osc()
@@ -267,7 +266,7 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
             colsum = L.entries[0][col] + L.entries[1][col]
             diff = (weyl_act(om, colsum) - om.scale(eigen)).interior_part()
             items.append((f"column {col + 1}", diff))
-        return report_from_residuals(check_id, run_params, _SANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id == "omega_identity":
         om = build_state("omega", K)
@@ -278,7 +277,7 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
         items = [("interior part", diff.interior_part()),
                  ("defect below top level",
                   FockVector(1, K, {lv: diff.coeffs[lv] for lv in bad}))]
-        return report_from_residuals(check_id, run_params, _SANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id in ("Omega_H1", "zero_column_sum"):
         latN = Lattice(N, True)
@@ -291,7 +290,7 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
             stray = FockVector(N, K, {lv: c for lv, c in diff.coeffs.items()
                                       if all(x < K for x in lv)})
             items = [("interior levels", stray)]
-            return report_from_residuals(check_id, run_params, _SANCHORS[check_id], items)
+            return report_from_residuals(run_params, items)
         # per-column statement: interior columns of the truncated generator
         # have vanishing weighted sums
         items = []
@@ -299,7 +298,7 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
                          if all(x < K for x in lv)):
             items.append((f"column {list(lv)}", diff.coefficient(lv)))
         items = items or [("no interior columns", diff.interior_part())]
-        return report_from_residuals(check_id, run_params, _SANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     if check_id == "realisation_consistency":
         items = []
@@ -311,17 +310,6 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
                 items.append((f"{name} on level {k}",
                               fock_act({"a": "a", "a*": "astar", "qD": "qD"}[name], 1, v)
                               - weyl_act(v, wop)))
-        return report_from_residuals(check_id, run_params, _SANCHORS[check_id], items)
+        return report_from_residuals(run_params, items)
 
     raise ValueError(f"unknown stochastic check {check_id!r}")
-
-
-_SANCHORS = {
-    "qosc_algebra": "deformed oscillator algebra in the Weyl realisation",
-    "Lqosc_match": "oscillator Lax equals the ultralocal Lax at the preset",
-    "column_eigen": "column sums act on the geometric state with eigenvalue lam - 1",
-    "omega_identity": "raising identity of the geometric state below truncation",
-    "Omega_H1": "tensor geometric state is a left eigenstate of the chain charge",
-    "zero_column_sum": "interior columns of the shifted generator sum to zero",
-    "realisation_consistency": "Fock action agrees with the Weyl realisation",
-}

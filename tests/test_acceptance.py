@@ -142,6 +142,16 @@ def test_criterion_12_deterministic_reports(tmp_path):
     assert got == [dict({k: r[k] for k in keys}, params=r["params"]) for r in ref]
 
 
+def test_listed_defaults_are_the_reported_params():
+    # ``toda2 list`` shows each check's defaults; they must be the params its
+    # row reports at the default config (the reference rows of ``verify all``)
+    ref = json.loads(CATALOGUE_REFERENCE.read_text())
+    assert ref["argv"] == ["verify", "all"]
+    reported = {r["id"]: {k: v for k, v in r["params"].items() if k != "seed"}
+                for r in ref["rows"]}
+    assert {cid: d.defaults for cid, d in REGISTRY.items()} == reported
+
+
 def _rows_in_fresh_process(ids, path):
     """Run ``toda2 verify`` on ``ids`` in a new interpreter; rows by id."""
     src = str(Path(toda2.__file__).resolve().parent.parent)

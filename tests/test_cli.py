@@ -129,3 +129,18 @@ def test_degenerate_does_not_fail_run():
     reports = run_checks(["poissonL_degenerate"], RunConfig())
     assert reports[0].status == "degenerate"
     assert cli.main(["verify", "poissonL_degenerate"]) == 0
+
+
+def test_term_cap_row_fails_and_restores_the_cap(tmp_path):
+    from toda2 import weyl
+
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "ATT_TTD", "AD", "--max-terms", "10", "--json", str(out)]) == 1
+    rows = {r["id"]: r for r in json.loads(out.read_text())}
+    assert rows["ATT_TTD"]["status"] == "fail"
+    assert rows["ATT_TTD"]["witness"] == "term cap exceeded: product exceeds 10 terms"
+    assert rows["ATT_TTD"]["params"] == {"max_terms": 10, "seed": 0}
+    assert rows["ATT_TTD"]["anchor"] == REGISTRY["ATT_TTD"].anchor \
+        == "monodromy quadratic exchange algebra"
+    assert rows["AD"]["status"] == "pass"
+    assert weyl.TERM_CAP == 10 ** 6

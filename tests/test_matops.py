@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -76,6 +77,8 @@ def test_embed_identity_is_identity():
     one2 = OpMatrix.identity(2, sc(1))
     assert tensor_embed(one2, 1).residual(OpMatrix.identity(4, sc(1)))[1]
     assert tensor_embed(one2, 2).residual(OpMatrix.identity(4, sc(1)))[1]
+    with pytest.raises(ValueError, match="leg"):
+        tensor_embed(one2, 3)
 
 
 def test_leg_product_index_arithmetic_oracle():
@@ -96,11 +99,16 @@ def test_leg_product_index_arithmetic_oracle():
 
 def test_legs_commute_for_scalar_entries():
     rng = random.Random(77)
-    a = rand_scalar_matrix(rng, 2)
-    b = rand_scalar_matrix(rng, 2)
-    lhs = tensor_embed(a, 1).mul(tensor_embed(b, 2))
-    rhs = tensor_embed(b, 2).mul(tensor_embed(a, 1))
-    assert lhs.residual(rhs)[1]
+    for n in (2, 3):
+        a = rand_scalar_matrix(rng, n)
+        b = rand_scalar_matrix(rng, n)
+        lhs = tensor_embed(a, 1).mul(tensor_embed(b, 2))
+        rhs = tensor_embed(b, 2).mul(tensor_embed(a, 1))
+        assert lhs.residual(rhs)[1]
+        # entry ((i,j),(k,l)) of the product is a[i][k] * b[j][l]
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            got = lhs.entries[n * i + j][n * k + l]
+            assert (got - a.entries[i][k] * b.entries[j][l]).is_zero()
 
 
 def test_trace_identity_and_closing_trace():

@@ -86,5 +86,6 @@ def test_fraction_powers_match_sympy(a, n):
 
 
 def test_zero_fraction_has_no_inverse():
-    with pytest.raises(ZeroDivisionError):
-        ScalarFraction(Scalar.zero()) ** -1
+    for zero in (ScalarFraction(Scalar.zero()), ScalarFraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            zero ** -1
