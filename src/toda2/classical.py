@@ -9,6 +9,7 @@ are verified entrywise over the fraction field of the periodic qp chart.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 
 from .matops import OpMatrix, tensor_embed
@@ -57,7 +58,7 @@ def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2")
     m1 = Scalar.var(mu1)
     m2 = Scalar.var(mu2)
     zero = Scalar.zero()
-    half = Scalar.const("1/2")
+    half = Scalar.const(Fraction(1, 2))
 
     def at(mat, a, c, b, d, val):
         mat[(a - 1) * N + (c - 1)][(b - 1) * N + (d - 1)] = \

@@ -99,7 +99,7 @@ class Chart:
     def poly_bracket(self, p: Scalar, q: Scalar) -> Scalar:
         """Bracket of two Laurent polynomials via the Leibniz monomial rule."""
         gens = self._gen_indices
-        out = Scalar.zero()
+        out: dict[tuple, int | Fraction] = {}
         for k1, c1 in p.terms.items():
             e1 = [(v, e) for v, e in k1 if v in gens]
             if not e1:
@@ -116,9 +116,13 @@ class Chart:
                             continue
                         key = _key_mul(base, ((vi, -1),))
                         key = _key_mul(key, ((vj, -1),))
-                        mono = Scalar({key: c1 * c2 * ei * ej})
-                        out = out + mono * t
-        return out
+                        for k, c in t.shift(key, c1 * c2 * ei * ej).terms.items():
+                            c += out.get(k, 0)
+                            if c:
+                                out[k] = c
+                            else:
+                                del out[k]
+        return Scalar(out)
 
     def bracket(self, f: ScalarFraction, g: ScalarFraction) -> ScalarFraction:
         """Bracket of fractions via the quotient rule over a common denominator."""

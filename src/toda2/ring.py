@@ -7,9 +7,12 @@ through the variable ``s`` with q = s**2: reordering factors of the form
 q^(ab/2) with half-integer exponents are then integer powers of s and never
 leave the ring.
 
-A :class:`Scalar` is a dict from sparse exponent vectors to nonzero
-``Fraction`` coefficients; two Scalars are equal iff their term maps are
-identical, so the representation is canonical.  Variables live in one
+A :class:`Scalar` is a dict from sparse exponent vectors to nonzero exact
+coefficients, each an ``int`` or a ``Fraction``: an ``int`` whenever the
+denominator is 1, so most products and sums never leave Python's integers.
+Two Scalars are equal iff their term maps are identical, so the
+representation is canonical (``int`` and ``Fraction`` compare and hash
+alike, and floats are rejected at every constructor).  Variables live in one
 append-only table for the whole process; charts and model parameters register
 the names they need on first use.  Indices order the internal keys only:
 :meth:`Scalar.to_text` orders variables by name, so a polynomial's text does
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-__all__ = ["Scalar", "ScalarFraction", "var_index"]
+__all__ = ["Scalar", "ScalarFraction", "var_index", "var_key"]
 
 
 # The variable table: name <-> index, append-only, shared by every Scalar.
@@ -41,6 +44,12 @@ def var_index(name: str) -> int:
 # Exponent vectors are stored sparsely as tuples of (var_index, exponent),
 # sorted by index, zeros omitted.  The empty tuple is the constant monomial.
 _EMPTY: tuple = ()
+
+
+def var_key(name: str, power: int) -> tuple:
+    """Exponent-vector key of ``name**power``, as :meth:`Scalar.shift` takes it."""
+    idx = var_index(name)
+    return ((idx, power),) if power else _EMPTY
 
 
 def _key_mul(k1: tuple, k2: tuple) -> tuple:
@@ -71,20 +80,30 @@ def _key_mul(k1: tuple, k2: tuple) -> tuple:
     return tuple(out)
 
 
+def _coeff(value) -> int | Fraction:
+    """An exact coefficient in canonical form; anything inexact is refused."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"exact coefficients are int or Fraction, not {type(value).__name__}")
+
+
 class Scalar:
     """Immutable sparse Laurent polynomial over the shared variable table."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[tuple, Fraction]):
-        self.terms = {k: c for k, c in terms.items() if c}
+    def __init__(self, terms: Mapping[tuple, int | Fraction]):
+        self.terms = {k: c if type(c) is int or c.denominator != 1 else c.numerator
+                      for k, c in terms.items() if c}
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value) -> "Scalar":
-        c = Fraction(value)
+        c = _coeff(value)
         return cls({_EMPTY: c} if c else {})
 
     @classmethod
@@ -93,16 +112,13 @@ class Scalar:
 
     @classmethod
     def var(cls, name: str, power: int = 1, coeff=1) -> "Scalar":
-        idx = var_index(name)
-        c = Fraction(coeff)
-        if not c:
-            return cls({})
-        key = ((idx, power),) if power else _EMPTY
-        return cls({key: c})
+        key = var_key(name, power)
+        c = _coeff(coeff)
+        return cls({key: c} if c else {})
 
     @classmethod
     def monomial(cls, powers: Mapping[str, int], coeff=1) -> "Scalar":
-        c = Fraction(coeff)
+        c = _coeff(coeff)
         if not c:
             return cls({})
         key = tuple(sorted((var_index(n), e) for n, e in powers.items() if e))
@@ -149,7 +165,7 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int | Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in o.terms.items():
                 k = _key_mul(k1, k2)
@@ -162,12 +178,24 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def shift(self, key: tuple, c=1) -> "Scalar":
+        """``self * Scalar({key: c})``: one monomial re-keys every term.
+
+        Laurent monomials form a group, so distinct keys stay distinct and
+        nothing merges; with ``c == 1`` no coefficient is multiplied.
+        """
+        if c == 1:
+            if not key:
+                return self
+            return Scalar({_key_mul(k, key): v for k, v in self.terms.items()})
+        return Scalar({_key_mul(k, key): v * c for k, v in self.terms.items()})
+
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("Scalar powers must be integers")
         if n < 0:
             return self.monomial_inverse() ** (-n)
-        result = Scalar.const(1)
+        result = _ONE
         base = self
         while n:
             if n & 1:
@@ -185,7 +213,7 @@ class Scalar:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {_EMPTY: Fraction(1)}
+        return len(self.terms) == 1 and self.terms.get(_EMPTY) == 1
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -195,7 +223,7 @@ class Scalar:
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible in the Laurent ring")
         (k, c), = self.terms.items()
-        return Scalar({tuple((v, -e) for v, e in k): Fraction(1) / c})
+        return Scalar({tuple((v, -e) for v, e in k): 1 / Fraction(c)})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -234,13 +262,13 @@ class Scalar:
                         f"variable {_NAMES[v]!r} occurs with negative power "
                         "but its image is not an invertible monomial")
                 factor = factor * (img ** e)
-            out = out + factor * Scalar({tuple(fixed): Fraction(1)})
+            out = out + factor.shift(tuple(fixed))
         return out
 
     def coeff_of(self, name: str, power: int) -> "Scalar":
         """Collect the coefficient of ``name**power`` (the variable removed)."""
         idx = var_index(name)
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int | Fraction] = {}
         for k, c in self.terms.items():
             e = 0
             rest = []
@@ -271,7 +299,7 @@ class Scalar:
         total = cls.zero()
         for signed in text.replace(" - ", " + -").split(" + "):
             part = signed.strip()
-            coeff = Fraction(1)
+            coeff: int | Fraction = 1
             if part.startswith("-"):
                 coeff = -coeff
                 part = part[1:]
@@ -314,12 +342,16 @@ class Scalar:
         return f"Scalar({self.to_text()})"
 
 
+# Scalars are immutable, so every unit denominator can be this one object.
+_ONE = Scalar.const(1)
+
+
 class ScalarFraction:
     """Unreduced quotient of two Scalars; equality by cross-multiplication."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Scalar | int | Fraction, den: Scalar | int | Fraction = 1):
+    def __init__(self, num: Scalar | int | Fraction, den: Scalar | int | Fraction = _ONE):
         if not isinstance(num, Scalar):
             num = Scalar.const(num)
         if not isinstance(den, Scalar):
@@ -362,7 +394,7 @@ class ScalarFraction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return ScalarFraction(self.num * o.num, self.den * o.den)
+        return ScalarFraction(self.num * o.num, _product(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -372,7 +404,7 @@ class ScalarFraction:
             return NotImplemented
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero fraction")
-        return ScalarFraction(self.num * o.den, self.den * o.num)
+        return ScalarFraction(_product(self.num, o.den), _product(self.den, o.num))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -402,3 +434,16 @@ class ScalarFraction:
 
     def __repr__(self):
         return f"ScalarFraction({self.to_text()})"
+
+
+def _product(a: Scalar, b: Scalar) -> Scalar:
+    """``a * b``, returning either factor itself when the other is 1.
+
+    Most fractions in the checks have the unit denominator, so most
+    denominator products are of this kind.
+    """
+    if b.is_one():
+        return a
+    if a.is_one():
+        return b
+    return a * b

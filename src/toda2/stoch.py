@@ -11,7 +11,7 @@ confined to the top levels, which the checks inspect rather than discard.
 
 from __future__ import annotations
 
-from .ring import Scalar, ScalarFraction
+from .ring import Scalar, ScalarFraction, var_key
 from .weyl import Lattice, WeylOp
 
 __all__ = ["FockVector", "fock_act", "build_state", "weyl_act",
@@ -115,7 +115,7 @@ def fock_act(op: str, site: int, v: FockVector) -> FockVector:
         elif op == "astar":
             add(levels[:i] + (k + 1,) + levels[i + 1:], c)
         elif op == "qD":
-            add(levels, c * _q(-2 * k))
+            add(levels, ScalarFraction(c.num.shift(var_key("s", -4 * k)), c.den))
         else:
             raise ValueError(f"unknown oscillator generator {op!r}")
     return FockVector(v.sites, v.trunc, out)
@@ -192,9 +192,7 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
                     break
             if dead:
                 continue
-            coeff = c * scal
-            if phase:
-                coeff = coeff * Scalar.var("s", phase)
+            coeff = ScalarFraction((c.num * scal).shift(var_key("s", phase)), c.den)
             tkey = tuple(new)
             cur = out.get(tkey)
             nc = coeff if cur is None else cur + coeff

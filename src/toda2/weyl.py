@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .ring import Scalar
+from .ring import Scalar, var_key
 
 __all__ = ["Lattice", "WeylOp", "TermCapExceeded", "TERM_CAP"]
 
@@ -136,9 +136,7 @@ class WeylOp:
                 raise ValueError(f"unknown generator kind {kind!r}")
             key, ph = _key_merge(key, fk)
             s_exp += ph
-        if s_exp:
-            c = c * Scalar.var("s", s_exp)
-        return cls(lattice, {key: c})
+        return cls(lattice, {key: c.shift(var_key("s", s_exp))})
 
     # -- linear structure ----------------------------------------------------
 
@@ -187,18 +185,12 @@ class WeylOp:
             return NotImplemented
         self._check(other)
         out: dict[tuple, Scalar] = {}
-        s = Scalar.var("s")
-        phase_cache: dict[int, Scalar] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k, ph = _key_merge(k1, k2)
                 c = c1 * c2
                 if ph:
-                    f = phase_cache.get(ph)
-                    if f is None:
-                        f = s ** ph if ph > 0 else s.monomial_inverse() ** (-ph)
-                        phase_cache[ph] = f
-                    c = c * f
+                    c = c.shift(var_key("s", ph))
                 nc = out.get(k)
                 nc = c if nc is None else nc + c
                 if nc.is_zero():
@@ -240,9 +232,7 @@ class WeylOp:
             w = sum(a2 - b2 for _, a2, b2 in k)
             if w % 2:
                 raise ValueError("conjugation would need a half-integer power of d2")
-            if w:
-                c = c * Scalar.var("d2", w // 2)
-            out[k] = c
+            out[k] = c.shift(var_key("d2", w // 2))
         return WeylOp(self.lattice, out)
 
     def monomial_inverse(self) -> "WeylOp":
@@ -252,9 +242,7 @@ class WeylOp:
         (k, c), = self.terms.items()
         # (V^a U^b)^(-1) = q^(2ab) V^(-a) U^(-b) per site.
         phase = sum(a2 * b2 for _, a2, b2 in k)
-        inv_c = c.monomial_inverse()
-        if phase:
-            inv_c = inv_c * Scalar.var("s", phase)
+        inv_c = c.monomial_inverse().shift(var_key("s", phase))
         return WeylOp(self.lattice, {tuple((n, -a2, -b2) for n, a2, b2 in k): inv_c})
 
     # -- inspection ----------------------------------------------------------

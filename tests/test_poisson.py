@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from toda2.poisson import (build_classical, check_bracket_identity, make_chart,
                            residuals_w1w1)
+from toda2.ring import Scalar, var_index
 
 
 def test_qp_chart_declared_brackets():
@@ -123,3 +125,46 @@ def test_mutated_identity_is_caught():
 def test_too_short_chain_rejected():
     with pytest.raises(ValueError):
         check_bracket_identity("w2w2", size=5)
+
+
+def _fold_bracket(chart, p, q):
+    """Reference: the bracket as a fold ``out = out + mono * t`` over term pairs."""
+    names = {var_index(n): n for n in chart.gen_names}
+    out = Scalar.zero()
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            for vi, ei in ((v, e) for v, e in k1 if v in names):
+                for vj, ej in ((v, e) for v, e in k2 if v in names):
+                    t = chart.table(vi, vj)
+                    if t is None:
+                        continue
+                    mono = (Scalar({k1: c1 * c2 * ei * ej}) * Scalar({k2: 1})
+                            * Scalar.var(names[vi], -1) * Scalar.var(names[vj], -1))
+                    out = out + mono * t
+    return out
+
+
+@pytest.mark.parametrize("kind,size,periodic", [("qp", 3, True), ("qp", 4, False),
+                                                ("exlat", 3, False)])
+def test_poly_bracket_equals_the_fold_over_term_pairs(kind, size, periodic):
+    chart = make_chart(kind, size, periodic=periodic)
+    rng = random.Random(size)
+    extra = Scalar.var("lam")  # a parameter that is not a generator
+
+    def rand_poly():
+        total = Scalar.zero()
+        for _ in range(rng.randint(1, 4)):
+            powers = {n: rng.randint(-2, 2) for n in rng.sample(chart.gen_names, 2)}
+            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            total = total + Scalar.monomial(powers, coeff) * extra ** rng.randint(0, 1)
+        return total
+
+    cancelled = 0
+    for _ in range(15):
+        p, q = rand_poly(), rand_poly()
+        # {p, p} and {p + q, p + q} cancel term by term down to zero
+        for a, b in ((p, q), (q, p), (p, p), (p + q, p + q), (p * q, q)):
+            got = chart.poly_bracket(a, b)
+            assert got == _fold_bracket(chart, a, b)
+            cancelled += got.is_zero()
+    assert cancelled >= 30

@@ -133,3 +133,92 @@ def test_coeff_of_extraction():
     assert expr.coeff_of("lam", 1) == d2
     assert expr.coeff_of("lam", 0) == Scalar.const(4)
     assert expr.degree_of("lam") == 2
+
+
+def _canonical(x: Scalar) -> bool:
+    """Every coefficient with denominator 1 is stored as an ``int``."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in x.terms.values())
+
+
+def test_coefficients_that_cancel_to_integers_are_stored_as_int():
+    x, y = Scalar.var("x"), Scalar.var("y")
+    half, third = Scalar.const(Fraction(1, 2)), Scalar.const(Fraction(1, 3))
+    whole = x * half * 2                                # 1/2 * 2 -> 1
+    summed = (third + Scalar.const(Fraction(2, 3))) * y  # 1/3 + 2/3 -> 1
+    mixed = x * half + y * third                        # and back to fractions
+    results = [
+        whole, summed, mixed, mixed * 6, mixed + x * half, mixed - y * third,
+        (x * half + x * half) ** 2, (x * Fraction(2, 3)) ** -1,
+        (x * half * y).substitute({"x": Scalar.monomial({"y": -1}, 2)}),
+        (x * half * y + x * half * y).coeff_of("y", 1),
+        Scalar.monomial({"x": 1, "y": -2}, Fraction(6, 3)),
+        Scalar.var("x", 1, Fraction(-4, 2)).monomial_inverse(),
+        Scalar.from_text("4/2*x + 1/2*y"),
+    ]
+    assert whole == x and summed == y
+    for r in results:
+        assert _canonical(r), r.terms
+    assert any(type(c) is Fraction for c in mixed.terms.values())
+    assert all(type(c) is int for c in (mixed * 6).terms.values())
+
+
+def test_integral_fraction_constant_equals_int_constant():
+    a, b = Scalar.const(Fraction(4, 2)), Scalar.const(2)
+    assert a == b and hash(a) == hash(b) and a.to_text() == b.to_text() == "2"
+    assert a.terms == {(): 2} and type(a.terms[()]) is int
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Scalar.const(0.1),
+    lambda: Scalar.const("1/2"),
+    lambda: Scalar.var("x", 1, 0.5),
+    lambda: Scalar.monomial({"x": 2}, 1.0),
+    lambda: ScalarFraction(0.5),
+    lambda: ScalarFraction(s, 0.5),
+])
+def test_floats_and_strings_are_rejected_at_the_ring_boundary(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@st.composite
+def laurent_and_key(draw):
+    """A small Laurent polynomial in s, lam, and a key that may cancel a term."""
+    poly = Scalar.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        powers = {"s": draw(st.integers(-2, 2)), "lam": draw(st.integers(-2, 2))}
+        poly = poly + Scalar.monomial(powers, Fraction(draw(st.integers(-4, 4)),
+                                                       draw(st.integers(1, 3))))
+    if poly.terms and draw(st.booleans()):
+        # the inverse of one of its keys: that term lands on the constant monomial
+        key = tuple((v, -e) for v, e in draw(st.sampled_from(sorted(poly.terms))))
+    else:
+        key = next(iter(Scalar.monomial({"s": draw(st.integers(-3, 3)),
+                                         "lam": draw(st.integers(-3, 3))}).terms))
+    return poly, key
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_and_key(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_shift_equals_product_with_one_monomial(pk, c):
+    poly, key = pk
+    shifted = poly.shift(key, c)
+    # the general product it replaces
+    assert shifted == poly * Scalar({key: c})
+    assert _canonical(shifted)
+    if c == 1:
+        assert poly.shift(key) == shifted
+
+
+def test_unit_denominators_are_reused_against_the_general_formulas():
+    f, g = ScalarFraction(s, s + 1), ScalarFraction(lam)  # g has the unit denominator
+    for a, b in ((f, g), (g, f), (g, g)):
+        prod, quot = a * b, a / b
+        # the formulas without the unit-denominator shortcut, term for term
+        assert (prod.num.terms, prod.den.terms) == ((a.num * b.num).terms,
+                                                    (a.den * b.den).terms)
+        assert (quot.num.terms, quot.den.terms) == ((a.num * b.den).terms,
+                                                    (a.den * b.num).terms)
+    assert (f * g).den is f.den and (g * f).den is f.den and (lam * f).den is f.den
+    assert (g / f).den is f.num and (f / g).num is f.num
