@@ -23,8 +23,8 @@ __all__ = ["build_structure", "swap_two_leg", "bracket_matrix", "big_lax",
 def big_lax(chart: Chart, mu_name: str = "mu") -> OpMatrix:
     """Tridiagonal Lax matrix with mu^(-+1) corners; diagonal -P_n."""
     N = chart.size
-    mu = chart.from_scalar(Scalar.var(mu_name))
-    zero = chart.zero()
+    mu = ScalarFraction(Scalar.var(mu_name))
+    zero = ScalarFraction(0)
     m = [[zero for _ in range(N)] for _ in range(N)]
     for n in range(1, N + 1):
         m[n - 1][n - 1] = m[n - 1][n - 1] - chart.gen(f"P{n}")
@@ -39,10 +39,10 @@ def big_lax(chart: Chart, mu_name: str = "mu") -> OpMatrix:
 
 
 def local_lax(chart: Chart, n: int, lam_name: str = "lam") -> OpMatrix:
-    lam = chart.from_scalar(Scalar.var(lam_name))
+    lam = ScalarFraction(Scalar.var(lam_name))
     return OpMatrix([
-        [lam - chart.gen(f"P{n}"), -chart.const(1)],
-        [chart.gen(f"Q{n}") ** 2, chart.zero()],
+        [lam - chart.gen(f"P{n}"), -ScalarFraction(1)],
+        [chart.gen(f"Q{n}") ** 2, ScalarFraction(0)],
     ])
 
 
@@ -94,7 +94,7 @@ def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2")
         # d12 right-multiplies the second-leg copy; the swapped d21 the first-leg one.
         Lother = tensor_embed(big_lax(chart, second), 1 if swap else 2)
         # combine over the common denominator of r
-        den = chart.from_scalar(Scalar.var(first) - Scalar.var(second))
+        den = ScalarFraction(Scalar.var(first) - Scalar.var(second))
         minus = r.sub(a.scale(den))
         plus = r.add(a.scale(den))
         return minus.mul(Lother).neg().sub(Lother.mul(plus))
@@ -155,7 +155,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
         BM = bracket_matrix(chart)
         L1 = tensor_embed(big_lax(chart, "mu1"), 1)
         L2 = tensor_embed(big_lax(chart, "mu2"), 2)
-        den12 = chart.from_scalar(Scalar.var("mu1") - Scalar.var("mu2"))
+        den12 = ScalarFraction(Scalar.var("mu1") - Scalar.var("mu2"))
         if check_id == "poissonL_dform":
             d12 = build_structure("d12", chart)
             d21 = build_structure("d21", chart)
@@ -170,7 +170,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
         a12 = build_structure("a12", chart)
         if mutate:
             a12 = a12.neg()
-        two = chart.const(2)
+        two = ScalarFraction(2)
         L12 = L1.mul(L2)
         rhs = (r12.mul(L12).sub(L12.mul(r12))).scale(-two) \
             .add(a12.mul(L12).scale(two).scale(den12)) \
@@ -189,7 +189,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
             for m in (1, 2, 3):
                 items.append((f"(n={n},m={m})",
                               chart.bracket(_trace_power(La, n), _trace_power(Lb, m))))
-        prod_q = chart.const(1)
+        prod_q = ScalarFraction(1)
         for a in range(1, N + 1):
             prod_q = prod_q * chart.gen(f"Q{a}")
         for n in (1, 2, 3):
@@ -198,15 +198,15 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
         return report_from_residuals(run_params, items, degenerate)
 
     if check_id in ("curve_NxN", "pN_equals_trT", "curve_2x2"):
-        lam = chart.from_scalar(Scalar.var("lam"))
-        mu = chart.from_scalar(Scalar.var("mu"))
-        mu_inv = chart.from_scalar(Scalar.var("mu").monomial_inverse())
-        prod_q = chart.const(1)
+        lam = ScalarFraction(Scalar.var("lam"))
+        mu = ScalarFraction(Scalar.var("mu"))
+        mu_inv = ScalarFraction(Scalar.var("mu").monomial_inverse())
+        prod_q = ScalarFraction(1)
         for a in range(1, N + 1):
             prod_q = prod_q * chart.gen(f"Q{a}")
         if check_id == "curve_2x2":
             T = classical_monodromy(chart, "lam")
-            shifted = OpMatrix([[T.entries[i][j] - (mu if i == j else chart.zero())
+            shifted = OpMatrix([[T.entries[i][j] - (mu if i == j else ScalarFraction(0))
                                  for j in range(2)] for i in range(2)])
             lhs = shifted.det() * mu_inv
             rhs = mu + prod_q * prod_q * mu_inv - T.trace()
@@ -215,7 +215,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
                                           ("spectral determinant", T.det() - prod_q * prod_q)],
                                          degenerate)
         L = big_lax(chart, "mu")
-        shifted = OpMatrix([[L.entries[i][j] + (lam if i == j else chart.zero())
+        shifted = OpMatrix([[L.entries[i][j] + (lam if i == j else ScalarFraction(0))
                              for j in range(N)] for i in range(N)])
         corner = prod_q * (mu + mu_inv)
         if N % 2 == 0:

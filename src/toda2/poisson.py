@@ -85,15 +85,6 @@ class Chart:
             raise KeyError(f"{name!r} is not a generator of this chart")
         return ScalarFraction(Scalar.var(name, power))
 
-    def const(self, value) -> ScalarFraction:
-        return ScalarFraction(value)
-
-    def from_scalar(self, s: Scalar) -> ScalarFraction:
-        return ScalarFraction(s)
-
-    def zero(self) -> ScalarFraction:
-        return ScalarFraction(Scalar.zero())
-
     # -- the bracket ----------------------------------------------------------
 
     def poly_bracket(self, p: Scalar, q: Scalar) -> Scalar:
@@ -234,7 +225,7 @@ def build_classical(symbol: str, n: int, chart: Chart) -> ScalarFraction:
         w = lambda k, p: _wronskian(chart, k, p)
         return 4 * w(n + 1, 1) * w(n - 1, 1) / (w(n, 2) * w(n - 1, 2))
     if symbol == "Q":
-        return chart.const(1) / _wronskian(chart, n, 1)
+        return ScalarFraction(1) / _wronskian(chart, n, 1)
     if symbol == "P":
         return _wronskian(chart, n - 1, 2) / (_wronskian(chart, n - 1, 1) * _wronskian(chart, n, 1))
     if symbol == "xi1_darboux":
@@ -243,7 +234,7 @@ def build_classical(symbol: str, n: int, chart: Chart) -> ScalarFraction:
             elem = elem * chart.gen(f"h{a}")
         return elem
     if symbol == "xi2_darboux":
-        total = chart.zero()
+        total = ScalarFraction(0)
         for a in range(1, n + 1):
             term = chart.gen(f"g{a}", 2)
             for b in range(a, n + 1):
@@ -408,7 +399,7 @@ def residuals_exlat_from_darboux(chart: Chart) -> list[tuple[str, ScalarFraction
             for a in (1, 2):
                 for b in (1, 2):
                     lhs = chart.bracket(xi[(n, a)], xi[(m, b)])
-                    rhs = chart.zero()
+                    rhs = ScalarFraction(0)
                     col = 2 * (a - 1) + (b - 1)
                     for ap in (1, 2):
                         for bp in (1, 2):

@@ -89,14 +89,24 @@ def _coeff(value) -> int | Fraction:
     raise TypeError(f"exact coefficients are int or Fraction, not {type(value).__name__}")
 
 
+def _exponent(power) -> int:
+    """A Laurent exponent; anything but an ``int`` is refused."""
+    if not isinstance(power, int):
+        raise TypeError(f"Laurent exponents are int, not {type(power).__name__}")
+    return power
+
+
 class Scalar:
     """Immutable sparse Laurent polynomial over the shared variable table."""
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple, int | Fraction]):
-        self.terms = {k: c if type(c) is int or c.denominator != 1 else c.numerator
-                      for k, c in terms.items() if c}
+        try:
+            self.terms = {k: c if type(c) is int or c.denominator != 1 else c.numerator
+                          for k, c in terms.items() if c}
+        except AttributeError:
+            raise TypeError("exact coefficients are int or Fraction") from None
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -112,7 +122,7 @@ class Scalar:
 
     @classmethod
     def var(cls, name: str, power: int = 1, coeff=1) -> "Scalar":
-        key = var_key(name, power)
+        key = var_key(name, _exponent(power))
         c = _coeff(coeff)
         return cls({key: c} if c else {})
 
@@ -121,7 +131,7 @@ class Scalar:
         c = _coeff(coeff)
         if not c:
             return cls({})
-        key = tuple(sorted((var_index(n), e) for n, e in powers.items() if e))
+        key = tuple(sorted((var_index(n), _exponent(e)) for n, e in powers.items() if e))
         return cls({key: c})
 
     # -- ring structure ----------------------------------------------------
@@ -280,13 +290,6 @@ class Scalar:
             if e == power:
                 out[tuple(rest)] = out.get(tuple(rest), 0) + c
         return Scalar(out)
-
-    def degree_of(self, name: str) -> int | None:
-        """Largest exponent of ``name``; None on the zero polynomial."""
-        if not self.terms:
-            return None
-        idx = var_index(name)
-        return max((dict(k).get(idx, 0) for k in self.terms), default=0)
 
     # -- canonical text ------------------------------------------------------
 

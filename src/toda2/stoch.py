@@ -11,6 +11,9 @@ confined to the top levels, which the checks inspect rather than discard.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from . import weyl
 from .ring import Scalar, ScalarFraction, var_key
 from .weyl import Lattice, WeylOp
 
@@ -25,36 +28,42 @@ def _q(k: int) -> Scalar:
     return Scalar.var("s", 2 * k)
 
 
+_ONE = Scalar.const(1)
+
+
 class FockVector:
-    """Left row vector: map from level tuples to exact fraction coefficients."""
+    """Left row vector: map from level tuples to numerators over one ``den``."""
 
-    __slots__ = ("sites", "trunc", "coeffs")
+    __slots__ = ("sites", "trunc", "coeffs", "den")
 
-    def __init__(self, sites: int, trunc: int, coeffs: dict[tuple, ScalarFraction]):
+    def __init__(self, sites: int, trunc: int, coeffs: dict[tuple, Scalar],
+                 den: Scalar = _ONE):
         self.sites = sites
         self.trunc = trunc
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+        self.den = den
 
     @classmethod
     def basis(cls, levels: tuple, trunc: int) -> "FockVector":
-        one = ScalarFraction(1)
-        return cls(len(levels), trunc, {tuple(levels): one})
+        return cls(len(levels), trunc, {tuple(levels): _ONE})
+
+    def _like(self, coeffs: dict[tuple, Scalar]) -> "FockVector":
+        return FockVector(self.sites, self.trunc, coeffs, self.den)
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        if (self.sites, self.trunc) != (other.sites, other.trunc):
+        if (self.sites, self.trunc, self.den) != (other.sites, other.trunc, other.den):
             raise ValueError("incompatible Fock spaces")
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             cur = out.get(k)
             out[k] = c if cur is None else cur + c
-        return FockVector(self.sites, self.trunc, out)
+        return self._like(out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(Scalar.const(-1))
 
-    def scale(self, c) -> "FockVector":
-        return FockVector(self.sites, self.trunc,
-                          {k: v * c for k, v in self.coeffs.items()})
+    def scale(self, c: Scalar) -> "FockVector":
+        return self._like({k: v * c for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -64,25 +73,18 @@ class FockVector:
 
     def interior_part(self) -> "FockVector":
         """Components with every site level strictly below the truncation."""
-        return FockVector(self.sites, self.trunc,
-                          {k: c for k, c in self.coeffs.items()
+        return self._like({k: c for k, c in self.coeffs.items()
                            if all(x < self.trunc for x in k)})
 
-    def boundary_part(self) -> "FockVector":
-        return FockVector(self.sites, self.trunc,
-                          {k: c for k, c in self.coeffs.items()
-                           if any(x >= self.trunc for x in k)})
-
     def coefficient(self, levels: tuple) -> ScalarFraction:
-        return self.coeffs.get(tuple(levels),
-                               ScalarFraction(Scalar.zero()))
+        return ScalarFraction(self.coeffs.get(tuple(levels), Scalar.zero()), self.den)
 
     def to_text(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
         for k in sorted(self.coeffs):
-            parts.append(f"({self.coeffs[k].to_text()}) v{list(k)}")
+            parts.append(f"({self.coefficient(k).to_text()}) v{list(k)}")
         return "  +  ".join(parts)
 
     def __repr__(self):
@@ -95,9 +97,9 @@ def fock_act(op: str, site: int, v: FockVector) -> FockVector:
     Raising past the truncation level is recorded, not dropped: the overflow
     component at level K+1 stays in the vector and the checks locate it.
     """
-    out: dict[tuple, ScalarFraction] = {}
+    out: dict[tuple, Scalar] = {}
 
-    def add(levels: tuple, c: ScalarFraction) -> None:
+    def add(levels: tuple, c: Scalar) -> None:
         cur = out.get(levels)
         nc = c if cur is None else cur + c
         if nc.is_zero():
@@ -115,10 +117,10 @@ def fock_act(op: str, site: int, v: FockVector) -> FockVector:
         elif op == "astar":
             add(levels[:i] + (k + 1,) + levels[i + 1:], c)
         elif op == "qD":
-            add(levels, ScalarFraction(c.num.shift(var_key("s", -4 * k)), c.den))
+            add(levels, c.shift(var_key("s", -4 * k)))
         else:
             raise ValueError(f"unknown oscillator generator {op!r}")
-    return FockVector(v.sites, v.trunc, out)
+    return v._like(out)
 
 
 def build_state(kind: str, K: int, N: int = 1, k: int = 0) -> FockVector:
@@ -136,18 +138,19 @@ def build_state(kind: str, K: int, N: int = 1, k: int = 0) -> FockVector:
             num = _q(-2 * kk)
             for j in range(kk + 1, K + 1):
                 num = num * (Scalar.const(1) - _q(-2 * j))
-            coeffs[(kk,)] = ScalarFraction(num, den)
-        return FockVector(1, K, coeffs)
+            coeffs[(kk,)] = num
+        return FockVector(1, K, coeffs, den)
     if kind == "Omega":
+        # numerators multiply out; the shared denominator is raised once
         base = build_state("omega", K)
-        coeffs = {(): ScalarFraction(1)}
+        coeffs = {(): _ONE}
         for _ in range(N):
             new = {}
             for levels, c in coeffs.items():
                 for (kk,), c2 in base.coeffs.items():
                     new[levels + (kk,)] = c * c2
             coeffs = new
-        return FockVector(N, K, coeffs)
+        return FockVector(N, K, coeffs, base.den ** N)
     raise ValueError(f"unknown state kind {kind!r}")
 
 
@@ -174,7 +177,7 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
     Levels pushed below zero annihilate the state; that matches the left
     oscillator action whenever the operator lies in the oscillator algebra.
     """
-    out: dict[tuple, ScalarFraction] = {}
+    out: dict[tuple, Scalar] = {}
     for key, scal in op.terms.items():
         site_exp = {site: (a2, b2) for site, a2, b2 in key}
         if any(a2 % 2 or b2 % 2 for a2, b2 in site_exp.values()):
@@ -192,7 +195,7 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
                     break
             if dead:
                 continue
-            coeff = ScalarFraction((c.num * scal).shift(var_key("s", phase)), c.den)
+            coeff = (c * scal).shift(var_key("s", phase))
             tkey = tuple(new)
             cur = out.get(tkey)
             nc = coeff if cur is None else cur + coeff
@@ -200,7 +203,7 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
                 out.pop(tkey, None)
             else:
                 out[tkey] = nc
-    return FockVector(v.sites, v.trunc, out)
+    return v._like(out)
 
 
 def stochastic_hamiltonian(lattice: Lattice) -> WeylOp:
@@ -210,6 +213,19 @@ def stochastic_hamiltonian(lattice: Lattice) -> WeylOp:
         total = total + osc_a(lattice, n) * osc_astar(lattice, n + 1)
         total = total + osc_qd(lattice, n)
     return total
+
+
+@lru_cache(maxsize=1)
+def _interior_defect(K: int, N: int, term_cap: int) -> tuple[FockVector, tuple]:
+    """Interior part of H Omega - N Omega and its sorted interior columns,
+    shared by ``Omega_H1`` and ``zero_column_sum``.  ``term_cap`` is the
+    ``weyl.TERM_CAP`` in effect, which building H can trip."""
+    Om = build_state("Omega", K, N=N)
+    H = stochastic_hamiltonian(Lattice(N, True))
+    target = Om.scale(Scalar.const(N))
+    defect = (weyl_act(Om, H) - target).interior_part()
+    columns = sorted(set(defect.coeffs) | set(target.interior_part().coeffs))
+    return defect, tuple(columns)
 
 
 # -- named checks ----------------------------------------------------------------
@@ -273,29 +289,17 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
         diff = lhs - rhs
         bad = {lv for lv in diff.support_levels() if lv[0] <= K}
         items = [("interior part", diff.interior_part()),
-                 ("defect below top level",
-                  FockVector(1, K, {lv: diff.coeffs[lv] for lv in bad}))]
+                 ("defect below top level", diff._like({lv: diff.coeffs[lv] for lv in bad}))]
         return report_from_residuals(run_params, items)
 
     if check_id in ("Omega_H1", "zero_column_sum"):
-        latN = Lattice(N, True)
-        Om = build_state("Omega", K, N=N)
-        H = stochastic_hamiltonian(latN)
-        image = weyl_act(Om, H)
-        target = Om.scale(Scalar.const(N))
-        diff = image - target
+        defect, columns = _interior_defect(K, N, weyl.TERM_CAP)
         if check_id == "Omega_H1":
-            stray = FockVector(N, K, {lv: c for lv, c in diff.coeffs.items()
-                                      if all(x < K for x in lv)})
-            items = [("interior levels", stray)]
-            return report_from_residuals(run_params, items)
+            return report_from_residuals(run_params, [("interior levels", defect)])
         # per-column statement: interior columns of the truncated generator
         # have vanishing weighted sums
-        items = []
-        for lv in sorted(lv for lv in set(diff.coeffs) | set(target.coeffs)
-                         if all(x < K for x in lv)):
-            items.append((f"column {list(lv)}", diff.coefficient(lv)))
-        items = items or [("no interior columns", diff.interior_part())]
+        items = [(f"column {list(lv)}", defect.coefficient(lv)) for lv in columns]
+        items = items or [("no interior columns", defect)]
         return report_from_residuals(run_params, items)
 
     if check_id == "realisation_consistency":

@@ -256,9 +256,6 @@ class WeylOp:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def support(self) -> set[int]:
-        return {site for k in self.terms for site, _, _ in k}
-
     def coeff_of_var(self, name: str, power: int) -> "WeylOp":
         """Weyl coefficient of ``name**power`` inside the Scalar coefficients."""
         out = {}
@@ -267,10 +264,6 @@ class WeylOp:
             if not nc.is_zero():
                 out[k] = nc
         return WeylOp(self.lattice, out)
-
-    def degree_of_var(self, name: str) -> int:
-        degs = [c.degree_of(name) for c in self.terms.values()]
-        return max((d for d in degs if d is not None), default=0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):

@@ -215,9 +215,9 @@ def _other_ring_case(ring):
                           [ScalarFraction(Scalar.var("s", 2)), zero]]),
                 ScalarFraction, ScalarFraction)
     chart = make_chart("qp", 3, periodic=True)
-    return (OpMatrix([[chart.gen("Q1"), chart.zero()],
-                      [chart.gen("P2") / chart.gen("Q3"), chart.zero()]]),
-            ScalarFraction, chart.from_scalar)
+    return (OpMatrix([[chart.gen("Q1"), ScalarFraction(0)],
+                      [chart.gen("P2") / chart.gen("Q3"), ScalarFraction(0)]]),
+            ScalarFraction, ScalarFraction)
 
 
 @pytest.mark.parametrize("ring", ["weyl", "fraction", "poisson"])

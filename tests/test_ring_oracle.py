@@ -10,12 +10,14 @@ along the way.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from toda2.ring import Scalar, ScalarFraction
 
+pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 NAMES = ("s", "lam", "mu")
 SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}

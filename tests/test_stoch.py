@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from toda2.registry import RunConfig, run_checks
 from toda2.ring import Scalar, ScalarFraction
-from toda2.stoch import (FockVector, build_state, check_stoch, fock_act, osc_a,
-                         osc_astar, stochastic_hamiltonian, weyl_act)
+from toda2.stoch import (FockVector, _interior_defect, build_state, check_stoch,
+                         fock_act, osc_a, osc_astar, stochastic_hamiltonian, weyl_act)
 from toda2.weyl import Lattice
 
 
@@ -33,7 +34,7 @@ def test_raising_overflow_is_recorded():
     vK = build_state("vk", 4, k=4)
     up = fock_act("astar", 1, vK)
     assert up.support_levels() == {(5,)}
-    assert up.boundary_part().support_levels() == {(5,)}
+    assert up.interior_part().is_zero()
 
 
 def test_geometric_state_coefficients():
@@ -97,3 +98,41 @@ def test_defect_confined_to_boundary_levels():
     diff = weyl_act(Om, H) - Om.scale(Scalar.const(N))
     assert diff.interior_part().is_zero()
     assert all(any(x >= K for x in lv) for lv in diff.support_levels())
+
+
+def test_fock_vector_keeps_one_denominator():
+    om = build_state("omega", 3)
+    Om = build_state("Omega", 3, N=2)
+    assert Om.den == om.den ** 2
+    assert all(type(c) is Scalar for c in Om.coeffs.values())
+    absent = om.coefficient((7,))
+    assert absent.is_zero() and absent.den == om.den
+    with pytest.raises(ValueError, match="incompatible Fock spaces"):
+        om + build_state("vk", 3, k=0)
+
+
+def _row(cid, **cfg):
+    (report,) = run_checks([cid], RunConfig(**cfg))
+    return report.as_row()
+
+
+def test_charge_checks_build_the_defect_once():
+    _interior_defect.cache_clear()
+    run_checks(["Omega_H1", "zero_column_sum"], RunConfig())
+    info = _interior_defect.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_memoised_defect_gives_the_fresh_rows():
+    # a lower term cap trips as in a fresh process instead of reading the memo
+    _row("Omega_H1")
+    capped = _row("zero_column_sum", max_terms=1)
+    assert capped["status"] == "fail"
+    assert capped["witness"] == "term cap exceeded: product exceeds 1 terms"
+    _interior_defect.cache_clear()
+    assert _row("zero_column_sum", max_terms=1) == capped
+    # another truncation is computed afresh
+    fresh = _row("zero_column_sum", trunc=7)
+    _row("Omega_H1")
+    assert _row("zero_column_sum", trunc=7) == fresh
+    assert fresh["status"] == "pass" and fresh["params"] == {"K": 7, "N": 3}

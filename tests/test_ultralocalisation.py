@@ -64,7 +64,9 @@ def test_transfer_degree_and_leading_coefficient():
     for N in (1, 2, 3):
         t = transfer_trace("tloc", N, LAM, ModelParams(
             Scalar.var("d1"), Scalar.var("d2"), Scalar.zero()))
-        assert t.degree_of_var("lam") == N
+        # t is a polynomial of degree N in lam with unit leading coefficient
+        parts = [t.coeff_of_var("lam", p) * LAM ** p for p in range(N + 1)]
+        assert (t - sum(parts, WeylOp.zero(Lattice(N, True)))).is_zero()
         lead = t.coeff_of_var("lam", N)
         assert (lead - WeylOp.one(Lattice(N, True))).is_zero()
 
