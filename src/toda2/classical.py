@@ -142,14 +142,10 @@ def _trace_power(L: OpMatrix, n: int):
     return M.trace()
 
 
-def check_classical(check_id: str, N: int = 3, mutate: bool = False):
-    """Integrability checks for the N x N presentation; N = 2 runs everywhere
-    but is labelled degenerate (periodic deltas collapse)."""
-    from .reports import report_from_residuals
-
+def check_classical(check_id: str, N: int, mutate: bool = False):
+    """Labelled residuals of the integrability checks for the N x N
+    presentation; N = 2 runs everywhere, but its periodic deltas collapse."""
     chart = make_chart("qp", N, periodic=True)
-    run_params = {"N": N}
-    degenerate = N < 3
 
     if check_id in ("poissonL_explicit", "poissonL_dform"):
         BM = bracket_matrix(chart)
@@ -163,9 +159,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
             rhs = (d12.mul(L1).sub(L1.mul(d12))).scale(den21).sub(
                 (d21.mul(L2).sub(L2.mul(d21))).scale(den12))
             res, _ = BM.scale(den12 * den21).residual(rhs)
-            return report_from_residuals(run_params,
-                                         [("entry brackets vs commutator form", res)],
-                                         degenerate)
+            return [("entry brackets vs commutator form", res)]
         r12 = build_structure("r12", chart)
         a12 = build_structure("a12", chart)
         if mutate:
@@ -178,9 +172,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
             .sub(L1.mul(a12).mul(L2).scale(two).scale(den12)) \
             .sub(L2.mul(a12).mul(L1).scale(two).scale(den12))
         res, _ = BM.scale(den12).residual(rhs)
-        return report_from_residuals(run_params,
-                                     [("entry brackets vs explicit form", res)],
-                                     degenerate)
+        return [("entry brackets vs explicit form", res)]
 
     if check_id == "involution":
         La, Lb = big_lax(chart, "mu1"), big_lax(chart, "mu2")
@@ -195,7 +187,7 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
         for n in (1, 2, 3):
             items.append((f"center(n={n})",
                           chart.bracket(prod_q, _trace_power(La, n))))
-        return report_from_residuals(run_params, items, degenerate)
+        return items
 
     if check_id in ("curve_NxN", "pN_equals_trT", "curve_2x2"):
         lam = ScalarFraction(Scalar.var("lam"))
@@ -210,10 +202,8 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
                                  for j in range(2)] for i in range(2)])
             lhs = shifted.det() * mu_inv
             rhs = mu + prod_q * prod_q * mu_inv - T.trace()
-            return report_from_residuals(run_params,
-                                         [("characteristic relation", lhs - rhs),
-                                          ("spectral determinant", T.det() - prod_q * prod_q)],
-                                         degenerate)
+            return [("characteristic relation", lhs - rhs),
+                    ("spectral determinant", T.det() - prod_q * prod_q)]
         L = big_lax(chart, "mu")
         shifted = OpMatrix([[L.entries[i][j] + (lam if i == j else ScalarFraction(0))
                              for j in range(N)] for i in range(N)])
@@ -227,12 +217,8 @@ def check_classical(check_id: str, N: int = 3, mutate: bool = False):
             nu = Scalar.var("nu")
             pN_nu = ScalarFraction(pN.num.substitute({"mu": nu}),
                                    pN.den.substitute({"mu": nu}))
-            return report_from_residuals(run_params,
-                                         [("corner-free remainder", pN - pN_nu)],
-                                         degenerate)
+            return [("corner-free remainder", pN - pN_nu)]
         T = classical_monodromy(chart, "lam")
-        return report_from_residuals(run_params,
-                                     [("trace identification", pN - T.trace())],
-                                     degenerate)
+        return [("trace identification", pN - T.trace())]
 
     raise ValueError(f"unknown classical check {check_id!r}")

@@ -43,8 +43,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
+        default = RunConfig()
         for d in list_checks():
-            defaults = ", ".join(f"{k}={v}" for k, v in d.defaults.items()) or "-"
+            defaults = ", ".join(f"{k}={v}" for k, v in d.params(default).items()) or "-"
             print(f"{d.id:24s} [{d.module:9s}] {d.anchor}  (defaults: {defaults})")
         print(f"{len(REGISTRY)} checks registered")
         return 0

@@ -334,52 +334,27 @@ def residuals_virlat(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
     return out
 
 
-def residuals_qp_algebra(which: str, chart: Chart, window,
-                         q_of=None, p_of=None) -> list[tuple[str, ScalarFraction]]:
-    """Residuals of the closed Q/P bracket relations.
-
-    ``q_of``/``p_of`` supply the realisation (defaults: the chart's own
-    Q, P generators on a qp chart).
-    """
-    if q_of is None:
-        q_of = lambda k: chart.gen(f"Q{k}")
-    if p_of is None:
-        p_of = lambda k: chart.gen(f"P{k}")
+def residuals_qp(which: str, chart: Chart, window, q_of, p_of,
+                 power: int) -> list[tuple[str, ScalarFraction]]:
+    """Residuals of the closed Q/P bracket relations, with ``p_of`` realising P
+    and ``q_of`` realising Q^power: ``power`` is 1, or 2 where only Q^2 is
+    realised."""
+    q_squared = (lambda k: q_of(k) ** 2) if power == 1 else q_of
     out = []
     for n in window:
         for m in window:
             if which == "qq":
                 lhs = chart.bracket(q_of(n), q_of(m))
-                rhs = q_of(n) * q_of(m) * (_delta(chart, n + 1, m) - _delta(chart, n, m + 1))
+                rhs = q_of(n) * q_of(m) * (power * power * (
+                    _delta(chart, n + 1, m) - _delta(chart, n, m + 1)))
             elif which == "qp":
                 lhs = chart.bracket(q_of(n), p_of(m))
-                rhs = -2 * q_of(n) * p_of(m) * (_delta(chart, n, m) - _delta(chart, n + 1, m))
+                rhs = q_of(n) * p_of(m) * (-2 * power * (
+                    _delta(chart, n, m) - _delta(chart, n + 1, m)))
             elif which == "pp":
                 lhs = chart.bracket(p_of(n), p_of(m))
-                rhs = (-4 * q_of(m) ** 2 * _delta(chart, n, m + 1)
-                       + 4 * q_of(n) ** 2 * _delta(chart, n + 1, m))
-            else:
-                raise ValueError(which)
-            out.append((f"(n={n},m={m})", lhs - rhs))
-    return out
-
-
-def residuals_qp_squared(which: str, chart: Chart, window,
-                         q2_of, p_of) -> list[tuple[str, ScalarFraction]]:
-    """Same relations expressed through Q^2 where only Q^2 is realised."""
-    out = []
-    for n in window:
-        for m in window:
-            if which == "qq":
-                lhs = chart.bracket(q2_of(n), q2_of(m))
-                rhs = 4 * q2_of(n) * q2_of(m) * (_delta(chart, n + 1, m) - _delta(chart, n, m + 1))
-            elif which == "qp":
-                lhs = chart.bracket(q2_of(n), p_of(m))
-                rhs = -4 * q2_of(n) * p_of(m) * (_delta(chart, n, m) - _delta(chart, n + 1, m))
-            elif which == "pp":
-                lhs = chart.bracket(p_of(n), p_of(m))
-                rhs = (-4 * q2_of(m) * _delta(chart, n, m + 1)
-                       + 4 * q2_of(n) * _delta(chart, n + 1, m))
+                rhs = (-4 * q_squared(m) * _delta(chart, n, m + 1)
+                       + 4 * q_squared(n) * _delta(chart, n + 1, m))
             else:
                 raise ValueError(which)
             out.append((f"(n={n},m={m})", lhs - rhs))
@@ -427,14 +402,11 @@ def residuals_jacobi(chart: Chart) -> list[tuple[str, ScalarFraction]]:
 
 
 def check_bracket_identity(check_id: str, size: int = 8, mutate: bool = False):
-    """Run one classical bracket suite and summarise it as a CheckReport.
+    """Labelled residuals of one classical bracket suite on ``size`` sites.
 
     ``mutate`` deliberately corrupts the identity under test (a flipped
     delta sign) so the surrounding plumbing can prove it detects failures.
     """
-    from .reports import report_from_residuals
-
-    params = {"size": size}
     if check_id in ("w1w1", "w1w2", "w2w2", "virlat", "qq", "qp", "pp"):
         if size < 8:
             raise ValueError("the open-chain suites need at least 8 sites")
@@ -445,33 +417,26 @@ def check_bracket_identity(check_id: str, size: int = 8, mutate: bool = False):
                 w = _wronskian(chart, 2, 1)
                 items = [("mutated", chart.bracket(w, _wronskian(chart, 3, 1))
                           + w * _wronskian(chart, 3, 1))] + items
-        elif check_id == "w1w2":
-            items = residuals_w1w2(chart, range(2, size - 2))
-        elif check_id == "w2w2":
-            items = residuals_w2w2(chart, range(3, size - 1))
-        elif check_id == "virlat":
-            items = residuals_virlat(chart, range(3, size - 1))
-        else:
-            qof = lambda k: build_classical("Q", k, chart)
-            pof = lambda k: build_classical("P", k, chart)
-            items = residuals_qp_algebra(check_id, chart, range(2, size),
-                                         q_of=qof, p_of=pof)
-        return report_from_residuals(params, items)
+            return items
+        if check_id == "w1w2":
+            return residuals_w1w2(chart, range(2, size - 2))
+        if check_id == "w2w2":
+            return residuals_w2w2(chart, range(3, size - 1))
+        if check_id == "virlat":
+            return residuals_virlat(chart, range(3, size - 1))
+        return residuals_qp(check_id, chart, range(2, size),
+                            lambda k: build_classical("Q", k, chart),
+                            lambda k: build_classical("P", k, chart), power=1)
 
     if check_id == "exlat_from_darboux":
-        chart = make_chart("darboux", min(size, 6))
-        items = residuals_exlat_from_darboux(chart)
-        return report_from_residuals({"size": chart.size}, items)
+        return residuals_exlat_from_darboux(make_chart("darboux", size))
 
     if check_id == "qp_from_rep":
-        chart = make_chart("darboux", min(size, 6))
+        chart = make_chart("darboux", size)
         q2of = lambda k: build_classical("repQ2", k, chart)
         pof = lambda k: build_classical("repP", k, chart)
-        items = []
-        for which in ("qq", "qp", "pp"):
-            items += [(f"{which}{lab}", r) for lab, r in residuals_qp_squared(
-                which, chart, range(1, chart.size), q2_of=q2of, p_of=pof)]
-        return report_from_residuals({"size": chart.size}, items)
+        return [(f"{which}{lab}", r) for which in ("qq", "qp", "pp")
+                for lab, r in residuals_qp(which, chart, range(1, size), q2of, pof, power=2)]
 
     if check_id == "jacobi":
         items = []
@@ -479,6 +444,6 @@ def check_bracket_identity(check_id: str, size: int = 8, mutate: bool = False):
                              ("qp", 2, True), ("darboux", 4, False)):
             chart = make_chart(kind, n, per)
             items += [(f"{kind}/N={n}{lab}", r) for lab, r in residuals_jacobi(chart)]
-        return report_from_residuals({"charts": "exlat,qp,darboux"}, items)
+        return items
 
     raise ValueError(f"unknown bracket identity {check_id!r}")

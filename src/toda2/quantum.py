@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import reduce
 
 from .matops import OpMatrix, embed_two_leg, tensor_embed
-from .reports import CheckReport, report_from_residuals
 from .ring import Scalar, ScalarFraction
 from .weyl import Lattice, WeylOp
 
@@ -396,15 +395,15 @@ def quantum_wronskian(p: int, n: int, lattice: Lattice) -> WeylOp:
 # -- named checks ------------------------------------------------------------------
 
 
-def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
-    """Quadratic exchange structure: site relations, compatibility, monodromy."""
+def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> list:
+    """Labelled residuals of the quadratic exchange structure: site
+    relations, compatibility, monodromy."""
     params = ModelParams.generic()
     l1 = Scalar.var("lam1")
     l2 = Scalar.var("lam2")
     # build only the structure matrices the identity under test uses
     used = {"AD": "AD", "B": "C", "C": "B", "distant_commute": ""}.get(check_id, "ABCD")
     A, B, C, D = (build_aux(k, l1, l2) if k in used else None for k in "ABCD")
-    run_params = {"N": N}
 
     if check_id in ("AD", "B", "C"):
         if N < 3:
@@ -430,7 +429,7 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
                 rhs = y1.mul(B).mul(x2)
             res, _ = lhs.residual(rhs)
             items.append((f"site {n}", res))
-        return report_from_residuals(run_params, items)
+        return items
 
     if check_id == "DGCG_general":
         greek = tuple(Scalar.var(nm) for nm in ("alpha", "beta", "gamma", "delta"))
@@ -449,7 +448,7 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
         lhs = D.mul(M1).mul(C).mul(M2)
         rhs = M2.mul(B).mul(M1).mul(A)
         res, _ = lhs.residual(rhs)
-        return report_from_residuals({"parameters": "free"}, [("compatibility", res)])
+        return [("compatibility", res)]
 
     if check_id == "dual_general":
         greekt = tuple(Scalar.var(nm) for nm in ("alphat", "betat", "gammat", "deltat"))
@@ -463,10 +462,9 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
         lhs = D.mul(Mt2).mul(Bt).mul(Mt1)
         rhs = Mt1.mul(Ct).mul(Mt2).mul(A)
         res, _ = lhs.residual(rhs)
-        return report_from_residuals({"parameters": "free"},
-                                     [("partial-transpose inverse (B)", invB),
-                                      ("partial-transpose inverse (C)", invC),
-                                      ("dual compatibility", res)])
+        return [("partial-transpose inverse (B)", invB),
+                ("partial-transpose inverse (C)", invC),
+                ("dual compatibility", res)]
 
     if check_id == "ATT_TTD":
         T1 = tensor_embed(monodromy(N, l1, params), 1)
@@ -474,16 +472,14 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
         lhs = A.mul(T1).mul(B).mul(T2)
         rhs = T2.mul(C).mul(T1).mul(D)
         res, _ = lhs.residual(rhs)
-        return report_from_residuals(run_params,
-                                     [("quadratic algebra", res)], degenerate=N < 3)
+        return [("quadratic algebra", res)]
 
     if check_id == "distant_commute":
-        size = max(N, 5)
-        lattice = Lattice(size, True)
+        lattice = Lattice(N, True)
         items = []
-        for n in range(1, size + 1):
-            for m in range(1, size + 1):
-                gap = min((n - m) % size, (m - n) % size)
+        for n in range(1, N + 1):
+            for m in range(1, N + 1):
+                gap = min((n - m) % N, (m - n) % N)
                 if gap < 2:
                     continue
                 ln = build_lax("l", n, l1, params, lattice)
@@ -495,13 +491,12 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> CheckReport:
                                 c = ln.entries[i][j].commutator(lm.entries[a][b])
                                 if not c.is_zero():
                                     items.append((f"[l_{n}({i}{j}), l_{m}({a}{b})]", c))
-        items = items or [("all distant entry pairs", WeylOp.zero(lattice))]
-        return report_from_residuals({"N": size}, items)
+        return items or [("all distant entry pairs", WeylOp.zero(lattice))]
 
     raise ValueError(f"unknown exchange check {check_id!r}")
 
 
-def check_ybe(check_id: str, mutate: bool = False) -> CheckReport:
+def check_ybe(check_id: str, mutate: bool = False) -> list:
     l1 = Scalar.var("lam1")
     l2 = Scalar.var("lam2")
     if check_id == "YBE_twisted":
@@ -510,7 +505,7 @@ def check_ybe(check_id: str, mutate: bool = False) -> CheckReport:
         R13 = embed_two_leg(build_aux("Rtwisted", l1, l3), (1, 3))
         R23 = embed_two_leg(build_aux("Rtwisted", l2, l3), (2, 3))
         res, _ = R12.mul(R13).mul(R23).residual(R23.mul(R13).mul(R12))
-        return report_from_residuals({"legs": 3}, [("triple exchange", res)])
+        return [("triple exchange", res)]
     if check_id == "RLL_ultralocal":
         params = ModelParams.generic()
         lattice = Lattice(3, True)
@@ -526,14 +521,13 @@ def check_ybe(check_id: str, mutate: bool = False) -> CheckReport:
             items.append((f"site {n}", res))
             if mutate:
                 break
-        return report_from_residuals({"d": "generic"}, items)
+        return items
     raise ValueError(f"unknown exchange check {check_id!r}")
 
 
-def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> CheckReport:
+def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> list:
     params = ModelParams.generic()
     lam = Scalar.var("lam")
-    run_params = {"N": N}
 
     if step in ("gauge_l", "gauge_G", "scriptL_assembly", "entrywise_conjugation"):
         lattice = Lattice(3, True)
@@ -568,7 +562,7 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> Chec
                 rhs = build_lax("Lloc", n, lam, params, lattice)
             res, _ = lhs.residual(rhs)
             items.append((f"site {n}", res))
-        return report_from_residuals({"N": 3}, items)
+        return items
 
     if step == "trace_identity":
         lattice = Lattice(N, True)
@@ -593,10 +587,9 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> Chec
         shortcut, _ = lt.map(lambda e: e.substitute({"d3": 0})).residual(
             build_lax("scriptLtilde", 1, lam, params, lattice).map(
                 lambda e: e.substitute({"d3": 0})))
-        return report_from_residuals(run_params,
-                                     [("gauged monodromy", gauge_res),
-                                      ("closed trace", lhs_tr - rhs_tr),
-                                      ("site-one shortcut without top coupling", shortcut)])
+        return [("gauged monodromy", gauge_res),
+                ("closed trace", lhs_tr - rhs_tr),
+                ("site-one shortcut without top coupling", shortcut)]
 
     if step == "taut":
         tau = transfer_trace("tau", N, lam, params)
@@ -604,16 +597,15 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> Chec
         shifted = tau.substitute({"lam": _s(-4) * d2.monomial_inverse() * lam})
         lhs = shifted.conjugate_v() * (d2 ** N) * _s(2)
         tloc = transfer_trace("tloc", N, lam, params)
-        return report_from_residuals(run_params, [("twisted rescaled trace", lhs - tloc)])
+        return [("twisted rescaled trace", lhs - tloc)]
 
     raise ValueError(f"unknown ultralocalisation step {step!r}")
 
 
-def check_representation(check_id: str, size: int = 6) -> CheckReport:
+def check_representation(check_id: str, size: int) -> list:
     if size < 6:
         raise ValueError("the doublet realisation suite needs at least 6 sites")
     lattice = Lattice(size, False)
-    run_params = {"size": size}
     d = lambda a, b: 1 if a == b else 0
 
     if check_id == "exchange_xi":
@@ -643,7 +635,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                                 if not cf.is_zero():
                                     rhs = rhs + xi[(m, ap)] * xi[(n, bp)] * cf
                         items.append((f"(n={n},m={m},a={a},b={b})", lhs - rhs))
-        return report_from_residuals(run_params, items)
+        return items
 
     if check_id == "W_algebra_q":
         W1 = {n: quantum_wronskian(1, n, lattice) for n in range(1, size)}
@@ -670,7 +662,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                 if d(n, m - 1):
                     rhs = rhs + W1[m - 1] * W1[m + 1] * (_s(1) - _s(-3))
                 items.append((f"22(n={n},m={m})", lhs - rhs))
-        return report_from_residuals(run_params, items)
+        return items
 
     if check_id == "QP_relations":
         Q = {n: op_Q(lattice, n) for n in range(1, size)}
@@ -687,7 +679,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                 items.append((f"PP(n={n},m={m})", r2))
                 r3 = P[n] * Q[m] - Q[m] * P[n] * _s(2 * (d(n, m) - d(n, m + 1)))
                 items.append((f"PQ(n={n},m={m})", r3))
-        return report_from_residuals(run_params, items)
+        return items
 
     if check_id == "W1_monomial":
         items = []
@@ -697,7 +689,7 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
                 items.append((f"n={n}", w))
             else:
                 items.append((f"n={n}", WeylOp.zero(lattice)))
-        return report_from_residuals(run_params, items)
+        return items
 
     if check_id == "QP_match":
         items = []
@@ -713,13 +705,12 @@ def check_representation(check_id: str, size: int = 6) -> CheckReport:
             right = w2 * qprev * qn
             items.append((f"P orderings (n={n})", left - right))
             items.append((f"P(n={n})", left - op_P(lattice, n)))
-        return report_from_residuals(run_params, items)
+        return items
 
     raise ValueError(f"unknown realisation check {check_id!r}")
 
 
-def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
-    run_params = {"N": N}
+def check_hamiltonians(check_id: str, N: int) -> list:
     lattice = Lattice(N, True)
 
     if check_id == "commute":
@@ -728,7 +719,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
         for i in range(len(hs)):
             for j in range(i + 1, len(hs)):
                 items.append((f"[H{i},H{j}]", hs[i].commutator(hs[j])))
-        return report_from_residuals(run_params, items)
+        return items
 
     if check_id in ("tau_commute", "tloc_commute"):
         kind = "tau" if check_id == "tau_commute" else "tloc"
@@ -740,7 +731,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
             t1 = transfer_trace(kind, n, l1, params)
             t2 = transfer_trace(kind, n, l2, params)
             items.append((f"N={n}", t1.commutator(t2)))
-        return report_from_residuals(run_params, items)
+        return items
 
     if check_id == "H1_qToda":
         hs = hamiltonians(N, ModelParams.q_toda())
@@ -751,7 +742,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
             expect = expect + WeylOp.word(
                 lattice, [(n, "U", -1), (n - 1, "U", 1), (n, "V", -1)],
                 coeff=_s(-2) * d1)
-        return report_from_residuals(run_params, [("first charge", hs[1] - expect)])
+        return [("first charge", hs[1] - expect)]
 
     if check_id in ("H1_Toda2", "H2_Toda2"):
         hs = hamiltonians(N, ModelParams.toda2())
@@ -762,7 +753,7 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
                 expect = expect + WeylOp.word(lattice, [(n, "V", -1)])
                 expect = expect + WeylOp.word(lattice, [(n, "U", -1), (n - 1, "U", 1)],
                                               coeff=d2)
-            return report_from_residuals(run_params, [("first charge", hs[1] - expect)])
+            return [("first charge", hs[1] - expect)]
         combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2))
         expect = WeylOp.zero(lattice)
         for n in range(1, N + 1):
@@ -776,21 +767,20 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
             expect = expect + WeylOp.word(lattice, [(n, "U", 2), (n + 1, "U", -2)],
                                           coeff=d2 * d2)
         expect = expect * _c(Fraction(-1, 2))
-        return report_from_residuals(run_params,
-                                     [("second charge combination", combo - expect)])
+        return [("second charge combination", combo - expect)]
 
     if check_id == "trq_commute":
         t1, t2 = trq(1, N), trq(2, N)
-        return report_from_residuals(run_params, [("q-trace pair", t1.commutator(t2))])
+        return [("q-trace pair", t1.commutator(t2))]
 
     if check_id in ("trq_match1", "trq_match2"):
         hs = hamiltonians(N, ModelParams.toda2())
         if check_id == "trq_match1":
             res = hs[1].substitute({"d2": 1}) - trq(1, N)
-            return report_from_residuals(run_params, [("first q-trace", res)])
+            return [("first q-trace", res)]
         combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2))
         res = combo.substitute({"d2": 1}) - trq(2, N) * _c(Fraction(-1, 2))
-        return report_from_residuals(run_params, [("second q-trace", res)])
+        return [("second q-trace", res)]
 
     if check_id == "qosc_coherence":
         params = ModelParams.q_osc()
@@ -798,7 +788,6 @@ def check_hamiltonians(check_id: str, N: int = 3) -> CheckReport:
         t_preset = transfer_trace("tloc", N, lam, params)
         prod = reduce(OpMatrix.mul, (build_lax("Lqosc", n, lam, params, lattice)
                                      for n in range(N, 0, -1)))
-        return report_from_residuals(run_params,
-                                     [("oscillator transfer", prod.trace() - t_preset)])
+        return [("oscillator transfer", prod.trace() - t_preset)]
 
     raise ValueError(f"unknown Hamiltonian check {check_id!r}")

@@ -1,7 +1,8 @@
 """Catalogue of every named check and its runner.
 
-This is the only module that writes a check's id, anchor and listed defaults;
-the suite functions return rows with just their params and residuals.
+This is the only module that writes a check's id, anchor and params, and the
+only one that builds report rows: the suite functions return just their
+labelled residuals.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import classical, poisson, quantum, stoch
-from .reports import CheckReport, FAIL, PASS
+from .reports import DEGENERATE, FAIL, PASS, CheckReport, report_from_residuals
 
 __all__ = ["RunConfig", "CheckDef", "REGISTRY", "run_checks", "list_checks"]
 
@@ -34,11 +35,16 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CheckDef:
+    """One catalogue entry.  ``params(cfg)`` are the params of its row (``toda2
+    list`` prints them at the default config), ``residuals(params)`` are its
+    labelled residuals there, and ``rule``, if any, turns the pass-iff-zero
+    summary of those residuals into the row."""
     id: str
     module: str
     anchor: str
-    defaults: dict
-    fn: Callable[[RunConfig], CheckReport]
+    params: Callable[[RunConfig], dict]
+    residuals: Callable[[dict], list]
+    rule: Callable[[CheckReport], CheckReport] | None = None
 
 
 # What each suite check certifies, keyed by the id its suite function takes.
@@ -103,95 +109,96 @@ ANCHORS = {
 }
 
 
-def _expect_failure(probe: Callable[[], CheckReport]) -> CheckReport:
-    """Run a deliberately corrupted identity; pass iff the corruption is caught."""
-    report = probe()
-    caught = report.status == FAIL and report.residual_terms > 0 and bool(report.witness)
-    return CheckReport(
-        "", dict(report.params), PASS if caught else FAIL,
-        report.residual_terms,
-        f"corruption detected: {report.witness}" if caught
-        else "corrupted input was not detected")
+def _caught(report: CheckReport) -> CheckReport:
+    """Row of a deliberately corrupted identity: pass iff the corruption is caught."""
+    if report.status == FAIL and report.witness:
+        report.status, report.witness = PASS, f"corruption detected: {report.witness}"
+    else:
+        report.status, report.witness = FAIL, "corrupted input was not detected"
+    return report
 
 
-def _sweep(sizes: str, reports: list[CheckReport]) -> CheckReport:
-    """One row for a check run at several chain lengths ``sizes``: residual
-    terms add up and the first nonempty witness is kept."""
-    total = sum(r.residual_terms for r in reports)
-    witness = next((r.witness for r in reports if r.witness), "")
-    return CheckReport("", {"N": sizes}, PASS if total == 0 else FAIL, total, witness)
+def _degenerate(report: CheckReport) -> CheckReport:
+    """Row of a check run where periodic deltas collapse: labelled, never failed."""
+    report.status = DEGENERATE
+    return report
 
 
 def _build_registry() -> dict[str, CheckDef]:
-    """Every check with its listed defaults: the params its row reports at
-    the default :class:`RunConfig` (``--seed`` aside)."""
     defs: list[CheckDef] = []
 
-    def add(module: str, ids: str, defaults: dict, run) -> None:
-        """Register each of the space-separated ``ids``; ``run(id, cfg)`` runs one."""
+    def add(module: str, ids: str, params, residuals) -> None:
+        """Register each of the space-separated ``ids``: ``params(cfg)`` gives
+        its row's params and ``residuals(id, params)`` its residuals there."""
         for cid in ids.split():
-            defs.append(CheckDef(cid, module, ANCHORS[cid], defaults,
-                                 lambda cfg, c=cid: run(c, cfg)))
+            defs.append(CheckDef(cid, module, ANCHORS[cid], params,
+                                 lambda p, c=cid: residuals(c, p)))
 
-    bracket = lambda c, cfg: poisson.check_bracket_identity(c)
-    add("poisson", "w1w1 w1w2 w2w2 virlat qq qp pp", {"size": 8}, bracket)
-    add("poisson", "exlat_from_darboux qp_from_rep", {"size": 6}, bracket)
-    add("poisson", "jacobi", {"charts": "exlat,qp,darboux"}, bracket)
+    bracket = lambda c, p: poisson.check_bracket_identity(c, **p)
+    add("poisson", "w1w1 w1w2 w2w2 virlat qq qp pp", lambda cfg: {"size": 8}, bracket)
+    add("poisson", "exlat_from_darboux qp_from_rep", lambda cfg: {"size": 6}, bracket)
+    add("poisson", "jacobi", lambda cfg: {"charts": "exlat,qp,darboux"},
+        lambda c, p: poisson.check_bracket_identity(c))
 
-    add("quantum", "AD B C ATT_TTD", {"N": 3},
-        lambda c, cfg: quantum.check_fm(c, N=max(cfg.sites, 3)))
-    add("quantum", "DGCG_general dual_general", {"parameters": "free"},
-        lambda c, cfg: quantum.check_fm(c))
-    add("quantum", "distant_commute", {"N": 5},
-        lambda c, cfg: quantum.check_fm(c, N=max(cfg.sites, 5)))
-    add("quantum", "YBE_twisted", {"legs": 3}, lambda c, cfg: quantum.check_ybe(c))
-    add("quantum", "RLL_ultralocal", {"d": "generic"}, lambda c, cfg: quantum.check_ybe(c))
-    add("quantum", "gauge_l gauge_G scriptL_assembly entrywise_conjugation", {"N": 3},
-        lambda c, cfg: quantum.check_ultralocalisation(c))
-    add("quantum", "trace_identity", {"N": 3},
-        lambda c, cfg: quantum.check_ultralocalisation(c, N=cfg.sites))
-    add("quantum", "taut", {"N": "1..3"}, lambda c, cfg: _sweep(
-        f"1..{max(cfg.sites, 3)}",
-        [quantum.check_ultralocalisation(c, N=n) for n in range(1, max(cfg.sites, 3) + 1)]))
-    add("quantum", "exchange_xi W_algebra_q QP_relations W1_monomial QP_match", {"size": 6},
-        lambda c, cfg: quantum.check_representation(c))
+    fm = lambda c, p: quantum.check_fm(c, **p)
+    add("quantum", "AD B C ATT_TTD", lambda cfg: {"N": max(cfg.sites, 3)}, fm)
+    add("quantum", "DGCG_general dual_general", lambda cfg: {"parameters": "free"},
+        lambda c, p: quantum.check_fm(c))
+    add("quantum", "distant_commute", lambda cfg: {"N": max(cfg.sites, 5)}, fm)
+    add("quantum", "YBE_twisted", lambda cfg: {"legs": 3}, lambda c, p: quantum.check_ybe(c))
+    add("quantum", "RLL_ultralocal", lambda cfg: {"d": "generic"},
+        lambda c, p: quantum.check_ybe(c))
+    add("quantum", "gauge_l gauge_G scriptL_assembly entrywise_conjugation",
+        lambda cfg: {"N": 3}, lambda c, p: quantum.check_ultralocalisation(c))
+    add("quantum", "trace_identity", lambda cfg: {"N": cfg.sites},
+        lambda c, p: quantum.check_ultralocalisation(c, **p))
+    # one row for the chain lengths 1..N: residual lists concatenate
+    add("quantum", "taut", lambda cfg: {"N": f"1..{max(cfg.sites, 3)}"},
+        lambda c, p: [item for n in range(1, int(p["N"].split("..")[1]) + 1)
+                      for item in quantum.check_ultralocalisation(c, N=n)])
+    add("quantum", "exchange_xi W_algebra_q QP_relations W1_monomial QP_match",
+        lambda cfg: {"size": 6}, lambda c, p: quantum.check_representation(c, **p))
+    hamiltonians = lambda c, p: quantum.check_hamiltonians(c, **p)
     add("quantum", "commute H1_qToda H1_Toda2 H2_Toda2 trq_commute trq_match1 trq_match2 "
-        "qosc_coherence", {"N": 3},
-        lambda c, cfg: quantum.check_hamiltonians(c, N=max(cfg.sites, 2)))
-    add("quantum", "tau_commute tloc_commute", {"N": 3},
-        lambda c, cfg: quantum.check_hamiltonians(c, N=max(cfg.sites, 3)))
+        "qosc_coherence", lambda cfg: {"N": max(cfg.sites, 2)}, hamiltonians)
+    add("quantum", "tau_commute tloc_commute", lambda cfg: {"N": max(cfg.sites, 3)},
+        hamiltonians)
 
     add("classical", "poissonL_explicit poissonL_dform involution curve_NxN curve_2x2",
-        {"N": 3}, lambda c, cfg: classical.check_classical(c, N=max(cfg.sites, 3)))
+        lambda cfg: {"N": max(cfg.sites, 3)}, lambda c, p: classical.check_classical(c, **p))
     defs.append(CheckDef("poissonL_degenerate", "classical",
-                         ANCHORS["poissonL_explicit"] + " (degenerate wrap)", {"N": 2},
-                         lambda cfg: classical.check_classical("poissonL_explicit", N=2)))
-    add("classical", "pN_equals_trT", {"N": "2,3,4"}, lambda c, cfg: _sweep(
-        "2,3,4", [classical.check_classical(c, N=n) for n in (2, 3, 4)]))
+                         ANCHORS["poissonL_explicit"] + " (degenerate wrap)",
+                         lambda cfg: {"N": 2},
+                         lambda p: classical.check_classical("poissonL_explicit", **p),
+                         _degenerate))
+    add("classical", "pN_equals_trT", lambda cfg: {"N": "2,3,4"},
+        lambda c, p: [item for n in map(int, p["N"].split(","))
+                      for item in classical.check_classical(c, N=n)])
 
     add("stoch", "qosc_algebra Lqosc_match column_eigen omega_identity Omega_H1 "
-        "zero_column_sum realisation_consistency", {"K": 6, "N": 3},
-        lambda c, cfg: stoch.check_stoch(c, K=cfg.trunc, N=min(max(cfg.sites, 2), 3)))
+        "zero_column_sum realisation_consistency",
+        lambda cfg: {"K": cfg.trunc, "N": min(max(cfg.sites, 2), 3)},
+        lambda c, p: stoch.check_stoch(c, **p))
 
     # mutation sensitivity: one corrupted run per suite must be caught
     mutations = (
         ("mutation_poisson", "poisson", "corrupted Wronskian bracket identity is caught",
-         {"size": 8}, lambda: poisson.check_bracket_identity("w1w1", mutate=True)),
+         {"size": 8}, lambda p: poisson.check_bracket_identity("w1w1", mutate=True, **p)),
         ("mutation_fm", "quantum", "sign-flipped compatibility parameter is caught",
-         {"parameters": "free"}, lambda: quantum.check_fm("DGCG_general", mutate=True)),
+         {"parameters": "free"}, lambda p: quantum.check_fm("DGCG_general", mutate=True)),
         ("mutation_rll", "quantum", "zeroed ultralocal Lax entry is caught",
-         {"d": "generic"}, lambda: quantum.check_ybe("RLL_ultralocal", mutate=True)),
+         {"d": "generic"}, lambda p: quantum.check_ybe("RLL_ultralocal", mutate=True)),
         ("mutation_gauge", "quantum", "sign-flipped companion entry is caught",
-         {"N": 3}, lambda: quantum.check_ultralocalisation("gauge_G", mutate=True)),
+         {"N": 3}, lambda p: quantum.check_ultralocalisation("gauge_G", mutate=True)),
         ("mutation_classical", "classical",
          "sign-flipped antisymmetric structure matrix is caught",
-         {"N": 3}, lambda: classical.check_classical("poissonL_explicit", mutate=True)),
+         {"N": 3}, lambda p: classical.check_classical("poissonL_explicit", mutate=True, **p)),
         ("mutation_stoch", "stoch", "wrong column eigenvalue is caught",
-         {"K": 6, "N": 2}, lambda: stoch.check_stoch("column_eigen", mutate=True)),
+         {"K": 6, "N": 2}, lambda p: stoch.check_stoch("column_eigen", mutate=True, **p)),
     )
-    for cid, module, anchor, defaults, probe in mutations:
-        defs.append(CheckDef(cid, module, anchor, defaults,
-                             lambda cfg, p=probe: _expect_failure(p)))
+    for cid, module, anchor, params, residuals in mutations:
+        defs.append(CheckDef(cid, module, anchor, lambda cfg, p=params: dict(p),
+                             residuals, _caught))
 
     return {d.id: d for d in defs}
 
@@ -219,9 +226,13 @@ def run_checks(ids, cfg: RunConfig) -> list[CheckReport]:
     reports = []
     try:
         for cid in sorted(set(ids)):
+            d = REGISTRY[cid]
             t0 = time.perf_counter()
             try:
-                report = REGISTRY[cid].fn(cfg)
+                params = d.params(cfg)
+                report = report_from_residuals(params, d.residuals(params))
+                if d.rule:
+                    report = d.rule(report)
             except weyl.TermCapExceeded as exc:
                 report = CheckReport("", {"max_terms": cfg.max_terms}, FAIL, 0,
                                      f"term cap exceeded: {exc}")
@@ -230,7 +241,7 @@ def run_checks(ids, cfg: RunConfig) -> list[CheckReport]:
                 traceback.print_exc(file=sys.stderr)
                 report = CheckReport("", {}, FAIL, 0, f"{type(exc).__name__}: {exc}")
             report.elapsed = time.perf_counter() - t0
-            report.id, report.anchor = cid, REGISTRY[cid].anchor
+            report.id, report.anchor = cid, d.anchor
             reports.append(report)
     finally:
         weyl.TERM_CAP = old_cap

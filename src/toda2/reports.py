@@ -66,7 +66,7 @@ def _clip(text: str, limit: int = 200) -> str:
     return text if len(text) <= limit else text[:limit] + " ..."
 
 
-def report_from_residuals(params: dict, items, degenerate: bool = False) -> CheckReport:
+def report_from_residuals(params: dict, items) -> CheckReport:
     """Summarise labelled residuals: pass iff every residual is zero.
 
     The row's id and anchor are left empty; the registry fills them in.
@@ -78,5 +78,4 @@ def report_from_residuals(params: dict, items, degenerate: bool = False) -> Chec
         if n and not witness:
             witness = f"{label}: {_witness_text(res)}"
         total += n
-    status = DEGENERATE if degenerate else FAIL if total else PASS
-    return CheckReport("", params, status, total, witness)
+    return CheckReport("", params, FAIL if total else PASS, total, witness)

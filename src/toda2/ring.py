@@ -102,9 +102,11 @@ class Scalar:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple, int | Fraction]):
+        # only a dropped (falsy) coefficient pays for a type check: _coeff
+        # refuses an inexact zero such as 0.0
         try:
             self.terms = {k: c if type(c) is int or c.denominator != 1 else c.numerator
-                          for k, c in terms.items() if c}
+                          for k, c in terms.items() if c or _coeff(c)}
         except AttributeError:
             raise TypeError("exact coefficients are int or Fraction") from None
         self._hash = None
@@ -128,11 +130,9 @@ class Scalar:
 
     @classmethod
     def monomial(cls, powers: Mapping[str, int], coeff=1) -> "Scalar":
+        key = tuple(sorted((var_index(n), e) for n, e in powers.items() if _exponent(e)))
         c = _coeff(coeff)
-        if not c:
-            return cls({})
-        key = tuple(sorted((var_index(n), _exponent(e)) for n, e in powers.items() if e))
-        return cls({key: c})
+        return cls({key: c} if c else {})
 
     # -- ring structure ----------------------------------------------------
 

@@ -231,14 +231,13 @@ def _interior_defect(K: int, N: int, term_cap: int) -> tuple[FockVector, tuple]:
 # -- named checks ----------------------------------------------------------------
 
 
-def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
-    """Oscillator and stochastic-structure checks at truncation K."""
+def check_stoch(check_id: str, K: int, N: int, mutate: bool = False):
+    """Labelled residuals of the oscillator and stochastic-structure checks at
+    truncation K on N sites."""
     from .quantum import ModelParams, build_lax
-    from .reports import report_from_residuals
 
     if K < MIN_TRUNC:
         raise ValueError("truncation too small to leave interior levels")
-    run_params = {"K": K, "N": N}
     lat1 = Lattice(1, True)
     s4 = lambda k: Scalar.var("s", k)
 
@@ -257,7 +256,7 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
                 (f"a* qD (site {n})", astar * qd - qd * astar * s4(-4)),
             ]
         items.append(("cross-site", osc_a(latN, 1).commutator(osc_astar(latN, 2))))
-        return report_from_residuals(run_params, items)
+        return items
 
     if check_id == "Lqosc_match":
         params = ModelParams.q_osc()
@@ -265,7 +264,7 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
         lhs = build_lax("Lloc", 1, lam, params, lat1)
         rhs = build_lax("Lqosc", 1, lam, params, lat1)
         res, _ = lhs.residual(rhs)
-        return report_from_residuals(run_params, [("preset substitution", res)])
+        return [("preset substitution", res)]
 
     if check_id == "column_eigen":
         params = ModelParams.q_osc()
@@ -280,7 +279,7 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
             colsum = L.entries[0][col] + L.entries[1][col]
             diff = (weyl_act(om, colsum) - om.scale(eigen)).interior_part()
             items.append((f"column {col + 1}", diff))
-        return report_from_residuals(run_params, items)
+        return items
 
     if check_id == "omega_identity":
         om = build_state("omega", K)
@@ -288,19 +287,17 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
         rhs = fock_act("qD", 1, om) - om
         diff = lhs - rhs
         bad = {lv for lv in diff.support_levels() if lv[0] <= K}
-        items = [("interior part", diff.interior_part()),
-                 ("defect below top level", diff._like({lv: diff.coeffs[lv] for lv in bad}))]
-        return report_from_residuals(run_params, items)
+        return [("interior part", diff.interior_part()),
+                ("defect below top level", diff._like({lv: diff.coeffs[lv] for lv in bad}))]
 
     if check_id in ("Omega_H1", "zero_column_sum"):
         defect, columns = _interior_defect(K, N, weyl.TERM_CAP)
         if check_id == "Omega_H1":
-            return report_from_residuals(run_params, [("interior levels", defect)])
+            return [("interior levels", defect)]
         # per-column statement: interior columns of the truncated generator
         # have vanishing weighted sums
         items = [(f"column {list(lv)}", defect.coefficient(lv)) for lv in columns]
-        items = items or [("no interior columns", defect)]
-        return report_from_residuals(run_params, items)
+        return items or [("no interior columns", defect)]
 
     if check_id == "realisation_consistency":
         items = []
@@ -312,6 +309,6 @@ def check_stoch(check_id: str, K: int = 6, N: int = 2, mutate: bool = False):
                 items.append((f"{name} on level {k}",
                               fock_act({"a": "a", "a*": "astar", "qD": "qD"}[name], 1, v)
                               - weyl_act(v, wop)))
-        return report_from_residuals(run_params, items)
+        return items
 
     raise ValueError(f"unknown stochastic check {check_id!r}")

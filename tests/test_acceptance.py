@@ -169,13 +169,14 @@ def test_sites4_rows_match_reference(tmp_path):
 
 
 def test_listed_defaults_are_the_reported_params():
-    # ``toda2 list`` shows each check's defaults; they must be the params its
-    # row reports at the default config (the reference rows of ``verify all``)
+    # ``toda2 list`` shows each check's params at the default config; they
+    # must be the params its row reports there (the reference rows of
+    # ``verify all``)
     ref = json.loads(CATALOGUE_REFERENCE.read_text())
     assert ref["argv"] == ["verify", "all"]
     reported = {r["id"]: {k: v for k, v in r["params"].items() if k != "seed"}
                 for r in ref["rows"]}
-    assert {cid: d.defaults for cid, d in REGISTRY.items()} == reported
+    assert {cid: d.params(RunConfig()) for cid, d in REGISTRY.items()} == reported
 
 
 def _rows_in_fresh_process(ids, path):

@@ -81,11 +81,11 @@ def test_failing_check_gives_exit_one(monkeypatch, tmp_path):
 def test_raising_check_becomes_failed_row(monkeypatch, tmp_path):
     import toda2.registry as reg
 
-    def raising(cfg):
+    def raising(params):
         raise ValueError("forced inside the check")
     monkeypatch.setitem(
         reg.REGISTRY, "Omega_H1",
-        reg.CheckDef("Omega_H1", "stoch", "forced exception", {}, raising))
+        reg.CheckDef("Omega_H1", "stoch", "forced exception", lambda cfg: {}, raising))
     out = tmp_path / "r.json"
     assert cli.main(["verify", "AD", "Omega_H1", "--json", str(out)]) == 1
     rows = {r["id"]: r for r in json.loads(out.read_text())}
@@ -101,7 +101,7 @@ def test_too_small_truncation_is_rejected_before_any_check(monkeypatch, tmp_path
     for cid in ("AD", "Omega_H1"):
         d = reg.REGISTRY[cid]
         monkeypatch.setitem(reg.REGISTRY, cid, reg.CheckDef(
-            cid, d.module, d.anchor, d.defaults, lambda cfg, c=cid: ran.append(c)))
+            cid, d.module, d.anchor, d.params, lambda params, c=cid: ran.append(c)))
     out = tmp_path / "r.json"
     assert cli.main(["verify", "AD", "Omega_H1", "--trunc", "2", "--json", str(out)]) == 2
     assert "trunc must be at least 3" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from toda2.poisson import (build_classical, check_bracket_identity, make_chart,
                            residuals_w1w1)
+from toda2.reports import report_from_residuals
 from toda2.ring import Scalar, ScalarFraction, var_index
 
 
@@ -110,13 +111,15 @@ def test_w1w1_window_passes_at_boundary_of_definition():
     "exlat_from_darboux", "qp_from_rep", "jacobi",
 ])
 def test_bracket_identity_suites_pass(check_id):
-    report = check_bracket_identity(check_id)
+    # the canonical-pair suites run on the catalogue's 6 sites
+    size = 6 if check_id in ("exlat_from_darboux", "qp_from_rep") else 8
+    report = report_from_residuals({}, check_bracket_identity(check_id, size=size))
     assert report.status == "pass", report.witness
     assert report.residual_terms == 0
 
 
 def test_mutated_identity_is_caught():
-    report = check_bracket_identity("w1w1", mutate=True)
+    report = report_from_residuals({}, check_bracket_identity("w1w1", mutate=True))
     assert report.status == "fail"
     assert report.residual_terms > 0
     assert report.witness

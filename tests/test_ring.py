@@ -187,6 +187,8 @@ def test_integral_fraction_constant_equals_int_constant():
     lambda: Scalar.var("x", Fraction(1, 2)),
     lambda: Scalar.monomial({"x": 1.5}),
     lambda: Scalar.monomial({"x": 2, "y": 1.0}),
+    lambda: Scalar({(): 0.0}),
+    lambda: Scalar.monomial({"x": 0.0}),
 ])
 def test_floats_and_strings_are_rejected_at_the_ring_boundary(build):
     with pytest.raises(TypeError):

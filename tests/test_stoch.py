@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from toda2.registry import RunConfig, run_checks
+from toda2.reports import report_from_residuals
 from toda2.ring import Scalar, ScalarFraction
 from toda2.stoch import (FockVector, _interior_defect, build_state, check_stoch,
                          fock_act, osc_a, osc_astar, stochastic_hamiltonian, weyl_act)
@@ -58,18 +59,18 @@ def test_geometric_state_eigen_recurrence():
                                  "omega_identity", "Omega_H1", "zero_column_sum",
                                  "realisation_consistency"])
 def test_stochastic_suites(cid):
-    rep = check_stoch(cid, K=6, N=2)
+    rep = report_from_residuals({}, check_stoch(cid, K=6, N=2))
     assert rep.status == "pass", (cid, rep.witness)
 
 
 def test_mutated_eigenvalue_fails():
-    rep = check_stoch("column_eigen", mutate=True)
+    rep = report_from_residuals({}, check_stoch("column_eigen", K=6, N=2, mutate=True))
     assert rep.status == "fail" and rep.witness
 
 
 def test_small_truncation_rejected():
     with pytest.raises(ValueError):
-        check_stoch("omega_identity", K=2)
+        check_stoch("omega_identity", K=2, N=2)
 
 
 def test_hamiltonian_action_matches_sitewise_composition():

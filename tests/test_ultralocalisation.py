@@ -3,6 +3,7 @@ import pytest
 from toda2.quantum import (ModelParams, build_lax, build_scalar_aux,
                            check_hamiltonians, check_ultralocalisation,
                            hamiltonians, monodromy, q_sigma_z, transfer_trace, trq)
+from toda2.reports import report_from_residuals
 from toda2.ring import Scalar
 from toda2.weyl import Lattice, WeylOp
 
@@ -17,19 +18,19 @@ def spow(k):
 @pytest.mark.parametrize("step", ["gauge_l", "gauge_G", "scriptL_assembly",
                                   "entrywise_conjugation"])
 def test_gauge_steps_exact(step):
-    rep = check_ultralocalisation(step)
+    rep = report_from_residuals({}, check_ultralocalisation(step))
     assert rep.status == "pass", rep.witness
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_trace_identity_exact(N):
-    rep = check_ultralocalisation("trace_identity", N=N)
+    rep = report_from_residuals({}, check_ultralocalisation("trace_identity", N=N))
     assert rep.status == "pass", rep.witness
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_transfer_twist_identity(N):
-    rep = check_ultralocalisation("taut", N=N)
+    rep = report_from_residuals({}, check_ultralocalisation("taut", N=N))
     assert rep.status == "pass", rep.witness
 
 
@@ -91,7 +92,7 @@ def test_leading_charge_is_unity_without_top_coupling():
                                  "trq_commute", "H1_qToda", "H1_Toda2", "H2_Toda2",
                                  "trq_match1", "trq_match2", "qosc_coherence"])
 def test_hamiltonian_checks(cid):
-    rep = check_hamiltonians(cid, N=3)
+    rep = report_from_residuals({}, check_hamiltonians(cid, N=3))
     assert rep.status == "pass", (cid, rep.witness)
 
 
@@ -107,7 +108,7 @@ def test_ultralocality_of_local_lax():
 
 
 def test_mutated_gauge_companion_fails():
-    rep = check_ultralocalisation("gauge_G", mutate=True)
+    rep = report_from_residuals({}, check_ultralocalisation("gauge_G", mutate=True))
     assert rep.status == "fail" and rep.witness
 
 
