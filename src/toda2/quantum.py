@@ -530,9 +530,9 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> list
     lam = Scalar.var("lam")
 
     if step in ("gauge_l", "gauge_G", "scriptL_assembly", "entrywise_conjugation"):
-        lattice = Lattice(3, True)
+        lattice = Lattice(N, True)
         items = []
-        for n in (1, 2, 3):
+        for n in range(1, N + 1):
             if step == "gauge_l":
                 lhs = build_lax("gaugeNinv", n + 1, lam, params, lattice).mul(
                     build_lax("l", n, lam, params, lattice)).mul(

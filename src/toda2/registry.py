@@ -148,10 +148,10 @@ def _build_registry() -> dict[str, CheckDef]:
     add("quantum", "YBE_twisted", lambda cfg: {"legs": 3}, lambda c, p: quantum.check_ybe(c))
     add("quantum", "RLL_ultralocal", lambda cfg: {"d": "generic"},
         lambda c, p: quantum.check_ybe(c))
+    ultralocalisation = lambda c, p: quantum.check_ultralocalisation(c, **p)
     add("quantum", "gauge_l gauge_G scriptL_assembly entrywise_conjugation",
-        lambda cfg: {"N": 3}, lambda c, p: quantum.check_ultralocalisation(c))
-    add("quantum", "trace_identity", lambda cfg: {"N": cfg.sites},
-        lambda c, p: quantum.check_ultralocalisation(c, **p))
+        lambda cfg: {"N": 3}, ultralocalisation)
+    add("quantum", "trace_identity", lambda cfg: {"N": cfg.sites}, ultralocalisation)
     # one row for the chain lengths 1..N: residual lists concatenate
     add("quantum", "taut", lambda cfg: {"N": f"1..{max(cfg.sites, 3)}"},
         lambda c, p: [item for n in range(1, int(p["N"].split("..")[1]) + 1)
@@ -189,7 +189,7 @@ def _build_registry() -> dict[str, CheckDef]:
         ("mutation_rll", "quantum", "zeroed ultralocal Lax entry is caught",
          {"d": "generic"}, lambda p: quantum.check_ybe("RLL_ultralocal", mutate=True)),
         ("mutation_gauge", "quantum", "sign-flipped companion entry is caught",
-         {"N": 3}, lambda p: quantum.check_ultralocalisation("gauge_G", mutate=True)),
+         {"N": 3}, lambda p: quantum.check_ultralocalisation("gauge_G", mutate=True, **p)),
         ("mutation_classical", "classical",
          "sign-flipped antisymmetric structure matrix is caught",
          {"N": 3}, lambda p: classical.check_classical("poissonL_explicit", mutate=True, **p)),

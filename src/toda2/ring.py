@@ -24,7 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-__all__ = ["Scalar", "ScalarFraction", "var_index", "var_key"]
+__all__ = ["Scalar", "ScalarFraction", "var_index", "var_key",
+           "pack_power", "pack_key", "unpack_key"]
 
 
 # The variable table: name <-> index, append-only, shared by every Scalar.
@@ -50,6 +51,54 @@ def var_key(name: str, power: int) -> tuple:
     """Exponent-vector key of ``name**power``, as :meth:`Scalar.shift` takes it."""
     idx = var_index(name)
     return ((idx, power),) if power else _EMPTY
+
+
+# Packed keys (Kronecker substitution, after Monagan & Pearce 2009): digit i of
+# a signed base-2**PACK_BITS integer is the exponent of variable i, so a
+# monomial product is one integer addition.  Packing refuses |e| >= PACK_LIMIT:
+# a sum of three packed exponents (two factors and a phase) then stays below
+# 2**(PACK_BITS - 1) in every digit and never carries into its neighbour.
+PACK_BITS = 32
+PACK_LIMIT = 1 << 29
+_DIGIT = (1 << PACK_BITS) - 1
+_HALF = 1 << (PACK_BITS - 1)
+
+
+def _out_of_range(idx: int, power: int) -> OverflowError:
+    return OverflowError(f"exponent {power} of {_NAMES[idx]!r} is outside the "
+                         f"packed range |e| < 2**29")
+
+
+def pack_power(idx: int, power: int) -> int:
+    """Packed key of the variable with index ``idx`` raised to ``power``."""
+    if not -PACK_LIMIT < power < PACK_LIMIT:
+        raise _out_of_range(idx, power)
+    return power << (PACK_BITS * idx)
+
+
+def pack_key(key: tuple) -> int:
+    """Packed form of an exponent-vector key."""
+    packed = 0
+    for v, e in key:
+        if not -PACK_LIMIT < e < PACK_LIMIT:
+            raise _out_of_range(v, e)
+        packed += e << (PACK_BITS * v)
+    return packed
+
+
+def unpack_key(packed: int) -> tuple:
+    """The exponent-vector key of a packed key: the inverse of :func:`pack_key`."""
+    out = []
+    v = 0
+    while packed:
+        e = packed & _DIGIT
+        if e >= _HALF:
+            e -= 1 << PACK_BITS
+        if e:
+            out.append((v, e))
+        packed = (packed - e) >> PACK_BITS
+        v += 1
+    return tuple(out)
 
 
 def _key_mul(k1: tuple, k2: tuple) -> tuple:

@@ -7,7 +7,9 @@ U^a V^b -> q^(2ab) V^b U^a is the integer power s^(2a*2b) of s = q^(1/2).
 
 The canonical (normal) form of a monomial is V_n^a U_n^b per site, sites in
 ascending order.  A :class:`WeylOp` is a merged sum of such monomials with
-:class:`~toda2.ring.Scalar` coefficients.
+:class:`~toda2.ring.Scalar` coefficients.  Inside a product the coefficient
+keys are Kronecker-packed integers (:func:`~toda2.ring.pack_key`), so the
+s-phase and each monomial product are integer additions.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .ring import Scalar, var_key
+from .ring import Scalar, pack_key, pack_power, unpack_key, var_index, var_key
 
 __all__ = ["Lattice", "WeylOp", "TermCapExceeded", "TERM_CAP"]
 
@@ -82,6 +84,58 @@ def _key_merge(k1: tuple, k2: tuple) -> tuple[tuple, int]:
     out.extend(k1[i:])
     out.extend(k2[j:])
     return tuple(out), phase
+
+
+def _packed(terms: dict) -> list:
+    """Weyl terms with each coefficient as a list of (packed key, coefficient)."""
+    return [(k, [(pack_key(m), x) for m, x in c.terms.items()]) for k, c in terms.items()]
+
+
+def _product(terms1: dict, terms2: dict) -> dict[tuple, Scalar]:
+    """Terms of the normal-ordered product of two Weyl term maps.
+
+    One fused loop: each pair of Weyl keys is merged once, and its s-phase
+    and the products of the two coefficients' terms go straight into a raw
+    accumulator over packed scalar keys.  One Scalar is built per surviving
+    output key, decoding each packed key once.
+    """
+    s_idx = var_index("s")
+    right = _packed(terms2)
+    shifts = {0: 0}
+    acc: dict[tuple, dict[int, int | Fraction]] = {}
+    for k1, c1 in _packed(terms1):
+        for k2, c2 in right:
+            k, ph = _key_merge(k1, k2)
+            sh = shifts.get(ph)
+            if sh is None:
+                sh = shifts[ph] = pack_power(s_idx, ph)
+            row = acc.get(k)
+            if row is None:
+                row = acc[k] = {}
+            for m1, x1 in c1:
+                m1 += sh
+                for m2, x2 in c2:
+                    m = m1 + m2
+                    x = row.get(m, 0) + x1 * x2
+                    if x:
+                        row[m] = x
+                    else:
+                        del row[m]
+            if not row:
+                del acc[k]
+            elif len(acc) > TERM_CAP:
+                raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
+    keys: dict[int, tuple] = {}
+    out = {}
+    for k, row in acc.items():
+        coeff = {}
+        for m, x in row.items():
+            key = keys.get(m)
+            if key is None:
+                key = keys[m] = unpack_key(m)
+            coeff[key] = x
+        out[k] = Scalar(coeff)
+    return out
 
 
 class WeylOp:
@@ -179,27 +233,11 @@ class WeylOp:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            c = other if isinstance(other, Scalar) else Scalar.const(other)
-            return WeylOp(self.lattice, {k: co * c for k, co in self.terms.items()})
+            other = WeylOp.scalar(other, self.lattice)
         if not isinstance(other, WeylOp):
             return NotImplemented
         self._check(other)
-        out: dict[tuple, Scalar] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k, ph = _key_merge(k1, k2)
-                c = c1 * c2
-                if ph:
-                    c = c.shift(var_key("s", ph))
-                nc = out.get(k)
-                nc = c if nc is None else nc + c
-                if nc.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = nc
-                    if len(out) > TERM_CAP:
-                        raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
-        return WeylOp(self.lattice, out)
+        return WeylOp(self.lattice, _product(self.terms, other.terms))
 
     def __rmul__(self, other):
         # Only scalars reach here; they commute with everything.

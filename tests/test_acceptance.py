@@ -151,9 +151,8 @@ def _comparable(rows):
 
 
 def test_sites4_rows_match_reference(tmp_path):
-    # the 4-site operator checks (s^k reordering phases at every product);
-    # ATT_TTD, the slowest row of the reference, is left out for time
-    ids = ["commute", "tau_commute", "tloc_commute"]
+    # the 4-site operator checks (s^k reordering phases at every product)
+    ids = ["ATT_TTD", "commute", "tau_commute", "tloc_commute"]
     path = tmp_path / "sites4.json"
     t0 = time.perf_counter()
     assert cli.main(["verify", *ids, "--sites", "4", "--json", str(path)]) == 0
@@ -162,7 +161,7 @@ def test_sites4_rows_match_reference(tmp_path):
     ref = [r for r in json.loads(SITES4_REFERENCE.read_text())["rows"]
            if r["id"] in ids]
     ok = _comparable(rows) == _comparable(ref)
-    print(f"ACCEPTANCE  5 [{'PASS' if ok else 'FAIL'}] charges commute at N=4 "
+    print(f"ACCEPTANCE  5 [{'PASS' if ok else 'FAIL'}] exchange algebra and charges at N=4 "
           f"match the reference rows ({elapsed:.1f}s)")
     assert [r["id"] for r in ref] == ids
     assert _comparable(rows) == _comparable(ref)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toda2.ring import Scalar, ScalarFraction
+from toda2.ring import PACK_LIMIT, Scalar, ScalarFraction, pack_key, unpack_key
 
 s = Scalar.var("s")
 lam = Scalar.var("lam")
@@ -241,3 +241,46 @@ def test_unit_denominators_are_reused_against_the_general_formulas():
                                                     (a.den * b.num).terms)
     assert (f * g).den is f.den and (g * f).den is f.den and (lam * f).den is f.den
     assert (g / f).den is f.num and (f / g).num is f.num
+
+
+# -- packed monomial keys ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", [
+    (),
+    ((0, -1),),
+    ((0, 3), (1, -2), (2, 1)),
+    ((3, -7), (51, 2), (60, -1)),                       # indices above 50
+    ((4, PACK_LIMIT - 1), (5, -(PACK_LIMIT - 1)), (6, -1)),  # the digit extremes
+])
+def test_pack_then_unpack_is_the_identity(key):
+    assert unpack_key(pack_key(key)) == key
+
+
+def test_packed_sum_is_the_monomial_product():
+    k1, k2 = ((0, 2), (7, -3), (52, 1)), ((0, -2), (7, -1), (53, 4))
+    assert unpack_key(pack_key(k1) + pack_key(k2)) == ((7, -4), (52, 1), (53, 4))
+    # three digits at the bound's edge, summed as a Weyl product sums them,
+    # stay inside their own variable
+    edge = ((1, -(PACK_LIMIT - 1)), (2, PACK_LIMIT - 1))
+    three = 3 * pack_key(edge)
+    assert unpack_key(three) == ((1, -3 * (PACK_LIMIT - 1)), (2, 3 * (PACK_LIMIT - 1)))
+
+
+def test_exponents_outside_the_packed_range_raise():
+    from toda2.weyl import Lattice, WeylOp
+    lat = Lattice(2, False)
+    with pytest.raises(OverflowError):
+        pack_key(((0, PACK_LIMIT),))
+    with pytest.raises(OverflowError):
+        pack_key(((0, -PACK_LIMIT),))
+    with pytest.raises(OverflowError):
+        _ = WeylOp.scalar(Scalar.var("lam", 2 ** 29), lat) * WeylOp.one(lat)
+    with pytest.raises(OverflowError):
+        _ = WeylOp.one(lat) * WeylOp.scalar(Scalar.var("lam", -2 ** 29), lat)
+    # a reordering phase of s^(2**30) is refused the same way
+    with pytest.raises(OverflowError):
+        _ = WeylOp.generator(lat, 1, "U", 2 ** 14) * WeylOp.generator(lat, 1, "V", 2 ** 14)
+    # just inside the bound the product is exact, with no carry into s
+    big = WeylOp.scalar(Scalar.var("lam", 2 ** 29 - 1), lat)
+    assert (big * big).terms == {(): Scalar.var("lam", 2 ** 30 - 2)}

@@ -117,3 +117,14 @@ def test_monodromy_site_one_is_bare():
     lat = Lattice(1, True)
     T = monodromy(1, LAM, PARAMS)
     assert T.residual(build_lax("l", 1, LAM, PARAMS, lat))[1]
+
+
+def test_gauge_steps_run_on_the_chain_length_they_are_given():
+    items = check_ultralocalisation("gauge_l", N=5)
+    assert [label for label, _ in items] == [f"site {n}" for n in range(1, 6)]
+    assert all(res.is_zero() for _, res in items)
+    for step in ("gauge_G", "scriptL_assembly", "entrywise_conjugation"):
+        rep = report_from_residuals({}, check_ultralocalisation(step, N=2))
+        assert rep.status == "pass", (step, rep.witness)
+    rep = report_from_residuals({}, check_ultralocalisation("gauge_G", N=4, mutate=True))
+    assert rep.status == "fail" and rep.residual_terms > 0

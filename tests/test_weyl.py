@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from toda2.ring import Scalar
-from toda2.weyl import Lattice, TermCapExceeded, WeylOp
+from toda2.ring import Scalar, var_key
+from toda2.weyl import Lattice, TermCapExceeded, WeylOp, _key_merge
 import toda2.weyl as weyl_mod
 
 LAT = Lattice(5, False)
@@ -212,3 +212,100 @@ def test_support_and_text():
     # U2 V4 is one normal-ordered monomial on sites 2 and 4
     assert list(a.terms) == [((2, 0, 2), (4, 2, 0))]
     assert "U2" in a.to_text() and "V4" in a.to_text()
+
+
+# -- the fused product kernel against the per-pair fold it replaced ---------------
+
+
+def reference_product(a, b):
+    """``a * b`` the slow way: one Scalar product and one s-shift per term pair."""
+    if not isinstance(b, WeylOp):
+        b = WeylOp.scalar(b, a.lattice)
+    out = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            k, ph = _key_merge(k1, k2)
+            out[k] = out.get(k, Scalar.zero()) + (c1 * c2).shift(var_key("s", ph))
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def rand_coeff(rng):
+    """A coefficient of one to three terms in s, lam and mu, some fractional."""
+    total = Scalar.zero()
+    for _ in range(rng.randint(1, 3)):
+        powers = {n: rng.randint(-2, 2) for n in ("s", "lam", "mu")}
+        total = total + Scalar.monomial(powers, Fraction(rng.choice([-3, -1, 1, 2]),
+                                                         rng.choice([1, 1, 2, 3])))
+    return total
+
+
+def rand_half_word_op(rng, lat=LAT):
+    total = WeylOp.zero(lat)
+    for _ in range(rng.randint(1, 4)):
+        factors = [(rng.randint(1, lat.size), rng.choice("UV"),
+                    Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), 2))
+                   for _ in range(rng.randint(1, 4))]
+        total = total + WeylOp.word(lat, factors, coeff=rand_coeff(rng))
+    return total
+
+
+def test_kernel_matches_fold_on_monodromy_entries():
+    from toda2.quantum import monodromy
+    t = monodromy(3)
+    # a second spectral point, dressed so that coefficients have two terms
+    m = monodromy(3, Scalar.var("mu")).scale(Scalar.var("s") + Scalar.var("lam"))
+    entries = [e for row in t.entries for e in row]
+    others = [e for row in m.entries for e in row]
+    for a in entries:
+        for b in others:
+            assert (a * b).terms == reference_product(a, b)
+            assert (b * a).terms == reference_product(b, a)
+
+
+def test_kernel_matches_fold_on_random_half_integer_words():
+    rng = random.Random(90210)
+    for _ in range(60):
+        a, b = rand_half_word_op(rng), rand_half_word_op(rng)
+        assert (a * b).terms == reference_product(a, b)
+
+
+def cancelling_pair():
+    # U1 * V1 = s^4 V1 U1 meets V1 * (-s^4 U1): the key V1 U1 cancels between
+    # the second and third pairs; -s^4 U1^2 and V1^2 survive
+    u, v = ((1, 0, 2),), ((1, 2, 0),)
+    a = WeylOp(LAT, {u: Scalar.const(1), v: Scalar.const(1)})
+    b = WeylOp(LAT, {u: -spow(4), v: Scalar.const(1)})
+    return a, b
+
+
+def test_kernel_drops_a_key_that_cancels():
+    a, b = cancelling_pair()
+    out = a * b
+    assert out.terms == reference_product(a, b)
+    assert out.terms == {((1, 0, 4),): -spow(4), ((1, 4, 0),): Scalar.const(1)}
+    # a partial cancellation keeps only the surviving monomials of the key
+    lam = Scalar.var("lam")
+    c = WeylOp(LAT, {((1, 0, 2),): -spow(4), ((1, 2, 0),): lam + 1})
+    assert (a * c).terms[((1, 2, 2),)] == spow(4) * lam
+    assert (a * c).terms == reference_product(a, c)
+
+
+def test_cancelled_key_does_not_count_against_the_cap(monkeypatch):
+    # at most two keys are ever nonzero at once, so a cap of 2 holds
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 2)
+    a, b = cancelling_pair()
+    assert (a * b).term_count() == 2
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 1)
+    with pytest.raises(TermCapExceeded):
+        _ = a * b
+
+
+@pytest.mark.parametrize("c", [Scalar.var("lam", -2) * 3 + Scalar.var("s"), 7,
+                               Fraction(-5, 3), Scalar.zero()])
+def test_kernel_scalar_operand_on_both_sides(c):
+    rng = random.Random(11)
+    for _ in range(10):
+        a = rand_half_word_op(rng)
+        expect = reference_product(a, c)
+        assert (a * c).terms == expect
+        assert (c * a).terms == expect

@@ -1,0 +1,84 @@
+"""The Weyl product checked through a faithful representation, not its own rules.
+
+On Laurent polynomials in ``y_1 .. y_N`` (with the model's parameters as
+constants) let ``V_n^(a/2)`` act as multiplication by ``y_n^a`` and
+``U_n^(b/2)`` as the shift ``y_n -> s^b y_n``.  Then ``U_n V_n = s^4 V_n U_n =
+q^2 V_n U_n``, and for formal ``s`` the action is faithful, so a product is
+right iff acting with it equals acting with its factors in turn.  The action
+is built from :class:`Scalar` substitution and products alone and never calls
+the Weyl product or its key merge.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from toda2.quantum import monodromy
+from toda2.ring import Scalar
+from toda2.weyl import Lattice, WeylOp
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+N = 3
+LAT = Lattice(N, True)
+Y = [f"y{n}" for n in range(1, N + 1)]
+ORACLE = settings(max_examples=100, deadline=None)
+
+
+def act(op: WeylOp, f: Scalar) -> Scalar:
+    """The image of ``f`` under ``op``: per term, shift by U, then multiply by V."""
+    total = Scalar.zero()
+    for key, coeff in op.terms.items():
+        shifts = {f"y{n}": Scalar.monomial({"s": b2, f"y{n}": 1}) for n, _, b2 in key if b2}
+        v = Scalar.monomial({f"y{n}": a2 for n, a2, _ in key}, 1)
+        total = total + coeff * v * f.substitute(shifts)
+    return total
+
+
+_T = monodromy(N)
+_M = monodromy(N, Scalar.var("mu"))
+ENTRIES = [e for t in (_T, _M) for row in t.entries for e in row]
+
+small = st.integers(-2, 2)
+coefficients = st.builds(
+    lambda terms: sum((Scalar.monomial({"s": i, "lam": j}, Fraction(c, d))
+                       for i, j, c, d in terms), Scalar.zero()),
+    st.lists(st.tuples(small, small, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+             min_size=1, max_size=3))
+factors = st.tuples(st.integers(1, N), st.sampled_from("UV"),
+                    st.sampled_from([Fraction(k, 2) for k in (-3, -2, -1, 1, 2, 3)]))
+words = st.builds(lambda fs, c: WeylOp.word(LAT, fs, coeff=c),
+                  st.lists(factors, min_size=1, max_size=4), coefficients)
+random_ops = st.builds(lambda ws: sum(ws, WeylOp.zero(LAT)),
+                       st.lists(words, min_size=1, max_size=3))
+operators = st.one_of(st.sampled_from(ENTRIES), random_ops)
+ring_scalars = st.one_of(coefficients, st.integers(-4, 4),
+                         st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+test_functions = st.builds(
+    lambda es, c: Scalar.monomial(dict(zip(Y, es)), c),
+    st.lists(st.integers(-3, 3), min_size=N, max_size=N), st.integers(1, 5))
+
+
+@ORACLE
+@given(operators, operators, test_functions)
+def test_product_acts_as_composition(p, q, f):
+    assert act(p * q, f) == act(p, act(q, f))
+
+
+@ORACLE
+@given(operators, ring_scalars, test_functions)
+def test_scalar_operand_acts_as_scaling(p, c, f):
+    c_f = f * c
+    assert act(p * c, f) == act(p, c_f)
+    assert act(c * p, f) == act(p, f) * c
+
+
+def test_oracle_separates_the_two_orders():
+    # U1 V1 and V1 U1 differ by s^4; the oracle must tell them apart
+    u, v = WeylOp.generator(LAT, 1, "U"), WeylOp.generator(LAT, 1, "V")
+    f = Scalar.var("y1", 2)
+    assert act(u, act(v, f)) == act(v, act(u, f)) * Scalar.var("s", 4)
+    assert act(u, act(v, f)) != act(v, act(u, f))
