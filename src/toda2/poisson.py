@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .ring import Scalar, ScalarFraction, var_index
-from .ring import _key_mul  # sparse exponent-vector merge
+from .ring import Scalar, ScalarFraction, check_bound, pack_power, unpack_key, var_index
 
 __all__ = ["Chart", "make_chart", "build_classical"]
 
@@ -52,6 +51,7 @@ class Chart:
         self._gen_index: dict[str, int] = {}
         self._gen_indices: set[int] = set()
         self._table: dict[tuple[int, int], Scalar] = {}
+        self._table_bound = 0  # the largest exponent bound of a table entry
 
     def _add_gen(self, name: str) -> int:
         idx = var_index(name)
@@ -68,6 +68,7 @@ class Chart:
             i, j, value = j, i, -value
         if not value.is_zero():
             self._table[(i, j)] = value
+            self._table_bound = max(self._table_bound, value.exp_bound)
 
     def table(self, i: int, j: int) -> Scalar | None:
         """Bracket of two generator variables by variable index (None if zero)."""
@@ -89,31 +90,39 @@ class Chart:
 
     def poly_bracket(self, p: Scalar, q: Scalar) -> Scalar:
         """Bracket of two Laurent polynomials via the Leibniz monomial rule."""
-        gens = self._gen_indices
-        out: dict[tuple, int | Fraction] = {}
-        for k1, c1 in p.terms.items():
-            e1 = [(v, e) for v, e in k1 if v in gens]
-            if not e1:
-                continue
-            for k2, c2 in q.terms.items():
-                e2 = [(v, e) for v, e in k2 if v in gens]
-                if not e2:
-                    continue
-                base = _key_mul(k1, k2)
-                for vi, ei in e1:
-                    for vj, ej in e2:
+        # a result exponent sums one of p, one of q, a removed generator and one of the table
+        bound = check_bound(p.exp_bound + q.exp_bound + 1 + self._table_bound)
+        left, right = self._gen_exponents(p), self._gen_exponents(q)
+        out: dict[int, int | Fraction] = {}
+        for k1, c1, e1 in left:
+            for k2, c2, e2 in right:
+                base = k1 + k2
+                for vi, ei, ui in e1:
+                    for vj, ej, uj in e2:
                         t = self.table(vi, vj)
                         if t is None:
                             continue
-                        key = _key_mul(base, ((vi, -1),))
-                        key = _key_mul(key, ((vj, -1),))
-                        for k, c in t.shift(key, c1 * c2 * ei * ej).terms.items():
-                            c += out.get(k, 0)
+                        key = base - ui - uj
+                        c12 = c1 * c2 * ei * ej
+                        for k, c in t.terms.items():
+                            k += key
+                            c = out.get(k, 0) + c * c12
                             if c:
                                 out[k] = c
                             else:
                                 del out[k]
-        return Scalar(out)
+        return Scalar(out, bound)
+
+    def _gen_exponents(self, p: Scalar) -> list[tuple]:
+        """The terms of ``p`` that contain a generator, each as (key, coefficient,
+        [(generator index, exponent, key of the generator)])."""
+        gens = self._gen_indices
+        out = []
+        for k, c in p.terms.items():
+            exps = [(v, e, pack_power(v, 1)) for v, e in unpack_key(k) if v in gens]
+            if exps:
+                out.append((k, c, exps))
+        return out
 
     def bracket(self, f: ScalarFraction, g: ScalarFraction) -> ScalarFraction:
         """Bracket of fractions via the quotient rule over a common denominator."""

@@ -7,7 +7,7 @@ through the variable ``s`` with q = s**2: reordering factors of the form
 q^(ab/2) with half-integer exponents are then integer powers of s and never
 leave the ring.
 
-A :class:`Scalar` is a dict from sparse exponent vectors to nonzero exact
+A :class:`Scalar` is a dict from packed monomial keys to nonzero exact
 coefficients, each an ``int`` or a ``Fraction``: an ``int`` whenever the
 denominator is 1, so most products and sums never leave Python's integers.
 Two Scalars are equal iff their term maps are identical, so the
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping
 
 __all__ = ["Scalar", "ScalarFraction", "var_index", "var_key",
-           "pack_power", "pack_key", "unpack_key"]
+           "PACK_LIMIT", "check_bound", "pack_power", "unpack_key"]
 
 
 # The variable table: name <-> index, append-only, shared by every Scalar.
@@ -42,52 +42,37 @@ def var_index(name: str) -> int:
     return idx
 
 
-# Exponent vectors are stored sparsely as tuples of (var_index, exponent),
-# sorted by index, zeros omitted.  The empty tuple is the constant monomial.
-_EMPTY: tuple = ()
-
-
-def var_key(name: str, power: int) -> tuple:
-    """Exponent-vector key of ``name**power``, as :meth:`Scalar.shift` takes it."""
-    idx = var_index(name)
-    return ((idx, power),) if power else _EMPTY
-
-
-# Packed keys (Kronecker substitution, after Monagan & Pearce 2009): digit i of
-# a signed base-2**PACK_BITS integer is the exponent of variable i, so a
-# monomial product is one integer addition.  Packing refuses |e| >= PACK_LIMIT:
-# a sum of three packed exponents (two factors and a phase) then stays below
-# 2**(PACK_BITS - 1) in every digit and never carries into its neighbour.
+# Monomial keys are Kronecker-packed integers (after Monagan & Pearce 2009):
+# digit i of a signed base-2**PACK_BITS integer is the exponent of variable i
+# and 0 is the constant monomial, so a monomial product is one integer addition
+# and an inverse one negation.  Every stored exponent obeys |e| < PACK_LIMIT:
+# a sum of three such digits (two factors and a Weyl phase) stays below
+# 2**(PACK_BITS - 1) and never carries into its neighbour.  Each Scalar carries
+# an upper bound on its |e|, and every product checks the sum of its operands'
+# bounds before it adds a key.
 PACK_BITS = 32
 PACK_LIMIT = 1 << 29
 _DIGIT = (1 << PACK_BITS) - 1
 _HALF = 1 << (PACK_BITS - 1)
 
 
-def _out_of_range(idx: int, power: int) -> OverflowError:
-    return OverflowError(f"exponent {power} of {_NAMES[idx]!r} is outside the "
-                         f"packed range |e| < 2**29")
+def check_bound(bound: int) -> int:
+    """``bound`` itself if exponents up to it fit the packed range; else OverflowError."""
+    if bound >= PACK_LIMIT:
+        raise OverflowError(f"exponents up to {bound} are outside the packed range |e| < 2**29")
+    return bound
 
 
 def pack_power(idx: int, power: int) -> int:
     """Packed key of the variable with index ``idx`` raised to ``power``."""
     if not -PACK_LIMIT < power < PACK_LIMIT:
-        raise _out_of_range(idx, power)
+        raise OverflowError(f"exponent {power} of {_NAMES[idx]!r} is outside the "
+                            f"packed range |e| < 2**29")
     return power << (PACK_BITS * idx)
 
 
-def pack_key(key: tuple) -> int:
-    """Packed form of an exponent-vector key."""
-    packed = 0
-    for v, e in key:
-        if not -PACK_LIMIT < e < PACK_LIMIT:
-            raise _out_of_range(v, e)
-        packed += e << (PACK_BITS * v)
-    return packed
-
-
 def unpack_key(packed: int) -> tuple:
-    """The exponent-vector key of a packed key: the inverse of :func:`pack_key`."""
+    """The ``(var_index, exponent)`` pairs of a packed key, by index, zeros omitted."""
     out = []
     v = 0
     while packed:
@@ -101,32 +86,14 @@ def unpack_key(packed: int) -> tuple:
     return tuple(out)
 
 
-def _key_mul(k1: tuple, k2: tuple) -> tuple:
-    if not k1:
-        return k2
-    if not k2:
-        return k1
-    out = []
-    i = j = 0
-    n1, n2 = len(k1), len(k2)
-    while i < n1 and j < n2:
-        v1, e1 = k1[i]
-        v2, e2 = k2[j]
-        if v1 == v2:
-            e = e1 + e2
-            if e:
-                out.append((v1, e))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(k1[i])
-            i += 1
-        else:
-            out.append(k2[j])
-            j += 1
-    out.extend(k1[i:])
-    out.extend(k2[j:])
-    return tuple(out)
+def _key_bound(packed: int) -> int:
+    """The largest |e| of a packed key."""
+    return max((abs(e) for _, e in unpack_key(packed)), default=0)
+
+
+def var_key(name: str, power: int) -> int:
+    """Packed key of ``name**power``, as :meth:`Scalar.shift` takes it."""
+    return pack_power(var_index(name), power)
 
 
 def _coeff(value) -> int | Fraction:
@@ -146,11 +113,15 @@ def _exponent(power) -> int:
 
 
 class Scalar:
-    """Immutable sparse Laurent polynomial over the shared variable table."""
+    """Immutable sparse Laurent polynomial over the shared variable table.
 
-    __slots__ = ("terms", "_hash")
+    ``exp_bound`` is an upper bound on every |exponent| in ``terms``; when
+    it is not given it is measured by unpacking the keys.
+    """
 
-    def __init__(self, terms: Mapping[tuple, int | Fraction]):
+    __slots__ = ("terms", "exp_bound", "_hash")
+
+    def __init__(self, terms: Mapping[int, int | Fraction], exp_bound: int | None = None):
         # only a dropped (falsy) coefficient pays for a type check: _coeff
         # refuses an inexact zero such as 0.0
         try:
@@ -158,6 +129,9 @@ class Scalar:
                           for k, c in terms.items() if c or _coeff(c)}
         except AttributeError:
             raise TypeError("exact coefficients are int or Fraction") from None
+        if exp_bound is None:
+            exp_bound = max(map(_key_bound, self.terms), default=0)
+        self.exp_bound = exp_bound
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -165,23 +139,24 @@ class Scalar:
     @classmethod
     def const(cls, value) -> "Scalar":
         c = _coeff(value)
-        return cls({_EMPTY: c} if c else {})
+        return cls({0: c} if c else {}, 0)
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return cls({})
+        return cls({}, 0)
 
     @classmethod
     def var(cls, name: str, power: int = 1, coeff=1) -> "Scalar":
         key = var_key(name, _exponent(power))
         c = _coeff(coeff)
-        return cls({key: c} if c else {})
+        return cls({key: c} if c else {}, abs(power))
 
     @classmethod
     def monomial(cls, powers: Mapping[str, int], coeff=1) -> "Scalar":
-        key = tuple(sorted((var_index(n), e) for n, e in powers.items() if _exponent(e)))
+        powers = {n: e for n, e in powers.items() if _exponent(e)}
+        key = sum(pack_power(var_index(n), e) for n, e in powers.items())
         c = _coeff(coeff)
-        return cls({key: c} if c else {})
+        return cls({key: c} if c else {}, max(map(abs, powers.values()), default=0))
 
     # -- ring structure ----------------------------------------------------
 
@@ -204,12 +179,12 @@ class Scalar:
                 out[k] = nc
             else:
                 out.pop(k, None)
-        return Scalar(out)
+        return Scalar(out, self.exp_bound if self.exp_bound >= o.exp_bound else o.exp_bound)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({k: -c for k, c in self.terms.items()})
+        return Scalar({k: -c for k, c in self.terms.items()}, self.exp_bound)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -224,30 +199,32 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out: dict[tuple, int | Fraction] = {}
+        bound = check_bound(self.exp_bound + o.exp_bound)
+        out: dict[int, int | Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in o.terms.items():
-                k = _key_mul(k1, k2)
+                k = k1 + k2
                 c = out.get(k, 0) + c1 * c2
                 if c:
                     out[k] = c
                 else:
                     out.pop(k, None)
-        return Scalar(out)
+        return Scalar(out, bound)
 
     __rmul__ = __mul__
 
-    def shift(self, key: tuple, c=1) -> "Scalar":
+    def shift(self, key: int, c=1) -> "Scalar":
         """``self * Scalar({key: c})``: one monomial re-keys every term.
 
         Laurent monomials form a group, so distinct keys stay distinct and
         nothing merges; with ``c == 1`` no coefficient is multiplied.
         """
+        if c == 1 and not key:
+            return self
+        bound = check_bound(self.exp_bound + _key_bound(key))
         if c == 1:
-            if not key:
-                return self
-            return Scalar({_key_mul(k, key): v for k, v in self.terms.items()})
-        return Scalar({_key_mul(k, key): v * c for k, v in self.terms.items()})
+            return Scalar({k + key: v for k, v in self.terms.items()}, bound)
+        return Scalar({k + key: v * c for k, v in self.terms.items()}, bound)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -266,13 +243,13 @@ class Scalar:
     # -- predicates and canonical form --------------------------------------
 
     def zero_like(self) -> "Scalar":
-        return Scalar({})
+        return Scalar({}, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get(_EMPTY) == 1
+        return len(self.terms) == 1 and self.terms.get(0) == 1
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -282,7 +259,7 @@ class Scalar:
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible in the Laurent ring")
         (k, c), = self.terms.items()
-        return Scalar({tuple((v, -e) for v, e in k): 1 / Fraction(c)})
+        return Scalar({-k: 1 / Fraction(c)}, self.exp_bound)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -309,36 +286,30 @@ class Scalar:
             images[var_index(name)] = img if isinstance(img, Scalar) else Scalar.const(img)
         out = Scalar.zero()
         for k, c in self.terms.items():
-            fixed = []
+            fixed = k
             factor = Scalar.const(c)
-            for v, e in k:
+            for v, e in unpack_key(k):
                 img = images.get(v)
                 if img is None:
-                    fixed.append((v, e))
                     continue
                 if e < 0 and not img.is_monomial():
                     raise ValueError(
                         f"variable {_NAMES[v]!r} occurs with negative power "
                         "but its image is not an invertible monomial")
+                fixed -= pack_power(v, e)
                 factor = factor * (img ** e)
-            out = out + factor.shift(tuple(fixed))
+            out = out + factor.shift(fixed)
         return out
 
     def coeff_of(self, name: str, power: int) -> "Scalar":
         """Collect the coefficient of ``name**power`` (the variable removed)."""
         idx = var_index(name)
-        out: dict[tuple, int | Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for k, c in self.terms.items():
-            e = 0
-            rest = []
-            for v, ex in k:
-                if v == idx:
-                    e = ex
-                else:
-                    rest.append((v, ex))
-            if e == power:
-                out[tuple(rest)] = out.get(tuple(rest), 0) + c
-        return Scalar(out)
+            if dict(unpack_key(k)).get(idx, 0) == power:
+                rest = k - pack_power(idx, power)
+                out[rest] = out.get(rest, 0) + c
+        return Scalar(out, self.exp_bound)
 
     # -- canonical text ------------------------------------------------------
 
@@ -371,7 +342,7 @@ class Scalar:
         """Canonical text: factors, then terms, ordered by variable name."""
         if not self.terms:
             return "0"
-        named = sorted((sorted((_NAMES[v], e) for v, e in k), c)
+        named = sorted((sorted((_NAMES[v], e) for v, e in unpack_key(k)), c)
                        for k, c in self.terms.items())
         parts = []
         for factors, c in named:

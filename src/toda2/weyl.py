@@ -7,9 +7,9 @@ U^a V^b -> q^(2ab) V^b U^a is the integer power s^(2a*2b) of s = q^(1/2).
 
 The canonical (normal) form of a monomial is V_n^a U_n^b per site, sites in
 ascending order.  A :class:`WeylOp` is a merged sum of such monomials with
-:class:`~toda2.ring.Scalar` coefficients.  Inside a product the coefficient
-keys are Kronecker-packed integers (:func:`~toda2.ring.pack_key`), so the
-s-phase and each monomial product are integer additions.
+:class:`~toda2.ring.Scalar` coefficients.  The coefficient keys are
+Kronecker-packed integers (:func:`~toda2.ring.pack_power`), so inside a product
+the s-phase and each monomial product are integer additions.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .ring import Scalar, pack_key, pack_power, unpack_key, var_index, var_key
+from .ring import Scalar, check_bound, pack_power, var_index, var_key
 
 __all__ = ["Lattice", "WeylOp", "TermCapExceeded", "TERM_CAP"]
 
@@ -44,6 +44,8 @@ class Lattice(NamedTuple):
 
 def _doubled(power) -> int:
     """Validate a half-integer power and return 2*power as an int."""
+    if not isinstance(power, (int, Fraction)):
+        raise TypeError(f"Weyl powers are int or Fraction, not {type(power).__name__}")
     d = Fraction(power) * 2
     if d.denominator != 1:
         raise ValueError(f"power {power} is not a half-integer")
@@ -57,12 +59,6 @@ def _doubled(power) -> int:
 def _key_merge(k1: tuple, k2: tuple) -> tuple[tuple, int]:
     """Merge two normal-ordered keys; return (key, s_exponent) of the product."""
     phase = 0
-    if k1 and k2:
-        sites2 = {site: a2 for site, a2, _ in k2}
-        for site, _, b2 in k1:
-            a2 = sites2.get(site)
-            if a2:
-                phase += b2 * a2
     out = []
     i = j = 0
     n1, n2 = len(k1), len(k2)
@@ -70,6 +66,7 @@ def _key_merge(k1: tuple, k2: tuple) -> tuple[tuple, int]:
         s1, a1, b1 = k1[i]
         s2, a2, b2 = k2[j]
         if s1 == s2:
+            phase += b1 * a2  # U^b1 V^a2 = q^(2 b1 a2) V^a2 U^b1, in doubled powers of s
             a, b = a1 + a2, b1 + b2
             if a or b:
                 out.append((s1, a, b))
@@ -86,25 +83,24 @@ def _key_merge(k1: tuple, k2: tuple) -> tuple[tuple, int]:
     return tuple(out), phase
 
 
-def _packed(terms: dict) -> list:
-    """Weyl terms with each coefficient as a list of (packed key, coefficient)."""
-    return [(k, [(pack_key(m), x) for m, x in c.terms.items()]) for k, c in terms.items()]
-
-
 def _product(terms1: dict, terms2: dict) -> dict[tuple, Scalar]:
     """Terms of the normal-ordered product of two Weyl term maps.
 
     One fused loop: each pair of Weyl keys is merged once, and its s-phase
     and the products of the two coefficients' terms go straight into a raw
     accumulator over packed scalar keys.  One Scalar is built per surviving
-    output key, decoding each packed key once.
+    output key.
     """
     s_idx = var_index("s")
-    right = _packed(terms2)
     shifts = {0: 0}
     acc: dict[tuple, dict[int, int | Fraction]] = {}
-    for k1, c1 in _packed(terms1):
-        for k2, c2 in right:
+    # each sum m1 + m2 is a new int object, and the same key recurs across
+    # rows: every row stores the one object ``keys`` holds for it, which keeps
+    # a product's rows small
+    keys: dict[int, int] = {}
+    for k1, c1 in terms1.items():
+        t1 = c1.terms
+        for k2, c2 in terms2.items():
             k, ph = _key_merge(k1, k2)
             sh = shifts.get(ph)
             if sh is None:
@@ -112,11 +108,16 @@ def _product(terms1: dict, terms2: dict) -> dict[tuple, Scalar]:
             row = acc.get(k)
             if row is None:
                 row = acc[k] = {}
-            for m1, x1 in c1:
+            t2 = c2.terms
+            for m1, x1 in t1.items():
                 m1 += sh
-                for m2, x2 in c2:
+                for m2, x2 in t2.items():
                     m = m1 + m2
-                    x = row.get(m, 0) + x1 * x2
+                    x = row.get(m)
+                    if x is None:
+                        row[keys.setdefault(m, m)] = x1 * x2
+                        continue
+                    x += x1 * x2
                     if x:
                         row[m] = x
                     else:
@@ -125,17 +126,11 @@ def _product(terms1: dict, terms2: dict) -> dict[tuple, Scalar]:
                 del acc[k]
             elif len(acc) > TERM_CAP:
                 raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
-    keys: dict[int, tuple] = {}
-    out = {}
-    for k, row in acc.items():
-        coeff = {}
-        for m, x in row.items():
-            key = keys.get(m)
-            if key is None:
-                key = keys[m] = unpack_key(m)
-            coeff[key] = x
-        out[k] = Scalar(coeff)
-    return out
+    # each sum above adds three digits below 2**29, which cannot carry
+    bound = check_bound(max((c.exp_bound for c in terms1.values()), default=0)
+                        + max((c.exp_bound for c in terms2.values()), default=0)
+                        + max(map(abs, shifts)))
+    return {k: Scalar(row, bound) for k, row in acc.items()}
 
 
 class WeylOp:

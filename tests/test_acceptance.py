@@ -116,8 +116,30 @@ def test_criterion_11_mutation_sensitivity():
     print(f"ACCEPTANCE 11 [{'PASS' if ok and caught else 'FAIL'}] mutation "
           f"sensitivity across suites ({elapsed:.1f}s)")
     assert ok and caught
-    # each probe carries the nonzero witness of the corrupted residual
+    # each probe carries the nonzero witness of the corrupted residual, whose
+    # text decodes the packed monomial keys
     assert all(r.residual_terms > 0 for r in reports)
+    assert {r.id: r.witness for r in reports} == MUTATION_WITNESSES
+
+
+MUTATION_WITNESSES = {
+    "mutation_classical": "corruption detected: entry brackets vs explicit form: entry (1,6): "
+                          "(-2*Q1*Q3*mu1*mu2^6 + 2*Q1*Q3*mu1^2*mu2^5) / (mu1*mu2^6)",
+    "mutation_fm": "corruption detected: compatibility: entry (2,3): -alpha^2*lam1*s^3 "
+                   "+ alpha^2*lam1*s^5 + alpha^2*lam1*s^7 - alpha^2*lam1*s^9 "
+                   "+ alpha^2*lam2*s^3 - alpha^2*lam2*s^5 - alpha^2*lam2*s^7 "
+                   "+ alpha^2*lam2*s^9",
+    "mutation_gauge": "corruption detected: site 1: entry (1,1): (-2*lam*s^-1 + 2*lam*s^3) V1^1",
+    "mutation_poisson": "corruption detected: mutated: 2*xi1_2*xi1_3*xi2_3*xi2_4 "
+                        "- 2*xi1_2*xi1_4*xi2_3^2 + 2*xi1_3*xi1_4*xi2_2*xi2_3 "
+                        "- 2*xi1_3^2*xi2_2*xi2_4",
+    "mutation_rll": "corruption detected: site 1: entry (2,1): (lam1*s^-8 - lam1*s^-4) "
+                    "V1^-1 U1^1  +  (lam1*lam2 - lam1*lam2*s^-4) U1^1",
+    "mutation_stoch": "corruption detected: column 1: ((-2 - 2*s^-84 + 2*s^-80 + 2*s^-76 "
+                      "- 2*s^-64 - 4*s^-56 + 2*s^-48 + 2*s^-44 + 2*s^-40 + 2*s^-36 "
+                      "- 4*s^-28 - 2*s^-20 + 2*s^-8 + 2*s^-4) / (1 + s^-84 - s^-80 "
+                      "- s^-76 + s^-64 + 2*s^-56 - s^-48 - s^-44 - s ...",
+}
 
 
 def test_criterion_12_deterministic_reports(tmp_path):

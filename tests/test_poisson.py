@@ -6,7 +6,7 @@ import pytest
 from toda2.poisson import (build_classical, check_bracket_identity, make_chart,
                            residuals_w1w1)
 from toda2.reports import report_from_residuals
-from toda2.ring import Scalar, ScalarFraction, var_index
+from toda2.ring import Scalar, ScalarFraction, unpack_key, var_index
 
 
 def test_qp_chart_declared_brackets():
@@ -136,8 +136,8 @@ def _fold_bracket(chart, p, q):
     out = Scalar.zero()
     for k1, c1 in p.terms.items():
         for k2, c2 in q.terms.items():
-            for vi, ei in ((v, e) for v, e in k1 if v in names):
-                for vj, ej in ((v, e) for v, e in k2 if v in names):
+            for vi, ei in ((v, e) for v, e in unpack_key(k1) if v in names):
+                for vj, ej in ((v, e) for v, e in unpack_key(k2) if v in names):
                     t = chart.table(vi, vj)
                     if t is None:
                         continue

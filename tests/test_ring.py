@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from toda2.ring import PACK_LIMIT, Scalar, ScalarFraction, pack_key, unpack_key
+from toda2.ring import (PACK_LIMIT, Scalar, ScalarFraction, pack_power, unpack_key, var_index,
+                        var_key)
+from toda2.weyl import Lattice, WeylOp
 
 s = Scalar.var("s")
 lam = Scalar.var("lam")
@@ -172,7 +174,7 @@ def test_coefficients_that_cancel_to_integers_are_stored_as_int():
 def test_integral_fraction_constant_equals_int_constant():
     a, b = Scalar.const(Fraction(4, 2)), Scalar.const(2)
     assert a == b and hash(a) == hash(b) and a.to_text() == b.to_text() == "2"
-    assert a.terms == {(): 2} and type(a.terms[()]) is int
+    assert a.terms == {0: 2} and type(a.terms[0]) is int
 
 
 @pytest.mark.parametrize("build", [
@@ -189,6 +191,9 @@ def test_integral_fraction_constant_equals_int_constant():
     lambda: Scalar.monomial({"x": 2, "y": 1.0}),
     lambda: Scalar({(): 0.0}),
     lambda: Scalar.monomial({"x": 0.0}),
+    lambda: WeylOp.word(Lattice(2, False), [(1, "U", 1.5)]),
+    lambda: WeylOp.word(Lattice(2, False), [(1, "U", "1/2")]),
+    lambda: WeylOp.generator(Lattice(2, False), 1, "V", 0.5),
 ])
 def test_floats_and_strings_are_rejected_at_the_ring_boundary(build):
     with pytest.raises(TypeError):
@@ -210,7 +215,7 @@ def test_shift_equals_product_with_one_monomial():
                                                            draw(st.integers(1, 3))))
         if poly.terms and draw(st.booleans()):
             # the inverse of one of its keys: that term lands on the constant monomial
-            key = tuple((v, -e) for v, e in draw(st.sampled_from(sorted(poly.terms))))
+            key = -draw(st.sampled_from(sorted(poly.terms)))
         else:
             key = next(iter(Scalar.monomial({"s": draw(st.integers(-3, 3)),
                                              "lam": draw(st.integers(-3, 3))}).terms))
@@ -246,6 +251,11 @@ def test_unit_denominators_are_reused_against_the_general_formulas():
 # -- packed monomial keys ------------------------------------------------------------
 
 
+def _pack(key: tuple) -> int:
+    """The packed key of ``(var_index, exponent)`` pairs."""
+    return sum(pack_power(v, e) for v, e in key)
+
+
 @pytest.mark.parametrize("key", [
     (),
     ((0, -1),),
@@ -254,33 +264,95 @@ def test_unit_denominators_are_reused_against_the_general_formulas():
     ((4, PACK_LIMIT - 1), (5, -(PACK_LIMIT - 1)), (6, -1)),  # the digit extremes
 ])
 def test_pack_then_unpack_is_the_identity(key):
-    assert unpack_key(pack_key(key)) == key
+    assert unpack_key(_pack(key)) == key
 
 
 def test_packed_sum_is_the_monomial_product():
     k1, k2 = ((0, 2), (7, -3), (52, 1)), ((0, -2), (7, -1), (53, 4))
-    assert unpack_key(pack_key(k1) + pack_key(k2)) == ((7, -4), (52, 1), (53, 4))
+    assert unpack_key(_pack(k1) + _pack(k2)) == ((7, -4), (52, 1), (53, 4))
     # three digits at the bound's edge, summed as a Weyl product sums them,
     # stay inside their own variable
     edge = ((1, -(PACK_LIMIT - 1)), (2, PACK_LIMIT - 1))
-    three = 3 * pack_key(edge)
+    three = 3 * _pack(edge)
     assert unpack_key(three) == ((1, -3 * (PACK_LIMIT - 1)), (2, 3 * (PACK_LIMIT - 1)))
 
 
+def test_keys_are_packed_monomials():
+    x = Scalar.monomial({"x": 3, "y": -2}, 5)
+    (key, c), = x.terms.items()
+    assert dict(unpack_key(key)) == {var_index("x"): 3, var_index("y"): -2} and c == 5
+    assert x.exp_bound == 3
+    assert Scalar.const(7).terms == {0: 7}
+    assert x.monomial_inverse().terms == {-key: Fraction(1, 5)}
+
+
 def test_exponents_outside_the_packed_range_raise():
-    from toda2.weyl import Lattice, WeylOp
+    with pytest.raises(OverflowError):
+        pack_power(0, PACK_LIMIT)
+    with pytest.raises(OverflowError):
+        pack_power(0, -PACK_LIMIT)
+    with pytest.raises(OverflowError):
+        Scalar.var("lam", PACK_LIMIT)
+    with pytest.raises(OverflowError):
+        Scalar.monomial({"lam": 1, "mu": -PACK_LIMIT})
+    # just inside the bound a square is exact, with no carry into the next variable
+    assert Scalar.var("lam", 2 ** 28 - 1) ** 2 == Scalar.var("lam", 2 ** 29 - 2)
     lat = Lattice(2, False)
+    big = WeylOp.scalar(Scalar.var("lam", 2 ** 28 - 1), lat)
+    assert (big * big).terms == {(): Scalar.var("lam", 2 ** 29 - 2)}
+
+
+def _squares(x: Scalar) -> list[Scalar]:
+    """``x``, ``x**2``, ``x**4``, ...: every square that ``*`` returns before it
+    raises, which it must do within four squarings."""
+    out = [x]
     with pytest.raises(OverflowError):
-        pack_key(((0, PACK_LIMIT),))
+        for _ in range(4):
+            out.append(out[-1] * out[-1])
+    return out
+
+
+def test_the_exponent_guard_raises_before_any_carry():
+    # x^(2**27) squares to x^(2**28); the next square would store 2**29
+    assert _squares(Scalar.var("x", 2 ** 27)) == [Scalar.var("x", 2 ** 27),
+                                                  Scalar.var("x", 2 ** 28)]
+    y = Scalar.var("x", -2 ** 27)
+    assert _squares(y + 1) == [y + 1, Scalar.var("x", -2 ** 28) + 2 * y + 1]
+    x28 = Scalar.var("x", 2 ** 28)
     with pytest.raises(OverflowError):
-        pack_key(((0, -PACK_LIMIT),))
+        x28.shift(var_key("x", 2 ** 28))
     with pytest.raises(OverflowError):
-        _ = WeylOp.scalar(Scalar.var("lam", 2 ** 29), lat) * WeylOp.one(lat)
+        Scalar.var("x", -2 ** 28).shift(var_key("x", -2 ** 28), Fraction(1, 2))
+    assert x28.shift(var_key("x", 2 ** 28 - 1)) == Scalar.var("x", 2 ** 29 - 1)
     with pytest.raises(OverflowError):
-        _ = WeylOp.one(lat) * WeylOp.scalar(Scalar.var("lam", -2 ** 29), lat)
-    # a reordering phase of s^(2**30) is refused the same way
+        (x28 * Scalar.var("y", 1, 3)).substitute({"y": x28})
+    assert (x28 * Scalar.var("y")).substitute({"y": Scalar.var("x", 2 ** 28 - 1)}) \
+        == Scalar.var("x", 2 ** 29 - 1)
+
+
+def test_the_weyl_kernel_and_poly_bracket_raise_before_any_carry():
+    from toda2.poisson import make_chart
+    lat = Lattice(2, False)
+    # a coefficient exponent: lam^(2**28) squared
+    lam28 = WeylOp.scalar(Scalar.var("lam", 2 ** 28), lat)
+    with pytest.raises(OverflowError):
+        _ = lam28 * lam28
+    with pytest.raises(OverflowError):
+        _ = lam28 * Scalar.var("lam", 2 ** 28)
+    # a reordering phase of s^(2**30) on its own
     with pytest.raises(OverflowError):
         _ = WeylOp.generator(lat, 1, "U", 2 ** 14) * WeylOp.generator(lat, 1, "V", 2 ** 14)
-    # just inside the bound the product is exact, with no carry into s
-    big = WeylOp.scalar(Scalar.var("lam", 2 ** 29 - 1), lat)
-    assert (big * big).terms == {(): Scalar.var("lam", 2 ** 30 - 2)}
+    # a phase of s^(2**28) on a coefficient s^(2**28): each alone is in range
+    u = WeylOp.word(lat, [(1, "U", 2 ** 13)], coeff=Scalar.var("s", 2 ** 28))
+    v = WeylOp.generator(lat, 1, "V", 2 ** 13)
+    assert v * u == WeylOp.word(lat, [(1, "V", 2 ** 13), (1, "U", 2 ** 13)],
+                                coeff=Scalar.var("s", 2 ** 28))
+    with pytest.raises(OverflowError):
+        _ = u * v
+    # {Q1^(2**28), Q1^(2**28) P1} holds Q1^(2**29)
+    chart = make_chart("qp", 3, periodic=True)
+    q28 = Scalar.var("Q1", 2 ** 28)
+    assert chart.poly_bracket(q28, Scalar.monomial({"Q1": 2 ** 28 - 4, "P1": 1})) \
+        == Scalar.monomial({"Q1": 2 ** 29 - 4, "P1": 1}, -2 ** 29)
+    with pytest.raises(OverflowError):
+        chart.poly_bracket(q28, q28 * Scalar.var("P1"))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toda2.ring import Scalar, var_key
+from toda2.ring import Scalar, unpack_key, var_key
 from toda2.weyl import Lattice, TermCapExceeded, WeylOp, _key_merge
 import toda2.weyl as weyl_mod
 
@@ -139,15 +139,16 @@ def test_normal_order_idempotent():
 
 def test_half_integer_closure_integer_s_powers():
     rng = random.Random(5)
-    s_idx = None
     for _ in range(20):
         h = lambda: Fraction(rng.choice([-3, -1, 1, 3]), 2)
         a = WeylOp.word(LAT, [(rng.randint(1, 4), rng.choice("UV"), h()) for _ in range(3)])
         b = WeylOp.word(LAT, [(rng.randint(1, 4), rng.choice("UV"), h()) for _ in range(3)])
         out = a * b
+        assert out.terms == reference_product(a, b)
         for coeff in out.terms.values():
             for key in coeff.terms:
-                for v, e in key:
+                assert type(key) is int
+                for v, e in unpack_key(key):
                     assert isinstance(e, int)
 
 
