@@ -14,10 +14,11 @@ rule and the quotient rule.  Three charts ship:
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 
-from .ring import Scalar, ScalarFraction, check_bound, pack_power, unpack_key, var_index
+from .ring import Scalar, ScalarFraction, check_bound, digits, pack_power, var_index
 
 __all__ = ["Chart", "make_chart", "build_classical"]
 
@@ -49,7 +50,8 @@ class Chart:
         self.periodic = periodic
         self.gen_names: list[str] = []
         self._gen_index: dict[str, int] = {}
-        self._gen_indices: set[int] = set()
+        # (variable index, key of the variable), ascending by index
+        self._gen_units: list[tuple[int, int]] = []
         self._table: dict[tuple[int, int], Scalar] = {}
         self._table_bound = 0  # the largest exponent bound of a table entry
 
@@ -57,7 +59,7 @@ class Chart:
         idx = var_index(name)
         self.gen_names.append(name)
         self._gen_index[name] = idx
-        self._gen_indices.add(idx)
+        insort(self._gen_units, (idx, pack_power(idx, 1)))
         return idx
 
     def _set_bracket(self, g1: str, g2: str, value: Scalar) -> None:
@@ -116,10 +118,13 @@ class Chart:
     def _gen_exponents(self, p: Scalar) -> list[tuple]:
         """The terms of ``p`` that contain a generator, each as (key, coefficient,
         [(generator index, exponent, key of the generator)])."""
-        gens = self._gen_indices
+        gens = self._gen_units
+        first = gens[0][0]
+        span = gens[-1][0] - first + 1
         out = []
         for k, c in p.terms.items():
-            exps = [(v, e, pack_power(v, 1)) for v, e in unpack_key(k) if v in gens]
+            ds = digits(k, first, span)
+            exps = [(v, e, u) for v, u in gens if (e := ds[v - first])]
             if exps:
                 out.append((k, c, exps))
         return out

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping
 
 __all__ = ["Scalar", "ScalarFraction", "var_index", "var_key",
-           "PACK_LIMIT", "check_bound", "pack_power", "unpack_key"]
+           "PACK_LIMIT", "check_bound", "digits", "pack_power", "unpack_key"]
 
 
 # The variable table: name <-> index, append-only, shared by every Scalar.
@@ -86,6 +86,25 @@ def unpack_key(packed: int) -> tuple:
     return tuple(out)
 
 
+def digits(packed: int, first: int, count: int) -> list[int]:
+    """The signed digits ``first .. first + count - 1`` of a packed key.
+
+    The digits below ``first`` are not walked: they sum to less than half a
+    unit of digit ``first`` in size, so rounding to the nearest multiple of
+    its weight removes them exactly.
+    """
+    shift = PACK_BITS * first
+    if shift:
+        packed = (packed + (1 << (shift - 1))) >> shift
+    out = [0] * count
+    for j in range(count):
+        if not packed:
+            break
+        e = out[j] = ((packed + _HALF) & _DIGIT) - _HALF
+        packed = (packed - e) >> PACK_BITS
+    return out
+
+
 def _key_bound(packed: int) -> int:
     """The largest |e| of a packed key."""
     return max((abs(e) for _, e in unpack_key(packed)), default=0)
@@ -133,6 +152,16 @@ class Scalar:
             exp_bound = max(map(_key_bound, self.terms), default=0)
         self.exp_bound = exp_bound
         self._hash = None
+
+    @classmethod
+    def _of(cls, terms: dict[int, int | Fraction], exp_bound: int) -> "Scalar":
+        """A Scalar over ``terms`` that are already canonical: nonzero, and an
+        ``int`` wherever the denominator is 1.  Nothing is checked or copied."""
+        self = object.__new__(cls)
+        self.terms = terms
+        self.exp_bound = exp_bound
+        self._hash = None
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -184,7 +213,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({k: -c for k, c in self.terms.items()}, self.exp_bound)
+        return Scalar._of({k: -c for k, c in self.terms.items()}, self.exp_bound)
 
     def __sub__(self, other):
         o = self._coerce(other)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import weyl
 from .ring import Scalar, ScalarFraction, var_key
-from .weyl import Lattice, WeylOp
+from .weyl import Lattice, WeylOp, decode_key
 
 __all__ = ["FockVector", "fock_act", "build_state", "weyl_act",
            "osc_a", "osc_astar", "osc_qd", "MIN_TRUNC"]
@@ -179,7 +179,7 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
     """
     out: dict[tuple, Scalar] = {}
     for key, scal in op.terms.items():
-        site_exp = {site: (a2, b2) for site, a2, b2 in key}
+        site_exp = {site: (a2, b2) for site, a2, b2 in decode_key(key)}
         if any(a2 % 2 or b2 % 2 for a2, b2 in site_exp.values()):
             raise ValueError("half-integer exponents have no Fock action here")
         for levels, c in v.coeffs.items():

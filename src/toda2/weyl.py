@@ -7,19 +7,29 @@ U^a V^b -> q^(2ab) V^b U^a is the integer power s^(2a*2b) of s = q^(1/2).
 
 The canonical (normal) form of a monomial is V_n^a U_n^b per site, sites in
 ascending order.  A :class:`WeylOp` is a merged sum of such monomials with
-:class:`~toda2.ring.Scalar` coefficients.  The coefficient keys are
-Kronecker-packed integers (:func:`~toda2.ring.pack_power`), so inside a product
-the s-phase and each monomial product are integer additions.
+:class:`~toda2.ring.Scalar` coefficients.  Both keys are Kronecker-packed
+integers in the format of :mod:`toda2.ring`.  A Weyl key gives site n digit
+2(n-1) for the doubled V power a2 and digit 2n-1 for the doubled U power b2,
+and 0 is the identity; :func:`decode_key` reads it back as ``(site, a2, b2)``
+triples.  The normal-ordered product of two monomials has the key ``k1 + k2``
+and the s-phase ``sum_n b1_n * a2_n``, which depends only on the U part of
+the left key and the V part of the right one.  The product kernel therefore
+groups the left operand by U part and the right one by V part, takes the
+phase once per pair of groups, and runs its inner loops on integer additions
+only.  The commutator is one fused pass of the same kind: ``k1 k2`` and
+``k2 k1`` share their key, so each pair adds ``c1 c2 (s^phi12 - s^phi21)``
+once and a pair with equal phases adds nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from .ring import Scalar, check_bound, pack_power, var_index, var_key
+from .ring import PACK_BITS, Scalar, check_bound, digits, pack_power, unpack_key, var_index, var_key
 
-__all__ = ["Lattice", "WeylOp", "TermCapExceeded", "TERM_CAP"]
+__all__ = ["Lattice", "WeylOp", "TermCapExceeded", "TERM_CAP", "decode_key"]
 
 # Guard against runaway expansions in exchange/commutativity checks.
 TERM_CAP = 10 ** 6
@@ -52,85 +62,178 @@ def _doubled(power) -> int:
     return int(d)
 
 
-# A term key is a tuple of (site, a2, b2): the normal-ordered factor
-# V_site^(a2/2) U_site^(b2/2), with (0, 0) sites omitted, sites ascending.
+def decode_key(key: int) -> tuple:
+    """The ``(site, a2, b2)`` triples of a packed Weyl key, the normal-ordered
+    factors V_site^(a2/2) U_site^(b2/2): sites ascending, (0, 0) sites omitted."""
+    sites: dict[int, list[int]] = {}
+    for i, d in unpack_key(key):
+        sites.setdefault(i // 2 + 1, [0, 0])[i % 2] = d
+    return tuple((n, a2, b2) for n, (a2, b2) in sites.items())
 
 
-def _key_merge(k1: tuple, k2: tuple) -> tuple[tuple, int]:
-    """Merge two normal-ordered keys; return (key, s_exponent) of the product."""
-    phase = 0
-    out = []
-    i = j = 0
-    n1, n2 = len(k1), len(k2)
-    while i < n1 and j < n2:
-        s1, a1, b1 = k1[i]
-        s2, a2, b2 = k2[j]
-        if s1 == s2:
-            phase += b1 * a2  # U^b1 V^a2 = q^(2 b1 a2) V^a2 U^b1, in doubled powers of s
-            a, b = a1 + a2, b1 + b2
-            if a or b:
-                out.append((s1, a, b))
-            i += 1
-            j += 1
-        elif s1 < s2:
-            out.append(k1[i])
-            i += 1
-        else:
-            out.append(k2[j])
-            j += 1
-    out.extend(k1[i:])
-    out.extend(k2[j:])
-    return tuple(out), phase
+def _grouped(terms: dict, size: int, part: int) -> tuple[dict, dict, int]:
+    """The terms grouped by the digits of one part of their keys (0: V, 1: U).
+
+    Each term is listed as (key, coefficient items, index of the other part's
+    digits in ``others``).  Returns the groups, ``others`` and the largest
+    |digit| of any key.
+    """
+    groups: dict[tuple, list] = {}
+    others: dict[tuple, int] = {}
+    bound = 0
+    for k, c in terms.items():
+        ds = digits(k, 0, 2 * size)
+        bound = max(bound, max(ds), -min(ds))
+        other = others.setdefault(tuple(ds[1 - part::2]), len(others))
+        groups.setdefault(tuple(ds[part::2]), []).append((k, tuple(c.terms.items()), other))
+    return groups, others, bound
 
 
-def _product(terms1: dict, terms2: dict) -> dict[tuple, Scalar]:
+def _scalar_valued(terms: dict) -> bool:
+    return len(terms) == 1 and 0 in terms
+
+
+def _operands(terms1: dict, terms2: dict, size: int) -> tuple[tuple, tuple]:
+    """The left operand grouped by the U part of its keys and the right one by
+    the V part, each with its index of the other part (see :func:`_grouped`);
+    OverflowError if a key sum could carry."""
+    if _scalar_valued(terms1) or _scalar_valued(terms2):
+        # the identity key merges with phase 0 and moves no digit
+        return (({(): [(k, tuple(c.terms.items()), 0) for k, c in terms1.items()]}, {(): 0}),
+                ({(): [(k, tuple(c.terms.items()), 0) for k, c in terms2.items()]}, {(): 0}))
+    left, v1s, bound1 = _grouped(terms1, size, 1)
+    right, u2s, bound2 = _grouped(terms2, size, 0)
+    # a key sum adds two digits each below 2**29: below the guard it cannot carry
+    check_bound(bound1 + bound2)
+    return (left, v1s), (right, u2s)
+
+
+def _coeff_bound(terms1: dict, terms2: dict, phases) -> int:
+    """The exponent bound of a kernel's coefficients: each exponent sums one
+    of a left coefficient, one of a right coefficient and a phase."""
+    return check_bound(max((c.exp_bound for c in terms1.values()), default=0)
+                       + max((c.exp_bound for c in terms2.values()), default=0)
+                       + max(map(abs, phases), default=0))
+
+
+def _integral(terms: dict) -> bool:
+    return all(type(x) is int for c in terms.values() for x in c.terms.values())
+
+
+def _rows(acc: dict, bound: int, canonical: bool) -> dict[int, Scalar]:
+    """One Scalar per accumulated row; rows of integer products are already canonical."""
+    make = Scalar._of if canonical else Scalar
+    return {k: make(row, bound) for k, row in acc.items()}
+
+
+def _product(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
     """Terms of the normal-ordered product of two Weyl term maps.
 
-    One fused loop: each pair of Weyl keys is merged once, and its s-phase
-    and the products of the two coefficients' terms go straight into a raw
-    accumulator over packed scalar keys.  One Scalar is built per surviving
-    output key.
+    The s-phase is taken once per pair of a left U part and a right V part.
+    Each pair of keys is merged by one addition, and the products of the two
+    coefficients' terms go straight into a raw accumulator over packed scalar
+    keys.  One Scalar is built per surviving output key.
     """
+    (left, _), (right, _) = _operands(terms1, terms2, size)
     s_idx = var_index("s")
-    shifts = {0: 0}
-    acc: dict[tuple, dict[int, int | Fraction]] = {}
+    shifts = {}
+    acc: dict[int, dict[int, int | Fraction]] = {}
     # each sum m1 + m2 is a new int object, and the same key recurs across
     # rows: every row stores the one object ``keys`` holds for it, which keeps
     # a product's rows small
     keys: dict[int, int] = {}
-    for k1, c1 in terms1.items():
-        t1 = c1.terms
-        for k2, c2 in terms2.items():
-            k, ph = _key_merge(k1, k2)
+    for u1, lefts in left.items():
+        for v2, rights in right.items():
+            ph = sum(map(mul, u1, v2))
             sh = shifts.get(ph)
             if sh is None:
                 sh = shifts[ph] = pack_power(s_idx, ph)
-            row = acc.get(k)
-            if row is None:
-                row = acc[k] = {}
-            t2 = c2.terms
-            for m1, x1 in t1.items():
-                m1 += sh
-                for m2, x2 in t2.items():
-                    m = m1 + m2
-                    x = row.get(m)
-                    if x is None:
-                        row[keys.setdefault(m, m)] = x1 * x2
-                        continue
-                    x += x1 * x2
-                    if x:
-                        row[m] = x
-                    else:
-                        del row[m]
-            if not row:
-                del acc[k]
-            elif len(acc) > TERM_CAP:
-                raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
+            for k1, t1, _ in lefts:
+                for k2, t2, _ in rights:
+                    k = k1 + k2
+                    row = acc.get(k)
+                    if row is None:
+                        row = acc[k] = {}
+                    for m1, x1 in t1:
+                        m1 += sh
+                        for m2, x2 in t2:
+                            m = m1 + m2
+                            x = row.get(m)
+                            if x is None:
+                                row[keys.setdefault(m, m)] = x1 * x2
+                                continue
+                            x += x1 * x2
+                            if x:
+                                row[m] = x
+                            else:
+                                del row[m]
+                    if not row:
+                        del acc[k]
+                    elif len(acc) > TERM_CAP:
+                        raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
     # each sum above adds three digits below 2**29, which cannot carry
-    bound = check_bound(max((c.exp_bound for c in terms1.values()), default=0)
-                        + max((c.exp_bound for c in terms2.values()), default=0)
-                        + max(map(abs, shifts)))
-    return {k: Scalar(row, bound) for k, row in acc.items()}
+    bound = _coeff_bound(terms1, terms2, shifts)
+    return _rows(acc, bound, _integral(terms1) and _integral(terms2))
+
+
+def _commutator(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
+    """Terms of ``a*b - b*a`` for two Weyl term maps, in one pass.
+
+    A key pair adds ``c1 c2 s^phi12`` and ``-c1 c2 s^phi21`` at ``k1 + k2``;
+    pairs with ``phi12 == phi21`` commute and are skipped.  phi12 comes once
+    per group pair, as in :func:`_product`; phi21 pairs the left V part with
+    the right U part and is read from a table over the distinct parts.
+    """
+    (left, v1s), (right, u2s) = _operands(terms1, terms2, size)
+    # phi21 of every left V part with every right U part
+    table = [[sum(map(mul, v1, u2)) for u2 in u2s] for v1 in v1s]
+    s_idx = var_index("s")
+    shifts = {ph: pack_power(s_idx, ph) for row in table for ph in row}
+    acc: dict[int, dict[int, int | Fraction]] = {}
+    keys: dict[int, int] = {}
+    for u1, lefts in left.items():
+        for v2, rights in right.items():
+            ph12 = sum(map(mul, u1, v2))
+            sh12 = shifts.get(ph12)
+            if sh12 is None:
+                sh12 = shifts[ph12] = pack_power(s_idx, ph12)
+            for k1, t1, i1 in lefts:
+                phases21 = table[i1]
+                for k2, t2, i2 in rights:
+                    ph21 = phases21[i2]
+                    if ph21 == ph12:
+                        continue
+                    sh21 = shifts[ph21]
+                    k = k1 + k2
+                    row = acc.get(k)
+                    if row is None:
+                        row = acc[k] = {}
+                    for m1, x1 in t1:
+                        m12, m21 = m1 + sh12, m1 + sh21
+                        for m2, x2 in t2:
+                            x = x1 * x2
+                            m = m12 + m2
+                            y = row.get(m)
+                            if y is None:
+                                row[keys.setdefault(m, m)] = x
+                            elif y != -x:
+                                row[m] = y + x
+                            else:
+                                del row[m]
+                            m = m21 + m2
+                            y = row.get(m)
+                            if y is None:
+                                row[keys.setdefault(m, m)] = -x
+                            elif y != x:
+                                row[m] = y - x
+                            else:
+                                del row[m]
+                    if not row:
+                        del acc[k]
+                    elif len(acc) > TERM_CAP:
+                        raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
+    bound = _coeff_bound(terms1, terms2, shifts)
+    return _rows(acc, bound, _integral(terms1) and _integral(terms2))
 
 
 class WeylOp:
@@ -138,9 +241,17 @@ class WeylOp:
 
     __slots__ = ("lattice", "terms")
 
-    def __init__(self, lattice: Lattice, terms: dict[tuple, Scalar]):
+    def __init__(self, lattice: Lattice, terms: dict[int, Scalar]):
         self.lattice = lattice
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+
+    @classmethod
+    def _of(cls, lattice: Lattice, terms: dict[int, Scalar]) -> "WeylOp":
+        """An operator over ``terms`` that hold no zero coefficient; nothing is filtered."""
+        self = object.__new__(cls)
+        self.lattice = lattice
+        self.terms = terms
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -151,7 +262,7 @@ class WeylOp:
     @classmethod
     def scalar(cls, coeff, lattice: Lattice) -> "WeylOp":
         c = coeff if isinstance(coeff, Scalar) else Scalar.const(coeff)
-        return cls(lattice, {(): c})
+        return cls(lattice, {0: c})
 
     @classmethod
     def one(cls, lattice: Lattice) -> "WeylOp":
@@ -170,21 +281,22 @@ class WeylOp:
         are absorbed into the coefficient.
         """
         c = coeff if isinstance(coeff, Scalar) else Scalar.const(coeff)
-        key: tuple = ()
+        key = 0
         s_exp = 0
         for site, kind, power in factors:
             n = lattice.site(site)
             d = _doubled(power)
-            if not d:
-                continue
+            a2, b2 = digits(key, 2 * n - 2, 2)
             if kind == "V":
-                fk = ((n, d, 0),)
+                # U^b V^a = q^(2ba) V^a U^b, in doubled powers of s
+                s_exp += b2 * d
+                i, e = 2 * n - 2, a2 + d
             elif kind == "U":
-                fk = ((n, 0, d),)
+                i, e = 2 * n - 1, b2 + d
             else:
                 raise ValueError(f"unknown generator kind {kind!r}")
-            key, ph = _key_merge(key, fk)
-            s_exp += ph
+            check_bound(abs(e))
+            key += d << (PACK_BITS * i)
         return cls(lattice, {key: c.shift(var_key("s", s_exp))})
 
     # -- linear structure ----------------------------------------------------
@@ -209,12 +321,12 @@ class WeylOp:
                 out.pop(k, None)
             else:
                 out[k] = nc
-        return WeylOp(self.lattice, out)
+        return WeylOp._of(self.lattice, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylOp(self.lattice, {k: -c for k, c in self.terms.items()})
+        return WeylOp._of(self.lattice, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -232,7 +344,7 @@ class WeylOp:
         if not isinstance(other, WeylOp):
             return NotImplemented
         self._check(other)
-        return WeylOp(self.lattice, _product(self.terms, other.terms))
+        return WeylOp._of(self.lattice, _product(self.terms, other.terms, self.lattice.size))
 
     def __rmul__(self, other):
         # Only scalars reach here; they commute with everything.
@@ -241,13 +353,15 @@ class WeylOp:
         return NotImplemented
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
-        return self * other - other * self
+        """``self * other - other * self``, in one pass over the key pairs."""
+        self._check(other)
+        return WeylOp._of(self.lattice, _commutator(self.terms, other.terms, self.lattice.size))
 
     # -- algebra maps --------------------------------------------------------
 
     def substitute(self, bindings) -> "WeylOp":
         """Apply a coefficient-ring substitution to every term."""
-        out: dict[tuple, Scalar] = {}
+        out: dict[int, Scalar] = {}
         for k, c in self.terms.items():
             nc = c.substitute(bindings)
             if not nc.is_zero():
@@ -260,9 +374,9 @@ class WeylOp:
 
         Acts as the algebra automorphism U_n -> d2^(-1) U_n, V_n -> d2 V_n.
         """
-        out: dict[tuple, Scalar] = {}
+        out: dict[int, Scalar] = {}
         for k, c in self.terms.items():
-            w = sum(a2 - b2 for _, a2, b2 in k)
+            w = sum(a2 - b2 for _, a2, b2 in decode_key(k))
             if w % 2:
                 raise ValueError("conjugation would need a half-integer power of d2")
             out[k] = c.shift(var_key("d2", w // 2))
@@ -274,9 +388,9 @@ class WeylOp:
             raise ValueError("only monomial Weyl operators are invertible")
         (k, c), = self.terms.items()
         # (V^a U^b)^(-1) = q^(2ab) V^(-a) U^(-b) per site.
-        phase = sum(a2 * b2 for _, a2, b2 in k)
+        phase = sum(a2 * b2 for _, a2, b2 in decode_key(k))
         inv_c = c.monomial_inverse().shift(var_key("s", phase))
-        return WeylOp(self.lattice, {tuple((n, -a2, -b2) for n, a2, b2 in k): inv_c})
+        return WeylOp(self.lattice, {-k: inv_c})
 
     # -- inspection ----------------------------------------------------------
 
@@ -312,10 +426,9 @@ class WeylOp:
         if not self.terms:
             return "0"
         parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
+        for k, c in sorted(self.terms.items(), key=lambda kc: decode_key(kc[0])):
             factors = []
-            for site, a2, b2 in k:
+            for site, a2, b2 in decode_key(k):
                 if a2:
                     factors.append(f"V{site}^{_fmt_half(a2)}")
                 if b2:

@@ -20,6 +20,9 @@ from toda2.reports import DEGENERATE, PASS
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 CATALOGUE_REFERENCE = REFERENCE / "catalogue.json"
 SITES4_REFERENCE = REFERENCE / "sites4.json"
+# rows of the three commutator checks at 5 sites, witness text included,
+# recorded before the commutator became one fused pass
+SITES5_REFERENCE = Path(__file__).resolve().parent / "reference" / "sites5_commute.json"
 
 
 def _run(ids, **cfg):
@@ -187,6 +190,20 @@ def test_sites4_rows_match_reference(tmp_path):
           f"match the reference rows ({elapsed:.1f}s)")
     assert [r["id"] for r in ref] == ids
     assert _comparable(rows) == _comparable(ref)
+
+
+def test_sites5_commutator_rows_match_reference(tmp_path):
+    ref = json.loads(SITES5_REFERENCE.read_text())
+    path = tmp_path / "sites5.json"
+    t0 = time.perf_counter()
+    assert cli.main([*ref["argv"], "--json", str(path)]) == 0
+    elapsed = time.perf_counter() - t0
+    rows = [{k: v for k, v in r.items() if k != "elapsed_ms"}
+            for r in json.loads(path.read_text())]
+    ok = rows == ref["rows"]
+    print(f"ACCEPTANCE  5 [{'PASS' if ok else 'FAIL'}] commuting charges and traces at "
+          f"N=5 match the recorded rows ({elapsed:.1f}s)")
+    assert rows == ref["rows"]
 
 
 def test_listed_defaults_are_the_reported_params():

@@ -144,3 +144,19 @@ def test_term_cap_row_fails_and_restores_the_cap(tmp_path):
         == "monodromy quadratic exchange algebra"
     assert rows["AD"]["status"] == "pass"
     assert weyl.TERM_CAP == 10 ** 6
+
+
+def test_term_cap_fails_the_fused_commutator_and_leaves_the_next_check_its_cap(tmp_path):
+    from toda2 import weyl
+
+    # commute holds more than 10 keys in one commutator; distant_commute, which
+    # runs next, also takes commutators and stays within 10 keys
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "commute", "distant_commute", "--max-terms", "10",
+                     "--json", str(out)]) == 1
+    rows = {r["id"]: r for r in json.loads(out.read_text())}
+    assert rows["commute"]["status"] == "fail"
+    assert rows["commute"]["witness"] == "term cap exceeded: product exceeds 10 terms"
+    assert rows["commute"]["params"] == {"max_terms": 10, "seed": 0}
+    assert rows["distant_commute"]["status"] == "pass"
+    assert weyl.TERM_CAP == 10 ** 6

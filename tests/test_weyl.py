@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toda2.ring import Scalar, unpack_key, var_key
-from toda2.weyl import Lattice, TermCapExceeded, WeylOp, _key_merge
+from toda2.weyl import Lattice, TermCapExceeded, WeylOp, decode_key
 import toda2.weyl as weyl_mod
 
 LAT = Lattice(5, False)
@@ -52,6 +52,11 @@ def naive_normal_order(factors, lat=LAT):
     return s_exp, tup
 
 
+def decoded(op):
+    """The terms of ``op`` keyed by ``(site, a2, b2)`` triples."""
+    return {decode_key(k): c for k, c in op.terms.items()}
+
+
 def word_of(factors, lat=LAT):
     return WeylOp.word(lat, [(n, k, Fraction(d, 2)) for n, k, d in factors])
 
@@ -72,7 +77,7 @@ def test_half_power_reorder_quarter_step_oracle():
     out = gen(1, "U", h) * gen(1, "V", h)
     s_exp, key = naive_normal_order([(1, "U", 1), (1, "V", 1)])
     assert s_exp == 1
-    assert out == WeylOp(LAT, {key: spow(s_exp)})
+    assert decoded(out) == {key: spow(s_exp)}
 
 
 def test_word_against_naive_oracle_random():
@@ -81,8 +86,7 @@ def test_word_against_naive_oracle_random():
         factors = [(rng.randint(1, 4), rng.choice("UV"), rng.choice([-2, -1, 1, 2]))
                    for _ in range(rng.randint(1, 5))]
         s_exp, key = naive_normal_order(factors)
-        expect = WeylOp(LAT, {key: spow(s_exp)}) if key or True else None
-        assert word_of(factors) == expect
+        assert decoded(word_of(factors)) == {key: spow(s_exp)}
 
 
 def test_mul_associative_random_triples():
@@ -129,7 +133,7 @@ def test_normal_order_idempotent():
     assert rebuilt == a
     for key, coeff in a.terms.items():
         factors = []
-        for site, a2, b2 in key:
+        for site, a2, b2 in decode_key(key):
             if a2:
                 factors.append((site, "V", Fraction(a2, 2)))
             if b2:
@@ -144,7 +148,7 @@ def test_half_integer_closure_integer_s_powers():
         a = WeylOp.word(LAT, [(rng.randint(1, 4), rng.choice("UV"), h()) for _ in range(3)])
         b = WeylOp.word(LAT, [(rng.randint(1, 4), rng.choice("UV"), h()) for _ in range(3)])
         out = a * b
-        assert out.terms == reference_product(a, b)
+        assert decoded(out) == reference_product(a, b)
         for coeff in out.terms.values():
             for key in coeff.terms:
                 assert type(key) is int
@@ -211,21 +215,46 @@ def test_term_cap_guard(monkeypatch):
 def test_support_and_text():
     a = gen(2, "U") * gen(4, "V")
     # U2 V4 is one normal-ordered monomial on sites 2 and 4
-    assert list(a.terms) == [((2, 0, 2), (4, 2, 0))]
+    assert [decode_key(k) for k in a.terms] == [((2, 0, 2), (4, 2, 0))]
     assert "U2" in a.to_text() and "V4" in a.to_text()
 
 
 # -- the fused product kernel against the per-pair fold it replaced ---------------
 
 
+def tuple_merge(k1: tuple, k2: tuple) -> tuple[tuple, int]:
+    """Merge two normal-ordered ``(site, a2, b2)`` keys site by site; return
+    the key of the product and its s exponent."""
+    phase = 0
+    out = []
+    i = j = 0
+    while i < len(k1) and j < len(k2):
+        s1, a1, b1 = k1[i]
+        s2, a2, b2 = k2[j]
+        if s1 == s2:
+            phase += b1 * a2  # U^b1 V^a2 = q^(2 b1 a2) V^a2 U^b1, in doubled powers of s
+            if a1 + a2 or b1 + b2:
+                out.append((s1, a1 + a2, b1 + b2))
+            i += 1
+            j += 1
+        elif s1 < s2:
+            out.append(k1[i])
+            i += 1
+        else:
+            out.append(k2[j])
+            j += 1
+    return tuple(out + list(k1[i:]) + list(k2[j:])), phase
+
+
 def reference_product(a, b):
-    """``a * b`` the slow way: one Scalar product and one s-shift per term pair."""
+    """``a * b`` the slow way, over ``(site, a2, b2)`` keys: one tuple merge,
+    one Scalar product and one s-shift per term pair."""
     if not isinstance(b, WeylOp):
         b = WeylOp.scalar(b, a.lattice)
     out = {}
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
-            k, ph = _key_merge(k1, k2)
+    for k1, c1 in decoded(a).items():
+        for k2, c2 in decoded(b).items():
+            k, ph = tuple_merge(k1, k2)
             out[k] = out.get(k, Scalar.zero()) + (c1 * c2).shift(var_key("s", ph))
     return {k: c for k, c in out.items() if not c.is_zero()}
 
@@ -259,36 +288,44 @@ def test_kernel_matches_fold_on_monodromy_entries():
     others = [e for row in m.entries for e in row]
     for a in entries:
         for b in others:
-            assert (a * b).terms == reference_product(a, b)
-            assert (b * a).terms == reference_product(b, a)
+            assert decoded(a * b) == reference_product(a, b)
+            assert decoded(b * a) == reference_product(b, a)
+
+
+def canonical(op):
+    """Every coefficient of ``op`` is an ``int``, or a ``Fraction`` that is not one."""
+    return all(type(x) is int or x.denominator != 1
+               for c in op.terms.values() for x in c.terms.values())
 
 
 def test_kernel_matches_fold_on_random_half_integer_words():
     rng = random.Random(90210)
     for _ in range(60):
         a, b = rand_half_word_op(rng), rand_half_word_op(rng)
-        assert (a * b).terms == reference_product(a, b)
+        assert decoded(a * b) == reference_product(a, b)
+        assert canonical(a * b) and canonical(a.commutator(b))
+        # a product of integral operands is built without a rescan
+        ai, bi = a * 6, b * 6
+        assert canonical(ai * bi) and canonical(ai.commutator(bi))
 
 
 def cancelling_pair():
     # U1 * V1 = s^4 V1 U1 meets V1 * (-s^4 U1): the key V1 U1 cancels between
     # the second and third pairs; -s^4 U1^2 and V1^2 survive
-    u, v = ((1, 0, 2),), ((1, 2, 0),)
-    a = WeylOp(LAT, {u: Scalar.const(1), v: Scalar.const(1)})
-    b = WeylOp(LAT, {u: -spow(4), v: Scalar.const(1)})
-    return a, b
+    u, v = gen(1, "U"), gen(1, "V")
+    return u + v, u * -spow(4) + v
 
 
 def test_kernel_drops_a_key_that_cancels():
     a, b = cancelling_pair()
     out = a * b
-    assert out.terms == reference_product(a, b)
-    assert out.terms == {((1, 0, 4),): -spow(4), ((1, 4, 0),): Scalar.const(1)}
+    assert decoded(out) == reference_product(a, b)
+    assert decoded(out) == {((1, 0, 4),): -spow(4), ((1, 4, 0),): Scalar.const(1)}
     # a partial cancellation keeps only the surviving monomials of the key
     lam = Scalar.var("lam")
-    c = WeylOp(LAT, {((1, 0, 2),): -spow(4), ((1, 2, 0),): lam + 1})
-    assert (a * c).terms[((1, 2, 2),)] == spow(4) * lam
-    assert (a * c).terms == reference_product(a, c)
+    c = gen(1, "U") * -spow(4) + gen(1, "V") * (lam + 1)
+    assert decoded(a * c)[((1, 2, 2),)] == spow(4) * lam
+    assert decoded(a * c) == reference_product(a, c)
 
 
 def test_cancelled_key_does_not_count_against_the_cap(monkeypatch):
@@ -308,5 +345,102 @@ def test_kernel_scalar_operand_on_both_sides(c):
     for _ in range(10):
         a = rand_half_word_op(rng)
         expect = reference_product(a, c)
-        assert (a * c).terms == expect
-        assert (c * a).terms == expect
+        assert decoded(a * c) == expect
+        assert decoded(c * a) == expect
+
+
+# -- the fused commutator against a*b - b*a -------------------------------------
+
+
+def test_fused_commutator_matches_two_products_on_random_half_integer_words():
+    rng = random.Random(1618)
+    for _ in range(60):
+        a, b = rand_half_word_op(rng), rand_half_word_op(rng)
+        assert a.commutator(b).terms == (a * b - b * a).terms
+
+
+def test_fused_commutator_matches_two_products_on_monodromy_entries():
+    from toda2.quantum import monodromy
+    t = monodromy(3)
+    m = monodromy(3, Scalar.var("mu")).scale(Scalar.var("s") + Scalar.var("lam"))
+    entries = [e for row in t.entries for e in row]
+    others = [e for row in m.entries for e in row]
+    for a in entries:
+        for b in others:
+            assert a.commutator(b).terms == (a * b - b * a).terms
+
+
+def test_fused_commutator_on_the_cancelling_pair():
+    a, b = cancelling_pair()
+    out = a.commutator(b)
+    assert out.terms == (a * b - b * a).terms
+    assert decoded(out) == reference_commutator(a, b) == {((1, 2, 2),): spow(8) - 1}
+    assert b.commutator(a) == -out
+
+
+def reference_commutator(a, b):
+    ab, ba = reference_product(a, b), reference_product(b, a)
+    out = dict(ab)
+    for k, c in ba.items():
+        out[k] = out.get(k, Scalar.zero()) - c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def test_fused_commutator_of_commuting_operators_is_zero():
+    from toda2.quantum import ModelParams, hamiltonians
+    lam = Scalar.var("lam")
+    a = gen(1, "U", Fraction(1, 2)) * gen(1, "V", -1) + gen(2, "V") * lam
+    for b in (gen(3, "U") * gen(4, "V", Fraction(3, 2)) + gen(5, "U", -1),
+              WeylOp.scalar(lam + 2, LAT), a, a * a + a * lam):
+        assert a.commutator(b).is_zero()
+        assert b.commutator(a).is_zero()
+    hs = hamiltonians(3, ModelParams.generic())
+    for h in hs:
+        for g in hs:
+            assert h.commutator(g).is_zero()
+
+
+def test_commutator_cap_counts_its_own_keys(monkeypatch):
+    # U_n and V_m commute unless n == m: the product has 16 keys, the
+    # commutator only the 4 keys V_n U_n
+    a = gen(1, "U") + gen(2, "U") + gen(3, "U") + gen(4, "U")
+    b = gen(1, "V") + gen(2, "V") + gen(3, "V") + gen(4, "V")
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 4)
+    assert decoded(a.commutator(b)) == {((n, 2, 2),): spow(4) - 1 for n in range(1, 5)}
+    with pytest.raises(TermCapExceeded):
+        _ = a * b
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 3)
+    with pytest.raises(TermCapExceeded):
+        a.commutator(b)
+
+
+# -- the digit guard of the packed keys -----------------------------------------
+
+
+def test_weyl_digit_guard_raises_before_any_carry():
+    lat = Lattice(2, False)
+    # V1^(2**27) stores the doubled digit 2**28; its square would store 2**29
+    v = WeylOp.generator(lat, 1, "V", 2 ** 27)
+    u = WeylOp.generator(lat, 2, "U", -2 ** 27)
+    vu = WeylOp.word(lat, [(1, "V", 2 ** 27), (2, "U", -2 ** 27)])
+    for a, b in ((v, v), (u, u), (vu, v), (u, vu)):
+        with pytest.raises(OverflowError):
+            _ = a * b
+        with pytest.raises(OverflowError):
+            a.commutator(b)
+    with pytest.raises(OverflowError):
+        WeylOp.word(lat, [(1, "V", 2 ** 27), (1, "V", 2 ** 27)])
+    with pytest.raises(OverflowError):
+        WeylOp.generator(lat, 1, "U", 2 ** 28)
+    # just inside: doubled digits of +-(2**28 - 1) square to +-(2**29 - 2), with
+    # no carry into a neighbouring digit, whatever the signs next to each other
+    h = Fraction(2 ** 28 - 1, 2)
+    top = 2 ** 29 - 2
+    x = WeylOp.word(lat, [(1, "V", h), (2, "U", -h)])
+    y = WeylOp.word(lat, [(1, "U", h), (2, "V", -h)])
+    assert decoded(x * x) == {((1, top, 0), (2, 0, -top)): Scalar.const(1)}
+    assert decoded(y * y) == {((1, 0, top), (2, -top, 0)): Scalar.const(1)}
+    assert x * x == WeylOp.word(lat, [(1, "V", 2 * h), (2, "U", -2 * h)])
+    # x * y fits digit by digit, but its phase (2**28 - 1)**2 does not
+    with pytest.raises(OverflowError):
+        _ = x * y

@@ -6,7 +6,7 @@ constants) let ``V_n^(a/2)`` act as multiplication by ``y_n^a`` and
 q^2 V_n U_n``, and for formal ``s`` the action is faithful, so a product is
 right iff acting with it equals acting with its factors in turn.  The action
 is built from :class:`Scalar` substitution and products alone and never calls
-the Weyl product or its key merge.
+the Weyl product or the commutator; it reads each key through ``decode_key``.
 """
 
 from fractions import Fraction
@@ -15,7 +15,7 @@ import pytest
 
 from toda2.quantum import monodromy
 from toda2.ring import Scalar
-from toda2.weyl import Lattice, WeylOp
+from toda2.weyl import Lattice, WeylOp, decode_key
 
 pytest.importorskip("hypothesis")
 
@@ -32,8 +32,9 @@ def act(op: WeylOp, f: Scalar) -> Scalar:
     """The image of ``f`` under ``op``: per term, shift by U, then multiply by V."""
     total = Scalar.zero()
     for key, coeff in op.terms.items():
-        shifts = {f"y{n}": Scalar.monomial({"s": b2, f"y{n}": 1}) for n, _, b2 in key if b2}
-        v = Scalar.monomial({f"y{n}": a2 for n, a2, _ in key}, 1)
+        sites = decode_key(key)
+        shifts = {f"y{n}": Scalar.monomial({"s": b2, f"y{n}": 1}) for n, _, b2 in sites if b2}
+        v = Scalar.monomial({f"y{n}": a2 for n, a2, _ in sites}, 1)
         total = total + coeff * v * f.substitute(shifts)
     return total
 
@@ -66,6 +67,12 @@ test_functions = st.builds(
 @given(operators, operators, test_functions)
 def test_product_acts_as_composition(p, q, f):
     assert act(p * q, f) == act(p, act(q, f))
+
+
+@ORACLE
+@given(operators, operators, test_functions)
+def test_commutator_acts_as_the_difference_of_compositions(p, q, f):
+    assert act(p.commutator(q), f) == act(p, act(q, f)) - act(q, act(p, f))
 
 
 @ORACLE
