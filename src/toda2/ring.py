@@ -71,21 +71,6 @@ def pack_power(idx: int, power: int) -> int:
     return power << (PACK_BITS * idx)
 
 
-def unpack_key(packed: int) -> tuple:
-    """The ``(var_index, exponent)`` pairs of a packed key, by index, zeros omitted."""
-    out = []
-    v = 0
-    while packed:
-        e = packed & _DIGIT
-        if e >= _HALF:
-            e -= 1 << PACK_BITS
-        if e:
-            out.append((v, e))
-        packed = (packed - e) >> PACK_BITS
-        v += 1
-    return tuple(out)
-
-
 def digits(packed: int, first: int, count: int) -> list[int]:
     """The signed digits ``first .. first + count - 1`` of a packed key.
 
@@ -103,6 +88,13 @@ def digits(packed: int, first: int, count: int) -> list[int]:
         e = out[j] = ((packed + _HALF) & _DIGIT) - _HALF
         packed = (packed - e) >> PACK_BITS
     return out
+
+
+def unpack_key(packed: int) -> tuple:
+    """The ``(var_index, exponent)`` pairs of a packed key, by index, zeros omitted."""
+    # a nonzero top digit v makes |packed| at least 2**(PACK_BITS * v - 1)
+    ds = digits(packed, 0, packed.bit_length() // PACK_BITS + 1)
+    return tuple((v, e) for v, e in enumerate(ds) if e)
 
 
 def _key_bound(packed: int) -> int:

@@ -71,41 +71,42 @@ def decode_key(key: int) -> tuple:
     return tuple((n, a2, b2) for n, (a2, b2) in sites.items())
 
 
-def _grouped(terms: dict, size: int, part: int) -> tuple[dict, dict, int]:
-    """The terms grouped by the digits of one part of their keys (0: V, 1: U).
-
-    Each term is listed as (key, coefficient items, index of the other part's
-    digits in ``others``).  Returns the groups, ``others`` and the largest
-    |digit| of any key.
-    """
+def _grouped(terms: dict, size: int, part: int) -> tuple[dict, int]:
+    """The terms as (key, coefficient items), grouped by the digits of one part
+    of their keys (0: V, 1: U), and the largest |digit| of any key."""
     groups: dict[tuple, list] = {}
-    others: dict[tuple, int] = {}
     bound = 0
     for k, c in terms.items():
         ds = digits(k, 0, 2 * size)
         bound = max(bound, max(ds), -min(ds))
-        other = others.setdefault(tuple(ds[1 - part::2]), len(others))
-        groups.setdefault(tuple(ds[part::2]), []).append((k, tuple(c.terms.items()), other))
-    return groups, others, bound
+        groups.setdefault(tuple(ds[part::2]), []).append((k, tuple(c.terms.items())))
+    return groups, bound
 
 
-def _scalar_valued(terms: dict) -> bool:
-    return len(terms) == 1 and 0 in terms
-
-
-def _operands(terms1: dict, terms2: dict, size: int) -> tuple[tuple, tuple]:
+def _operands(terms1: dict, terms2: dict, size: int) -> tuple[dict, dict]:
     """The left operand grouped by the U part of its keys and the right one by
-    the V part, each with its index of the other part (see :func:`_grouped`);
-    OverflowError if a key sum could carry."""
-    if _scalar_valued(terms1) or _scalar_valued(terms2):
-        # the identity key merges with phase 0 and moves no digit
-        return (({(): [(k, tuple(c.terms.items()), 0) for k, c in terms1.items()]}, {(): 0}),
-                ({(): [(k, tuple(c.terms.items()), 0) for k, c in terms2.items()]}, {(): 0}))
-    left, v1s, bound1 = _grouped(terms1, size, 1)
-    right, u2s, bound2 = _grouped(terms2, size, 0)
+    the V part (see :func:`_grouped`); OverflowError if a key sum could carry."""
+    if (len(terms1) == 1 and 0 in terms1) or (len(terms2) == 1 and 0 in terms2):
+        # a scalar-valued operand merges with phase 0 and moves no digit, so
+        # neither side is grouped: decoding every key of the other operand
+        # costs the sites4 command about an eighth of its time
+        return ({(): [(k, tuple(c.terms.items())) for k, c in terms1.items()]},
+                {(): [(k, tuple(c.terms.items())) for k, c in terms2.items()]})
+    left, bound1 = _grouped(terms1, size, 1)
+    right, bound2 = _grouped(terms2, size, 0)
     # a key sum adds two digits each below 2**29: below the guard it cannot carry
     check_bound(bound1 + bound2)
-    return (left, v1s), (right, u2s)
+    return left, right
+
+
+def _indexed(groups: dict, size: int, part: int) -> tuple[dict, list]:
+    """The groups with each term extended by the index of the digits of the
+    other part (0: V, 1: U) of its key among the distinct ones, and those."""
+    parts: dict[tuple, int] = {}
+    out = {g: [(k, t, parts.setdefault(tuple(digits(k, 0, 2 * size)[part::2]), len(parts)))
+               for k, t in ts]
+           for g, ts in groups.items()}
+    return out, list(parts)
 
 
 def _coeff_bound(terms1: dict, terms2: dict, phases) -> int:
@@ -134,7 +135,7 @@ def _product(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
     coefficients' terms go straight into a raw accumulator over packed scalar
     keys.  One Scalar is built per surviving output key.
     """
-    (left, _), (right, _) = _operands(terms1, terms2, size)
+    left, right = _operands(terms1, terms2, size)
     s_idx = var_index("s")
     shifts = {}
     acc: dict[int, dict[int, int | Fraction]] = {}
@@ -148,8 +149,8 @@ def _product(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
             sh = shifts.get(ph)
             if sh is None:
                 sh = shifts[ph] = pack_power(s_idx, ph)
-            for k1, t1, _ in lefts:
-                for k2, t2, _ in rights:
+            for k1, t1 in lefts:
+                for k2, t2 in rights:
                     k = k1 + k2
                     row = acc.get(k)
                     if row is None:
@@ -184,7 +185,9 @@ def _commutator(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
     per group pair, as in :func:`_product`; phi21 pairs the left V part with
     the right U part and is read from a table over the distinct parts.
     """
-    (left, v1s), (right, u2s) = _operands(terms1, terms2, size)
+    left, right = _operands(terms1, terms2, size)
+    left, v1s = _indexed(left, size, 0)
+    right, u2s = _indexed(right, size, 1)
     # phi21 of every left V part with every right U part
     table = [[sum(map(mul, v1, u2)) for u2 in u2s] for v1 in v1s]
     s_idx = var_index("s")
