@@ -158,7 +158,7 @@ def check_classical(check_id: str, N: int, mutate: bool = False):
             den21 = -den12
             rhs = (d12.mul(L1).sub(L1.mul(d12))).scale(den21).sub(
                 (d21.mul(L2).sub(L2.mul(d21))).scale(den12))
-            res, _ = BM.scale(den12 * den21).residual(rhs)
+            res = BM.scale(den12 * den21).sub(rhs)
             return [("entry brackets vs commutator form", res)]
         r12 = build_structure("r12", chart)
         a12 = build_structure("a12", chart)
@@ -171,7 +171,7 @@ def check_classical(check_id: str, N: int, mutate: bool = False):
             .add(L12.mul(a12).scale(two).scale(den12)) \
             .sub(L1.mul(a12).mul(L2).scale(two).scale(den12)) \
             .sub(L2.mul(a12).mul(L1).scale(two).scale(den12))
-        res, _ = BM.scale(den12).residual(rhs)
+        res = BM.scale(den12).sub(rhs)
         return [("entry brackets vs explicit form", res)]
 
     if check_id == "involution":

@@ -19,15 +19,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="list every check id with its defaults")
 
+    defaults = RunConfig()
     p_ver = sub.add_parser("verify", help="run checks and write a JSON report")
     p_ver.add_argument("ids", nargs="+",
                        help="check ids to run, or 'all'")
-    p_ver.add_argument("--sites", type=int, default=3, metavar="N",
-                       help="chain length for size-parameterised checks (default 3)")
-    p_ver.add_argument("--trunc", type=int, default=6, metavar="K",
-                       help="level truncation for the oscillator suites (default 6)")
-    p_ver.add_argument("--max-terms", type=int, default=10 ** 6, metavar="M",
-                       help="term-count guard for operator products")
+    p_ver.add_argument("--sites", type=int, default=defaults.sites, metavar="N",
+                       help="chain length for size-parameterised checks (default %(default)s)")
+    p_ver.add_argument("--trunc", type=int, default=defaults.trunc, metavar="K",
+                       help="level truncation for the oscillator suites (default %(default)s)")
+    p_ver.add_argument("--max-terms", type=int, default=defaults.max_terms, metavar="M",
+                       help="term-count guard for operator products (default %(default)s)")
     p_ver.add_argument("--json", metavar="PATH", default=None,
                        help="write the JSON report to this path")
     p_ver.add_argument("--seed", type=int, default=0, metavar="S",

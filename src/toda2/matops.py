@@ -105,11 +105,6 @@ class OpMatrix:
             raise TypeError("determinant requires commutative entries")
         return _det(self.entries)
 
-    def residual(self, other: "OpMatrix") -> tuple["OpMatrix", bool]:
-        """Entrywise difference, plus all-zero flag."""
-        diff = self.sub(other)
-        return diff, diff.is_zero()
-
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
 
@@ -150,14 +145,11 @@ class OpMatrix:
             for j in range(n):
                 minor = [[entries[r][c] for c in range(n) if c != j]
                          for r in range(n) if r != i]
-                cof = _det(minor) if minor else _one_fraction(entries[0][0])
+                cof = _det(minor) if minor else ScalarFraction(1)
                 if (i + j) % 2:
                     cof = -cof
                 adj[j][i] = cof / d
         return OpMatrix(adj)
-
-    def to_text(self) -> list[list[str]]:
-        return [[x.to_text() for x in row] for row in self.entries]
 
     def __repr__(self):
         return f"OpMatrix({self.rows}x{self.cols})"
@@ -167,12 +159,6 @@ def _as_fraction(x):
     if isinstance(x, Scalar):
         return ScalarFraction(x)
     return x
-
-
-def _one_fraction(sample):
-    if isinstance(sample, ScalarFraction):
-        return ScalarFraction(1)
-    return Scalar.const(1)
 
 
 def _det(entries):
@@ -215,23 +201,23 @@ def tensor_embed(m: OpMatrix, leg: int) -> OpMatrix:
     return OpMatrix(out)
 
 
-def embed_two_leg(m: OpMatrix, legs: tuple[int, int], nlegs: int = 3) -> OpMatrix:
-    """Embed a two-leg 4x4 matrix into an ``nlegs``-fold tensor product."""
+def embed_two_leg(m: OpMatrix, legs: tuple[int, int]) -> OpMatrix:
+    """Embed a two-leg 4x4 matrix on ``legs`` of C^2 (x) C^2 (x) C^2, as the
+    identity on the third leg (leg 1 is the leading bit of a basis index)."""
     if (m.rows, m.cols) != (4, 4):
         raise ValueError("embed_two_leg expects a 4x4 matrix")
     l1, l2 = legs
-    dim = 2 ** nlegs
+    (spare,) = {1, 2, 3} - {l1, l2}
+
+    def index(i: int, x: int) -> int:
+        # basis index of m's index i = (bit on l1, bit on l2) and bit x on the spare leg
+        bits = {l1: i >> 1, l2: i & 1, spare: x}
+        return 4 * bits[1] + 2 * bits[2] + bits[3]
+
     zero = m.entries[0][0].zero_like()
-    out = [[zero] * dim for _ in range(dim)]
-    for r in range(dim):
-        rbits = [(r >> (nlegs - 1 - k)) & 1 for k in range(nlegs)]
-        for c in range(dim):
-            cbits = [(c >> (nlegs - 1 - k)) & 1 for k in range(nlegs)]
-            ok = all(rbits[k] == cbits[k] for k in range(nlegs)
-                     if k not in (l1 - 1, l2 - 1))
-            if not ok:
-                continue
-            mr = 2 * rbits[l1 - 1] + rbits[l2 - 1]
-            mc = 2 * cbits[l1 - 1] + cbits[l2 - 1]
-            out[r][c] = m.entries[mr][mc]
+    out = [[zero] * 8 for _ in range(8)]
+    for i in range(4):
+        for j in range(4):
+            for x in (0, 1):
+                out[index(i, x)][index(j, x)] = m.entries[i][j]
     return OpMatrix(out)

@@ -63,23 +63,18 @@ class Chart:
         return idx
 
     def _set_bracket(self, g1: str, g2: str, value: Scalar) -> None:
+        """Store {g1, g2} = value and {g2, g1} = -value."""
         i, j = var_index(g1), var_index(g2)
         if i == j:
             raise ValueError("diagonal bracket entries are identically zero")
-        if i > j:
-            i, j, value = j, i, -value
         if not value.is_zero():
             self._table[(i, j)] = value
+            self._table[(j, i)] = -value
             self._table_bound = max(self._table_bound, value.exp_bound)
 
     def table(self, i: int, j: int) -> Scalar | None:
         """Bracket of two generator variables by variable index (None if zero)."""
-        if i == j:
-            return None
-        if i < j:
-            return self._table.get((i, j))
-        v = self._table.get((j, i))
-        return None if v is None else -v
+        return self._table.get((i, j))
 
     # -- element constructors ------------------------------------------------
 
@@ -95,13 +90,14 @@ class Chart:
         # a result exponent sums one of p, one of q, a removed generator and one of the table
         bound = check_bound(p.exp_bound + q.exp_bound + 1 + self._table_bound)
         left, right = self._gen_exponents(p), self._gen_exponents(q)
+        table = self._table
         out: dict[int, int | Fraction] = {}
         for k1, c1, e1 in left:
             for k2, c2, e2 in right:
                 base = k1 + k2
                 for vi, ei, ui in e1:
                     for vj, ej, uj in e2:
-                        t = self.table(vi, vj)
+                        t = table.get((vi, vj))
                         if t is None:
                             continue
                         key = base - ui - uj

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import classical, poisson, quantum, stoch
+from . import classical, poisson, quantum, stoch, weyl
 from .reports import DEGENERATE, FAIL, PASS, CheckReport, report_from_residuals
 
 __all__ = ["RunConfig", "CheckDef", "REGISTRY", "run_checks", "list_checks"]
@@ -22,7 +22,7 @@ __all__ = ["RunConfig", "CheckDef", "REGISTRY", "run_checks", "list_checks"]
 class RunConfig:
     sites: int = 3
     trunc: int = 6
-    max_terms: int = 10 ** 6
+    max_terms: int = weyl.TERM_CAP
 
     def __post_init__(self):
         if self.sites < 1:
@@ -220,7 +220,6 @@ def run_checks(ids, cfg: RunConfig) -> list[CheckReport]:
     unknown = [i for i in ids if i not in REGISTRY]
     if unknown:
         raise KeyError(f"unknown check ids: {', '.join(sorted(unknown))}")
-    from . import weyl
     old_cap = weyl.TERM_CAP
     weyl.TERM_CAP = cfg.max_terms
     reports = []

@@ -9,6 +9,7 @@ __all__ = ["CheckReport", "report_from_residuals", "residual_size"]
 PASS = "pass"
 FAIL = "fail"
 DEGENERATE = "degenerate"
+WITNESS_CHARS = 200  # a witness keeps this many characters of a residual's text
 
 
 @dataclass
@@ -62,8 +63,8 @@ def _witness_text(obj) -> str:
     return _clip(obj.to_text())
 
 
-def _clip(text: str, limit: int = 200) -> str:
-    return text if len(text) <= limit else text[:limit] + " ..."
+def _clip(text: str) -> str:
+    return text if len(text) <= WITNESS_CHARS else text[:WITNESS_CHARS] + " ..."
 
 
 def report_from_residuals(params: dict, items) -> CheckReport:

@@ -193,14 +193,18 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         big, small = (self.terms, o.terms) if len(self.terms) >= len(o.terms) else (o.terms, self.terms)
+        # both operands are canonical, so only a summed coefficient needs
+        # normalising: an int sum stays an int, a Fraction one may become one
         out = dict(big)
         for k, c in small.items():
             nc = out.get(k, 0) + c
-            if nc:
+            if not nc:
+                del out[k]
+            elif type(nc) is int or nc.denominator != 1:
                 out[k] = nc
             else:
-                out.pop(k, None)
-        return Scalar(out, self.exp_bound if self.exp_bound >= o.exp_bound else o.exp_bound)
+                out[k] = nc.numerator
+        return Scalar._of(out, self.exp_bound if self.exp_bound >= o.exp_bound else o.exp_bound)
 
     __radd__ = __add__
 

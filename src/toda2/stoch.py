@@ -263,7 +263,7 @@ def check_stoch(check_id: str, K: int, N: int, mutate: bool = False):
         lam = Scalar.var("lam")
         lhs = build_lax("Lloc", 1, lam, params, lat1)
         rhs = build_lax("Lqosc", 1, lam, params, lat1)
-        res, _ = lhs.residual(rhs)
+        res = lhs.sub(rhs)
         return [("preset substitution", res)]
 
     if check_id == "column_eigen":

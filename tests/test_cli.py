@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -113,6 +114,13 @@ def test_too_small_truncation_is_rejected_before_any_check(monkeypatch, tmp_path
 def test_run_config_rejects_out_of_range_values(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+def test_verify_defaults_are_the_run_config_defaults():
+    args = cli._build_parser().parse_args(["verify", "all"])
+    default = RunConfig()
+    for field in dataclasses.fields(RunConfig):
+        assert getattr(args, field.name) == getattr(default, field.name), field.name
 
 
 def test_unwritable_report_path_is_io_error(tmp_path):

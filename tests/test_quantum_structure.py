@@ -1,13 +1,11 @@
-from fractions import Fraction
-
 import pytest
 
 from toda2.matops import OpMatrix
 from toda2.quantum import (ModelParams, build_aux, build_scalar_aux, build_lax,
                            check_fm, check_ybe, op_P, op_Q2, permutation_matrix,
-                           q_sigma_z, theta_q)
+                           q_sigma_z)
 from toda2.reports import report_from_residuals
-from toda2.ring import Scalar, ScalarFraction
+from toda2.ring import Scalar
 from toda2.weyl import Lattice, WeylOp
 
 PARAMS = ModelParams.generic()
@@ -16,12 +14,6 @@ LAM1, LAM2 = Scalar.var("lam1"), Scalar.var("lam2")
 
 def spow(k):
     return Scalar.var("s", k)
-
-
-def test_theta_q_values():
-    assert theta_q(3) == ScalarFraction(Scalar.const(1))
-    assert theta_q(-1).is_zero()
-    assert theta_q(0) == ScalarFraction(Scalar.const(1), spow(1) + spow(-1))
 
 
 def test_exchange_matrix_entries():
@@ -47,7 +39,7 @@ def test_exchange_matrices_classical_limit_is_identity():
         num = OpMatrix([[sub(x) for x in row] for row in m.entries])
         den = sub(m.entries[0][0])  # the cleared factor; 1 for B and C
         ident = OpMatrix.identity(4, Scalar.const(1)).scale(den)
-        assert num.residual(ident)[1], kind
+        assert num.sub(ident).is_zero(), kind
 
 
 def test_r_matrices():
@@ -61,7 +53,7 @@ def test_r_matrices():
     # reflected pair: P Rplus(1/q) P equals Rminus entrywise
     P = permutation_matrix()
     got = P.mul(Rp.map(lambda x: x.substitute({"s": spow(-1)}))).mul(P)
-    assert got.residual(Rm)[1]
+    assert got.sub(Rm).is_zero()
 
 
 def test_companion_matrix_entries():
@@ -90,7 +82,7 @@ def test_dressing_matrix_entries():
     greekt = (spow(-2), spow(3) * Scalar.var("d2") * Scalar.var("d3"),
               Scalar.const(1) - spow(4), spow(5) * Scalar.var("d1"))
     expect = build_scalar_aux("Mtilde0", lam, greek=greekt)
-    assert Mt.residual(expect)[1]
+    assert Mt.sub(expect).is_zero()
 
 
 def test_site_relations_pass():
@@ -133,7 +125,7 @@ def test_ybe_and_rll():
 def test_twisted_r_equals_exchange_a():
     R = build_aux("Rtwisted", LAM1, LAM2)
     A = build_aux("A", LAM1, LAM2)
-    assert R.residual(A)[1]
+    assert R.sub(A).is_zero()
 
 
 def test_lax_entries():
@@ -160,5 +152,11 @@ def test_dressed_lax_equals_display():
     lat = Lattice(3, True)
     lam = Scalar.var("lam")
     lhat = build_lax("lhat", 1, lam, PARAMS, lat)
-    disp = build_lax("lhat_display", 1, lam, PARAMS, lat)
-    assert lhat.residual(disp)[1]
+    # the dressed Lax matrix written out entrywise (gamma reabsorbed as q^2)
+    be = spow(7) * PARAMS.d2 * PARAMS.d3
+    de = spow(5) * PARAMS.d1
+    P1, Q21 = op_P(lat, 1), op_Q2(lat, 1)
+    disp = OpMatrix([[WeylOp.scalar(spow(4) * lam, lat) - P1,
+                      WeylOp.scalar(-spow(-1) - de * lam, lat) - P1 * (be * lam)],
+                     [Q21, Q21 * (be * lam)]])
+    assert lhat.sub(disp).is_zero()

@@ -169,6 +169,13 @@ def test_coefficients_that_cancel_to_integers_are_stored_as_int():
         assert _canonical(r), r.terms
     assert any(type(c) is Fraction for c in mixed.terms.values())
     assert all(type(c) is int for c in (mixed * 6).terms.values())
+    # a Weyl sum adds its coefficients through Scalar addition
+    lat = Lattice(2, True)
+    u, v = WeylOp.generator(lat, 1, "U"), WeylOp.generator(lat, 2, "V")
+    op = u * (x * Fraction(1, 6)) + v * half + u * (x * Fraction(5, 6)) + v * third
+    assert op == u * x + v * Scalar.const(Fraction(5, 6))
+    for c in op.terms.values():  # 1/6 + 5/6 is stored as the int 1
+        assert _canonical(c), c.terms
 
 
 def test_integral_fraction_constant_equals_int_constant():

@@ -116,7 +116,7 @@ def test_monodromy_site_one_is_bare():
     # the monodromy at N = 1 is the bare local Lax matrix
     lat = Lattice(1, True)
     T = monodromy(1, LAM, PARAMS)
-    assert T.residual(build_lax("l", 1, LAM, PARAMS, lat))[1]
+    assert T.sub(build_lax("l", 1, LAM, PARAMS, lat)).is_zero()
 
 
 def test_gauge_steps_run_on_the_chain_length_they_are_given():

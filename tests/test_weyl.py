@@ -280,10 +280,11 @@ def rand_half_word_op(rng, lat=LAT):
 
 
 def test_kernel_matches_fold_on_monodromy_entries():
-    from toda2.quantum import monodromy
-    t = monodromy(3)
+    from toda2.quantum import ModelParams, monodromy
+    params = ModelParams.generic()
+    t = monodromy(3, Scalar.var("lam"), params)
     # a second spectral point, dressed so that coefficients have two terms
-    m = monodromy(3, Scalar.var("mu")).scale(Scalar.var("s") + Scalar.var("lam"))
+    m = monodromy(3, Scalar.var("mu"), params).scale(Scalar.var("s") + Scalar.var("lam"))
     entries = [e for row in t.entries for e in row]
     others = [e for row in m.entries for e in row]
     for a in entries:
@@ -360,9 +361,10 @@ def test_fused_commutator_matches_two_products_on_random_half_integer_words():
 
 
 def test_fused_commutator_matches_two_products_on_monodromy_entries():
-    from toda2.quantum import monodromy
-    t = monodromy(3)
-    m = monodromy(3, Scalar.var("mu")).scale(Scalar.var("s") + Scalar.var("lam"))
+    from toda2.quantum import ModelParams, monodromy
+    params = ModelParams.generic()
+    t = monodromy(3, Scalar.var("lam"), params)
+    m = monodromy(3, Scalar.var("mu"), params).scale(Scalar.var("s") + Scalar.var("lam"))
     entries = [e for row in t.entries for e in row]
     others = [e for row in m.entries for e in row]
     for a in entries:

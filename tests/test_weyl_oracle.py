@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from toda2.quantum import monodromy
+from toda2.quantum import ModelParams, monodromy
 from toda2.ring import Scalar
 from toda2.weyl import Lattice, WeylOp, decode_key
 
@@ -39,8 +39,9 @@ def act(op: WeylOp, f: Scalar) -> Scalar:
     return total
 
 
-_T = monodromy(N)
-_M = monodromy(N, Scalar.var("mu"))
+_PARAMS = ModelParams.generic()
+_T = monodromy(N, Scalar.var("lam"), _PARAMS)
+_M = monodromy(N, Scalar.var("mu"), _PARAMS)
 ENTRIES = [e for t in (_T, _M) for row in t.entries for e in row]
 
 small = st.integers(-2, 2)
