@@ -12,15 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .matops import OpMatrix, tensor_embed
+from .matops import OpMatrix, swap_two_leg, tensor_embed
 from .poisson import Chart, make_chart
 from .ring import Scalar, ScalarFraction
 
-__all__ = ["build_structure", "swap_two_leg", "bracket_matrix", "big_lax",
-           "local_lax", "classical_monodromy"]
+__all__ = ["build_structure", "bracket_matrix", "big_lax", "local_lax",
+           "classical_monodromy"]
 
 
-def big_lax(chart: Chart, mu_name: str = "mu") -> OpMatrix:
+def big_lax(chart: Chart, mu_name: str) -> OpMatrix:
     """Tridiagonal Lax matrix with mu^(-+1) corners; diagonal -P_n."""
     N = chart.size
     mu = ScalarFraction(Scalar.var(mu_name))
@@ -38,7 +38,7 @@ def big_lax(chart: Chart, mu_name: str = "mu") -> OpMatrix:
     return OpMatrix(m)
 
 
-def local_lax(chart: Chart, n: int, lam_name: str = "lam") -> OpMatrix:
+def local_lax(chart: Chart, n: int, lam_name: str) -> OpMatrix:
     lam = ScalarFraction(Scalar.var(lam_name))
     return OpMatrix([
         [lam - chart.gen(f"P{n}"), -ScalarFraction(1)],
@@ -46,7 +46,7 @@ def local_lax(chart: Chart, n: int, lam_name: str = "lam") -> OpMatrix:
     ])
 
 
-def classical_monodromy(chart: Chart, lam_name: str = "lam") -> OpMatrix:
+def classical_monodromy(chart: Chart, lam_name: str) -> OpMatrix:
     return reduce(OpMatrix.mul, (local_lax(chart, n, lam_name)
                                  for n in range(chart.size, 0, -1)))
 
@@ -64,25 +64,22 @@ def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2")
         mat[(a - 1) * N + (c - 1)][(b - 1) * N + (d - 1)] = \
             mat[(a - 1) * N + (c - 1)][(b - 1) * N + (d - 1)] + val
 
-    if kind in ("r12", "r21"):
+    if kind == "r12":
         entries = [[zero] * N * N for _ in range(N * N)]
-        u, v = (m1, m2) if kind == "r12" else (m2, m1)
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 # E_ij (x) E_ji and E_ji (x) E_ij blocks
-                at(entries, i, j, j, i, 2 * v)
-                at(entries, j, i, i, j, 2 * u)
-            at(entries, i, i, i, i, u + v)
-        mat = OpMatrix(entries)
-        return mat if kind == "r12" else swap_two_leg(mat, N)
-    if kind in ("a12", "a21"):
+                at(entries, i, j, j, i, 2 * m2)
+                at(entries, j, i, i, j, 2 * m1)
+            at(entries, i, i, i, i, m1 + m2)
+        return OpMatrix(entries)
+    if kind == "a12":
         entries = [[zero] * N * N for _ in range(N * N)]
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 at(entries, i, j, i, j, half)
                 at(entries, j, i, j, i, -half)
-        mat = OpMatrix(entries)
-        return mat if kind == "a12" else swap_two_leg(mat, N)
+        return OpMatrix(entries)
     if kind in ("d12", "d21"):
         swap = kind == "d21"
         first, second = (mu2, mu1) if swap else (mu1, mu2)
@@ -99,17 +96,6 @@ def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2")
         plus = r.add(a.scale(den))
         return minus.mul(Lother).neg().sub(Lother.mul(plus))
     raise ValueError(f"unknown structure kind {kind!r}")
-
-
-def swap_two_leg(m: OpMatrix, N: int) -> OpMatrix:
-    """Exchange the two tensor legs of an N^2 x N^2 matrix."""
-    out = [[None] * N * N for _ in range(N * N)]
-    for a in range(N):
-        for c in range(N):
-            for b in range(N):
-                for d in range(N):
-                    out[c * N + a][d * N + b] = m.entries[a * N + c][b * N + d]
-    return OpMatrix(out)
 
 
 def bracket_matrix(chart: Chart, mu1: str = "mu1", mu2: str = "mu2") -> OpMatrix:

@@ -17,7 +17,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Toda lattice and its quantisation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="list every check id with its defaults")
+    sub.add_parser("list", help="list every check id with its defaults")
 
     defaults = RunConfig()
     p_ver = sub.add_parser("verify", help="run checks and write a JSON report")
@@ -74,8 +74,7 @@ def main(argv=None) -> int:
         payload = []
         for r in reports:
             row = r.as_row()
-            row["params"] = dict(sorted(row["params"].items()),
-                                 seed=args.seed) if row["params"] else {"seed": args.seed}
+            row["params"] = dict(sorted(row["params"].items()), seed=args.seed)
             row["elapsed_ms"] = round(r.elapsed * 1000.0, 3) if args.timings else None
             payload.append(row)
         try:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .ring import Scalar, ScalarFraction
 
-__all__ = ["OpMatrix", "tensor_embed", "embed_two_leg"]
+__all__ = ["OpMatrix", "tensor_embed", "swap_two_leg", "embed_two_leg"]
 
 
 class OpMatrix:
@@ -198,6 +198,17 @@ def tensor_embed(m: OpMatrix, leg: int) -> OpMatrix:
                     out[n * a + b][n * c + b] = x
                 else:
                     out[n * b + a][n * b + c] = x
+    return OpMatrix(out)
+
+
+def swap_two_leg(m: OpMatrix, N: int) -> OpMatrix:
+    """Exchange the two tensor legs of an N^2 x N^2 matrix."""
+    out = [[None] * N * N for _ in range(N * N)]
+    for a in range(N):
+        for c in range(N):
+            for b in range(N):
+                for d in range(N):
+                    out[c * N + a][d * N + b] = m.entries[a * N + c][b * N + d]
     return OpMatrix(out)
 
 

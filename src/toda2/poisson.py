@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .ring import Scalar, ScalarFraction, check_bound, digits, pack_power, var_index
 
-__all__ = ["Chart", "make_chart", "build_classical"]
+__all__ = ["Chart", "make_chart", "build_classical", "W_BRACKETS", "pp_bracket"]
 
 
 # Componentwise coefficients of the rational exchange structure on the
@@ -39,6 +39,26 @@ _R_MINUS = [
     [0, 0, 0, Fraction(-1)],
 ]
 _R_EQUAL = [[(p + m) / 2 for p, m in zip(rp, rm)] for rp, rm in zip(_R_PLUS, _R_MINUS)]
+
+
+# Structure constants of the lattice W-algebra, each a function of the sites
+# n, m and a Kronecker delta d (a periodic chart reads it mod N): classically
+# {X_n, Y_m} = c(n, m) X_n Y_m on the Wronskians W1, W2 and on Q, P, and the
+# quantum chain keeps the integers as X_n Y_m = s^c(n, m) Y_m X_n.  Q = 1/W1
+# shares the W1-W1 constants.  {W2_n, W2_m} adds a W1 tail, and {P_n, P_m}
+# (``pp_bracket``) closes on Q^2, so neither is of this form alone.
+W_BRACKETS = {
+    "W1W1": lambda n, m, d: d(n, m - 1) - d(n, m + 1),
+    "W1W2": lambda n, m, d: d(n, m + 1) - d(n, m + 2) + d(n, m - 1) - d(n, m),
+    "W2W2": lambda n, m, d: (d(n, m - 2) - d(n, m + 2)
+                             + 2 * d(n, m + 1) - 2 * d(n, m - 1)),
+    "QP": lambda n, m, d: -2 * (d(n, m) - d(n + 1, m)),
+}
+
+
+def pp_bracket(n: int, m: int, d, q_squared):
+    """{P_n, P_m}, with ``q_squared(k)`` realising Q_k^2."""
+    return -4 * d(n, m + 1) * q_squared(m) + 4 * d(n + 1, m) * q_squared(n)
 
 
 class Chart:
@@ -71,6 +91,12 @@ class Chart:
             self._table[(i, j)] = value
             self._table[(j, i)] = -value
             self._table_bound = max(self._table_bound, value.exp_bound)
+
+    def delta(self, a: int, b: int) -> int:
+        """Kronecker delta of two sites, read mod ``size`` on a periodic chart."""
+        if self.periodic:
+            return 1 if (a - b) % self.size == 0 else 0
+        return 1 if a == b else 0
 
     def table(self, i: int, j: int) -> Scalar | None:
         """Bracket of two generator variables by variable index (None if zero)."""
@@ -161,25 +187,30 @@ def _make_exlat(size: int) -> Chart:
         chart._add_gen(f"xi1_{n}")
         chart._add_gen(f"xi2_{n}")
 
-    def xi(n: int, comp: int) -> Scalar:
-        return Scalar.var(f"xi{comp}_{n}")
-
+    xi = {(n, c): Scalar.var(f"xi{c}_{n}") for n in range(1, size + 1) for c in (1, 2)}
     for n in range(1, size + 1):
         for m in range(1, n + 1):
-            struct = _R_PLUS if n > m else _R_EQUAL
             for a in (1, 2):
                 for b in (1, 2):
                     if n == m and a >= b:
                         continue  # store upper pairs only; diagonal is zero
-                    col = 2 * (a - 1) + (b - 1)
-                    val = Scalar.zero()
-                    for ap in (1, 2):
-                        for bp in (1, 2):
-                            coeff = struct[2 * (ap - 1) + (bp - 1)][col]
-                            if coeff:
-                                val = val + Scalar.const(coeff) * xi(n, ap) * xi(m, bp)
-                    chart._set_bracket(f"xi{a}_{n}", f"xi{b}_{m}", val)
+                    chart._set_bracket(f"xi{a}_{n}", f"xi{b}_{m}",
+                                       _exchange_bracket(xi, n, m, a, b, Scalar.zero()))
     return chart
+
+
+def _exchange_bracket(xi, n: int, m: int, a: int, b: int, zero):
+    """{xi^a_n, xi^b_m} for n >= m: the exchange structure acting on the
+    products xi[(n, a')] xi[(m, b')], summed from ``zero``."""
+    struct = _R_PLUS if n > m else _R_EQUAL
+    col = 2 * (a - 1) + (b - 1)
+    val = zero
+    for ap in (1, 2):
+        for bp in (1, 2):
+            coeff = struct[2 * (ap - 1) + (bp - 1)][col]
+            if coeff:
+                val = val + coeff * xi[(n, ap)] * xi[(m, bp)]
+    return val
 
 
 def _make_qp(size: int, periodic: bool) -> Chart:
@@ -194,20 +225,15 @@ def _make_qp(size: int, periodic: bool) -> Chart:
     def P(n: int) -> Scalar:
         return Scalar.var(f"P{n}")
 
+    q_squared = lambda k: Q(k) * Q(k)
+    d = chart.delta
     rng = range(1, size + 1)
     for n in rng:
         for m in rng:
-            cqq = _delta(chart, n + 1, m) - _delta(chart, n, m + 1)
-            if cqq and n < m:
-                chart._set_bracket(f"Q{n}", f"Q{m}", Scalar.const(cqq) * Q(n) * Q(m))
-            cqp = -2 * (_delta(chart, n, m) - _delta(chart, n + 1, m))
-            if cqp:
-                chart._set_bracket(f"Q{n}", f"P{m}", Scalar.const(cqp) * Q(n) * P(m))
             if n < m:
-                val = (Scalar.const(-4 * _delta(chart, n, m + 1)) * Q(m) * Q(m)
-                       + Scalar.const(4 * _delta(chart, n + 1, m)) * Q(n) * Q(n))
-                if not val.is_zero():
-                    chart._set_bracket(f"P{n}", f"P{m}", val)
+                chart._set_bracket(f"Q{n}", f"Q{m}", W_BRACKETS["W1W1"](n, m, d) * Q(n) * Q(m))
+                chart._set_bracket(f"P{n}", f"P{m}", pp_bracket(n, m, d, q_squared))
+            chart._set_bracket(f"Q{n}", f"P{m}", W_BRACKETS["QP"](n, m, d) * Q(n) * P(m))
     return chart
 
 
@@ -272,50 +298,22 @@ def _wronskian(chart: Chart, n: int, p: int) -> ScalarFraction:
 # -- identity suites -----------------------------------------------------------
 
 
-def _delta(chart: Chart, a: int, b: int) -> int:
-    if chart.periodic:
-        return 1 if (a - b) % chart.size == 0 else 0
-    return 1 if a == b else 0
-
-
-def residuals_w1w1(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
-    out = []
-    w = lambda k: _wronskian(chart, k, 1)
-    for n in window:
-        for m in window:
-            lhs = chart.bracket(w(n), w(m))
-            rhs = w(n) * w(m) * (_delta(chart, n, m - 1) - _delta(chart, n, m + 1))
-            out.append((f"(n={n},m={m})", lhs - rhs))
-    return out
-
-
-def residuals_w1w2(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
+def residuals_wronskian(chart: Chart, p: int, r: int, window) -> list[tuple[str, ScalarFraction]]:
+    """Residuals of {W^(p)_n, W^(r)_m} against the W-algebra table on ``window``."""
+    c = W_BRACKETS[f"W{p}W{r}"]
+    d = chart.delta
+    w = lambda k, e: _wronskian(chart, k, e)
     out = []
     for n in window:
         for m in window:
-            w1n = _wronskian(chart, n, 1)
-            w2m = _wronskian(chart, m, 2)
-            lhs = chart.bracket(w1n, w2m)
-            coeff = (_delta(chart, n, m + 1) - _delta(chart, n, m + 2)
-                     + _delta(chart, n, m - 1) - _delta(chart, n, m))
-            out.append((f"(n={n},m={m})", lhs - w1n * w2m * coeff))
-    return out
-
-
-def residuals_w2w2(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
-    out = []
-    w = lambda k, p: _wronskian(chart, k, p)
-    for n in window:
-        for m in window:
-            lhs = chart.bracket(w(n, 2), w(m, 2))
-            coeff = (_delta(chart, n, m - 2) - _delta(chart, n, m + 2)
-                     + 2 * _delta(chart, n, m + 1) - 2 * _delta(chart, n, m - 1))
-            rhs = w(n, 2) * w(m, 2) * coeff
-            if _delta(chart, n, m + 1):
-                rhs = rhs - 4 * w(n - 1, 1) * w(n + 1, 1)
-            if _delta(chart, n, m - 1):
-                rhs = rhs + 4 * w(m - 1, 1) * w(m + 1, 1)
-            out.append((f"(n={n},m={m})", lhs - rhs))
+            x, y = w(n, p), w(m, r)
+            rhs = x * y * c(n, m, d)
+            if p == r == 2:
+                if d(n, m + 1):
+                    rhs = rhs - 4 * w(n - 1, 1) * w(n + 1, 1)
+                if d(n, m - 1):
+                    rhs = rhs + 4 * w(m - 1, 1) * w(m + 1, 1)
+            out.append((f"(n={n},m={m})", chart.bracket(x, y) - rhs))
     return out
 
 
@@ -327,11 +325,11 @@ def residuals_virlat(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
     for n in window:
         for m in window:
             lhs = chart.bracket(S[n], S[m])
-            bump = _delta(chart, n, m - 1) - _delta(chart, n, m + 1)
+            bump = chart.delta(n, m - 1) - chart.delta(n, m + 1)
             inner = (4 - S[n] - S[m]) * bump
-            if _delta(chart, n, m + 2):
+            if chart.delta(n, m + 2):
                 inner = inner + S[n - 1]
-            if _delta(chart, n, m - 2):
+            if chart.delta(n, m - 2):
                 inner = inner - S[m - 1]
             rhs = -(S[n] * S[m] * inner)
             out.append((f"SS(n={n},m={m})", lhs - rhs))
@@ -350,21 +348,19 @@ def residuals_qp(which: str, chart: Chart, window, q_of, p_of,
     and ``q_of`` realising Q^power: ``power`` is 1, or 2 where only Q^2 is
     realised."""
     q_squared = (lambda k: q_of(k) ** 2) if power == 1 else q_of
+    d = chart.delta
     out = []
     for n in window:
         for m in window:
             if which == "qq":
                 lhs = chart.bracket(q_of(n), q_of(m))
-                rhs = q_of(n) * q_of(m) * (power * power * (
-                    _delta(chart, n + 1, m) - _delta(chart, n, m + 1)))
+                rhs = q_of(n) * q_of(m) * (power * power * W_BRACKETS["W1W1"](n, m, d))
             elif which == "qp":
                 lhs = chart.bracket(q_of(n), p_of(m))
-                rhs = q_of(n) * p_of(m) * (-2 * power * (
-                    _delta(chart, n, m) - _delta(chart, n + 1, m)))
+                rhs = q_of(n) * p_of(m) * (power * W_BRACKETS["QP"](n, m, d))
             elif which == "pp":
                 lhs = chart.bracket(p_of(n), p_of(m))
-                rhs = (-4 * q_squared(m) * _delta(chart, n, m + 1)
-                       + 4 * q_squared(n) * _delta(chart, n + 1, m))
+                rhs = pp_bracket(n, m, d, q_squared)
             else:
                 raise ValueError(which)
             out.append((f"(n={n},m={m})", lhs - rhs))
@@ -380,17 +376,10 @@ def residuals_exlat_from_darboux(chart: Chart) -> list[tuple[str, ScalarFraction
     out = []
     for n in range(1, chart.size + 1):
         for m in range(1, n + 1):
-            struct = _R_PLUS if n > m else _R_EQUAL
             for a in (1, 2):
                 for b in (1, 2):
                     lhs = chart.bracket(xi[(n, a)], xi[(m, b)])
-                    rhs = ScalarFraction(0)
-                    col = 2 * (a - 1) + (b - 1)
-                    for ap in (1, 2):
-                        for bp in (1, 2):
-                            coeff = struct[2 * (ap - 1) + (bp - 1)][col]
-                            if coeff:
-                                rhs = rhs + coeff * xi[(n, ap)] * xi[(m, bp)]
+                    rhs = _exchange_bracket(xi, n, m, a, b, ScalarFraction(0))
                     out.append((f"(n={n},m={m},a={a},b={b})", lhs - rhs))
     return out
 
@@ -422,16 +411,16 @@ def check_bracket_identity(check_id: str, size: int = 8, mutate: bool = False):
             raise ValueError("the open-chain suites need at least 8 sites")
         chart = make_chart("exlat", size)
         if check_id == "w1w1":
-            items = residuals_w1w1(chart, range(2, size - 1))
+            items = residuals_wronskian(chart, 1, 1, range(2, size - 1))
             if mutate:
                 w = _wronskian(chart, 2, 1)
                 items = [("mutated", chart.bracket(w, _wronskian(chart, 3, 1))
                           + w * _wronskian(chart, 3, 1))] + items
             return items
         if check_id == "w1w2":
-            return residuals_w1w2(chart, range(2, size - 2))
+            return residuals_wronskian(chart, 1, 2, range(2, size - 2))
         if check_id == "w2w2":
-            return residuals_w2w2(chart, range(3, size - 1))
+            return residuals_wronskian(chart, 2, 2, range(3, size - 1))
         if check_id == "virlat":
             return residuals_virlat(chart, range(3, size - 1))
         return residuals_qp(check_id, chart, range(2, size),

@@ -16,12 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .matops import OpMatrix, embed_two_leg, tensor_embed
+from .matops import OpMatrix, embed_two_leg, swap_two_leg, tensor_embed
+from .poisson import W_BRACKETS
 from .ring import Scalar, ScalarFraction
 from .weyl import Lattice, WeylOp
 
 __all__ = [
-    "ModelParams", "build_aux", "build_scalar_aux", "build_lax",
+    "ModelParams", "build_aux", "build_exchange", "build_scalar_aux",
+    "build_companion", "build_lax",
     "op_P", "op_Q2", "op_Q", "monodromy", "transfer_trace", "hamiltonians",
     "trq", "build_xi_quantum", "quantum_wronskian",
     "check_fm", "check_ybe", "check_ultralocalisation", "check_representation",
@@ -65,7 +67,7 @@ class ModelParams:
 # -- auxiliary-space structure matrices ------------------------------------------
 
 
-def build_aux(kind: str, lam1: Scalar | None = None, lam2: Scalar | None = None) -> OpMatrix:
+def build_aux(kind: str, l1: Scalar, l2: Scalar) -> OpMatrix:
     """4x4 structure matrices on the doubled auxiliary space.
 
     ``A`` and ``D`` (and the twisted R-matrix, which coincides with ``A``)
@@ -74,10 +76,7 @@ def build_aux(kind: str, lam1: Scalar | None = None, lam2: Scalar | None = None)
     ``ATT_TTD``, ``DGCG_general``, ``dual_general`` and ``RLL_ultralocal``
     one each, ``YBE_twisted`` three.
     """
-    l1 = lam1 if lam1 is not None else Scalar.var("lam1")
-    l2 = lam2 if lam2 is not None else Scalar.var("lam2")
     one, zero = _c(1), Scalar.zero()
-    s = _s(1)
     q2 = _s(4)
 
     if kind in ("A", "Rtwisted"):
@@ -106,26 +105,22 @@ def build_aux(kind: str, lam1: Scalar | None = None, lam2: Scalar | None = None)
              [zero, -(_s(3) - _s(-1)), one, zero],
              [zero, l1 * (q2 - one), zero, one]]
         return OpMatrix(m)
-    if kind == "Rplus":
-        m = [[s, zero, zero, zero],
-             [zero, _s(-1), s - _s(-3), zero],
-             [zero, zero, _s(-1), zero],
-             [zero, zero, zero, s]]
-        return OpMatrix(m)
-    if kind == "Rminus":
-        p = permutation_matrix()
-        rp_inv_q = build_aux("Rplus").map(
-            lambda x: x.substitute({"s": _s(-1)}))
-        return p.mul(rp_inv_q).mul(p)
     raise ValueError(f"unknown auxiliary matrix kind {kind!r}")
 
 
-def permutation_matrix() -> OpMatrix:
-    one, zero = _c(1), Scalar.zero()
-    return OpMatrix([[one, zero, zero, zero],
-                     [zero, zero, one, zero],
-                     [zero, one, zero, zero],
-                     [zero, zero, zero, one]])
+def build_exchange(kind: str) -> OpMatrix:
+    """The spectral-free doublet exchange matrices: ``Rplus``, and ``Rminus``,
+    the leg swap of Rplus at s -> 1/s."""
+    zero, s = Scalar.zero(), _s(1)
+    rplus = OpMatrix([[s, zero, zero, zero],
+                      [zero, _s(-1), s - _s(-3), zero],
+                      [zero, zero, _s(-1), zero],
+                      [zero, zero, zero, s]])
+    if kind == "Rplus":
+        return rplus
+    if kind == "Rminus":
+        return swap_two_leg(rplus.map(lambda x: x.substitute({"s": _s(-1)})), 2)
+    raise ValueError(f"unknown exchange matrix kind {kind!r}")
 
 
 def q_sigma_z(power_of_q: int) -> OpMatrix:
@@ -135,24 +130,9 @@ def q_sigma_z(power_of_q: int) -> OpMatrix:
                      [zero, _s(-2 * power_of_q)]])
 
 
-def build_scalar_aux(kind: str, lam: Scalar, params: ModelParams | None = None,
-                     greek: tuple[Scalar, Scalar, Scalar, Scalar] | None = None) -> OpMatrix:
-    """2x2 numerical companion matrices on the auxiliary space: ``G0`` and
-    ``Gtilde0`` take the model ``params``, ``M0`` and ``Mtilde0`` the four free
-    parameters ``greek``."""
-    one, zero = _c(1), Scalar.zero()
-    if kind in ("M0", "Mtilde0"):
-        if greek is None:
-            raise ValueError("M0/Mtilde0 need the four free parameters")
-        al, be, ga, de = greek
-        corner = _s(-1) if kind == "M0" else _s(3)
-        if (ga - one).is_zero():
-            raise ValueError("the gamma = 1 branch is excluded from this family")
-        m = [[one, be * lam],
-             [ga * lam, corner + de * lam + be * lam * lam]]
-        return OpMatrix(m).scale(al)
-    if params is None:
-        raise ValueError("G0/Gtilde0 need model parameters")
+def build_scalar_aux(kind: str, lam: Scalar, params: ModelParams) -> OpMatrix:
+    """2x2 numerical dressing matrices ``G0`` and ``Gtilde0`` of the model ``params``."""
+    one = _c(1)
     d1, d23 = params.d1, params.d2 * params.d3
     if kind == "G0":
         m = [[one, _s(7) * d23 * lam],
@@ -165,6 +145,22 @@ def build_scalar_aux(kind: str, lam: Scalar, params: ModelParams | None = None,
               _s(-1) + _s(1) * d1 * lam + _s(-1) * d23 * lam * lam]]
         return OpMatrix(m)
     raise ValueError(f"unknown scalar matrix kind {kind!r}")
+
+
+def build_companion(kind: str, lam: Scalar,
+                    greek: tuple[Scalar, Scalar, Scalar, Scalar]) -> OpMatrix:
+    """2x2 companion matrices ``M0`` and ``Mtilde0`` with the four free
+    parameters ``greek``."""
+    one = _c(1)
+    al, be, ga, de = greek
+    if kind not in ("M0", "Mtilde0"):
+        raise ValueError(f"unknown companion matrix kind {kind!r}")
+    corner = _s(-1) if kind == "M0" else _s(3)
+    if (ga - one).is_zero():
+        raise ValueError("the gamma = 1 branch is excluded from this family")
+    m = [[one, be * lam],
+         [ga * lam, corner + de * lam + be * lam * lam]]
+    return OpMatrix(m).scale(al)
 
 
 # -- chain operators and Lax matrices --------------------------------------------
@@ -394,7 +390,7 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> list:
         greek = tuple(Scalar.var(nm) for nm in ("alpha", "beta", "gamma", "delta"))
 
         def companion(lam):
-            m = build_scalar_aux("M0", lam, greek=greek)
+            m = build_companion("M0", lam, greek)
             if mutate:
                 # corrupt the pinned corner constant; a sign flip of one free
                 # parameter would land on another valid solution of the family
@@ -416,8 +412,8 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> list:
         one4 = OpMatrix.identity(4, ScalarFraction(1))
         invB = Bt.partial_transpose(1).mul(B.partial_transpose(1)).sub(one4)
         invC = Ct.partial_transpose(2).mul(C.partial_transpose(2)).sub(one4)
-        Mt1 = tensor_embed(build_scalar_aux("Mtilde0", l1, greek=greekt), 1)
-        Mt2 = tensor_embed(build_scalar_aux("Mtilde0", l2, greek=greekt), 2)
+        Mt1 = tensor_embed(build_companion("Mtilde0", l1, greekt), 1)
+        Mt2 = tensor_embed(build_companion("Mtilde0", l2, greekt), 2)
         lhs = D.mul(Mt2).mul(Bt).mul(Mt1)
         rhs = Mt1.mul(Ct).mul(Mt2).mul(A)
         res = lhs.sub(rhs)
@@ -568,21 +564,17 @@ def check_representation(check_id: str, size: int) -> list:
     d = lambda a, b: 1 if a == b else 0
 
     if check_id == "exchange_xi":
-        Pm = permutation_matrix()
-        Rp = build_aux("Rplus")
-        Rm = build_aux("Rminus")
+        Rp = build_exchange("Rplus")
+        Rpm = Rp.add(build_exchange("Rminus"))
         splus = _s(1) + _s(-1)
         xi = {(n, c): build_xi_quantum(c, n, lattice)
               for n in range(1, size + 1) for c in (1, 2)}
         items = []
         for n in range(1, size + 1):
             for m in range(1, n + 1):
-                if n > m:
-                    M, scale = Pm.mul(Rp), _c(1)
-                else:
-                    # equal sites weight both exchange matrices by the
-                    # deformed step value at zero; cleared of its denominator
-                    M, scale = Pm.mul(Rp.add(Rm)), splus
+                # equal sites weight both exchange matrices by the deformed
+                # step value at zero; cleared of its denominator
+                M, scale = (Rp, _c(1)) if n > m else (Rpm, splus)
                 for a in (1, 2):
                     for b in (1, 2):
                         lhs = xi[(n, a)] * xi[(m, b)] * scale
@@ -590,37 +582,32 @@ def check_representation(check_id: str, size: int) -> list:
                         col = 2 * (a - 1) + (b - 1)
                         for ap in (1, 2):
                             for bp in (1, 2):
-                                cf = M.entries[2 * (ap - 1) + (bp - 1)][col]
+                                # row (ap, bp) of P M is row (bp, ap) of M
+                                cf = M.entries[2 * (bp - 1) + (ap - 1)][col]
                                 if not cf.is_zero():
                                     rhs = rhs + xi[(m, ap)] * xi[(n, bp)] * cf
                         items.append((f"(n={n},m={m},a={a},b={b})", lhs - rhs))
         return items
 
     if check_id == "W_algebra_q":
-        W1 = {n: quantum_wronskian(1, n, lattice) for n in range(1, size)}
-        W2 = {n: quantum_wronskian(2, n, lattice) for n in range(1, size - 1)}
+        W = {(p, n): quantum_wronskian(p, n, lattice)
+             for p in (1, 2) for n in range(1, size + 1 - p)}
+        inner = range(2, size - 2)
         items = []
-        for n in W1:
-            for m in W1:
-                lhs = W1[n] * W1[m]
-                rhs = W1[m] * W1[n] * _s(d(n, m - 1) - d(n, m + 1))
-                items.append((f"11(n={n},m={m})", lhs - rhs))
-        for n in W1:
-            for m in W2:
-                lhs = W1[n] * W2[m]
-                rhs = W2[m] * W1[n] * _s(-d(n, m + 2) + d(n, m + 1)
-                                         - d(n, m) + d(n, m - 1))
-                items.append((f"12(n={n},m={m})", lhs - rhs))
-        for n in range(2, size - 2):
-            for m in range(2, size - 2):
-                lhs = W2[n] * W2[m]
-                rhs = W2[m] * W2[n] * _s(d(n, m - 2) - d(n, m + 2)
-                                         + 2 * d(n, m + 1) - 2 * d(n, m - 1))
-                if d(n, m + 1):
-                    rhs = rhs + W1[n - 1] * W1[n + 1] * (_s(-1) - _s(3))
-                if d(n, m - 1):
-                    rhs = rhs + W1[m - 1] * W1[m + 1] * (_s(1) - _s(-3))
-                items.append((f"22(n={n},m={m})", lhs - rhs))
+        for p, r, ns, ms in ((1, 1, range(1, size), range(1, size)),
+                             (1, 2, range(1, size), range(1, size - 1)),
+                             (2, 2, inner, inner)):
+            c = W_BRACKETS[f"W{p}W{r}"]
+            for n in ns:
+                for m in ms:
+                    x, y = W[(p, n)], W[(r, m)]
+                    rhs = y * x * _s(c(n, m, d))
+                    if p == r == 2:
+                        if d(n, m + 1):
+                            rhs = rhs + W[(1, n - 1)] * W[(1, n + 1)] * (_s(-1) - _s(3))
+                        if d(n, m - 1):
+                            rhs = rhs + W[(1, m - 1)] * W[(1, m + 1)] * (_s(1) - _s(-3))
+                    items.append((f"{p}{r}(n={n},m={m})", x * y - rhs))
         return items
 
     if check_id == "QP_relations":
@@ -630,13 +617,14 @@ def check_representation(check_id: str, size: int) -> list:
         items = []
         for n in Q:
             for m in Q:
-                r1 = Q[n] * Q[m] - Q[m] * Q[n] * _s(d(n, m - 1) - d(n, m + 1))
+                r1 = Q[n] * Q[m] - Q[m] * Q[n] * _s(W_BRACKETS["W1W1"](n, m, d))
                 items.append((f"QQ(n={n},m={m})", r1))
                 r2 = (P[n] * P[m] - P[m] * P[n]
                       - (_s(3) - _s(-1))
                       * (Q2[n] * d(n + 1, m) - Q2[m] * d(n, m + 1)))
                 items.append((f"PP(n={n},m={m})", r2))
-                r3 = P[n] * Q[m] - Q[m] * P[n] * _s(2 * (d(n, m) - d(n, m + 1)))
+                # {P_n, Q_m} = -{Q_m, P_n}
+                r3 = P[n] * Q[m] - Q[m] * P[n] * _s(-W_BRACKETS["QP"](m, n, d))
                 items.append((f"PQ(n={n},m={m})", r3))
         return items
 

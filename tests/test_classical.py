@@ -12,7 +12,7 @@ from toda2.ring import Scalar, ScalarFraction
 
 def test_big_lax_shape_n3():
     chart = make_chart("qp", 3, periodic=True)
-    L = big_lax(chart)
+    L = big_lax(chart, "mu")
     mu = ScalarFraction(Scalar.var("mu"))
     mu_inv = ScalarFraction(Scalar.var("mu").monomial_inverse())
     assert L.entries[0][2] == mu_inv * chart.gen("Q3")
@@ -25,7 +25,7 @@ def test_big_lax_shape_n3():
 
 def test_big_lax_degenerate_corners_sum():
     chart = make_chart("qp", 2, periodic=True)
-    L = big_lax(chart)
+    L = big_lax(chart, "mu")
     mu = ScalarFraction(Scalar.var("mu"))
     mu_inv = ScalarFraction(Scalar.var("mu").monomial_inverse())
     assert L.entries[0][1] == chart.gen("Q1") + mu_inv * chart.gen("Q2")
@@ -92,7 +92,7 @@ def test_monodromy_determinant_is_spectral_product():
 def test_two_by_two_determinant_expansion():
     # cofactor oracle at N = 2: det[L + lam] expanded by hand
     chart = make_chart("qp", 2, periodic=True)
-    L = big_lax(chart)
+    L = big_lax(chart, "mu")
     lam = ScalarFraction(Scalar.var("lam"))
     shifted = OpMatrix([[L.entries[0][0] + lam, L.entries[0][1]],
                         [L.entries[1][0], L.entries[1][1] + lam]])
@@ -112,7 +112,7 @@ def test_two_by_two_determinant_expansion():
 def test_local_lax_and_model():
     chart = make_chart("qp", 3, periodic=True)
     assert chart.size == 3
-    l2 = local_lax(chart, 2)
+    l2 = local_lax(chart, 2, "lam")
     assert l2.entries[0][1] == -ScalarFraction(1)
     assert l2.entries[1][1].is_zero()
     with pytest.raises(ValueError):

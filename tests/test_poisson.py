@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toda2.poisson import (build_classical, check_bracket_identity, make_chart,
-                           residuals_w1w1)
+                           residuals_wronskian)
 from toda2.reports import report_from_residuals
 from toda2.ring import Scalar, ScalarFraction, unpack_key, var_index
 
@@ -102,7 +102,7 @@ def test_out_of_range_site_rejected():
 
 def test_w1w1_window_passes_at_boundary_of_definition():
     chart = make_chart("exlat", 8)
-    res = residuals_w1w1(chart, range(1, 8))
+    res = residuals_wronskian(chart, 1, 1, range(1, 8))
     assert all(r.is_zero() for _, r in res)
 
 

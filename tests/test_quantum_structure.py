@@ -1,8 +1,8 @@
 import pytest
 
 from toda2.matops import OpMatrix
-from toda2.quantum import (ModelParams, build_aux, build_scalar_aux, build_lax,
-                           check_fm, check_ybe, op_P, op_Q2, permutation_matrix,
+from toda2.quantum import (ModelParams, build_aux, build_companion, build_exchange,
+                           build_scalar_aux, build_lax, check_fm, check_ybe, op_P, op_Q2,
                            q_sigma_z)
 from toda2.reports import report_from_residuals
 from toda2.ring import Scalar
@@ -43,15 +43,19 @@ def test_exchange_matrices_classical_limit_is_identity():
 
 
 def test_r_matrices():
-    Rp = build_aux("Rplus")
+    Rp = build_exchange("Rplus")
     assert Rp.entries[0][0] == spow(1)
     assert Rp.entries[1][2] == spow(1) - spow(-3)
-    Rm = build_aux("Rminus")
+    Rm = build_exchange("Rminus")
     assert Rm.entries[0][0] == spow(-1)
     assert Rm.entries[2][1] == spow(-1) - spow(3)
     assert Rm.entries[1][2].is_zero()
     # reflected pair: P Rplus(1/q) P equals Rminus entrywise
-    P = permutation_matrix()
+    one, zero = Scalar.const(1), Scalar.zero()
+    P = OpMatrix([[one, zero, zero, zero],
+                  [zero, zero, one, zero],
+                  [zero, one, zero, zero],
+                  [zero, zero, zero, one]])
     got = P.mul(Rp.map(lambda x: x.substitute({"s": spow(-1)}))).mul(P)
     assert got.sub(Rm).is_zero()
 
@@ -59,7 +63,7 @@ def test_r_matrices():
 def test_companion_matrix_entries():
     greek = tuple(Scalar.var(n) for n in ("alpha", "beta", "gamma", "delta"))
     al, be, ga, de = greek
-    M = build_scalar_aux("M0", LAM1, greek=greek)
+    M = build_companion("M0", LAM1, greek)
     assert M.entries[1][1] == al * (spow(-1) + de * LAM1 + be * LAM1 * LAM1)
     assert M.entries[0][1] == al * be * LAM1
     # lam = 0 collapses to alpha diag(1, q^(-1/2))
@@ -68,7 +72,7 @@ def test_companion_matrix_entries():
     assert at0.entries[1][1] == al * spow(-1)
     assert at0.entries[0][1].is_zero() and at0.entries[1][0].is_zero()
     with pytest.raises(ValueError):
-        build_scalar_aux("M0", LAM1, greek=(al, be, Scalar.const(1), de))
+        build_companion("M0", LAM1, (al, be, Scalar.const(1), de))
 
 
 def test_dressing_matrix_entries():
@@ -81,7 +85,7 @@ def test_dressing_matrix_entries():
     Mt = Gt.mul(q_sigma_z(-1))
     greekt = (spow(-2), spow(3) * Scalar.var("d2") * Scalar.var("d3"),
               Scalar.const(1) - spow(4), spow(5) * Scalar.var("d1"))
-    expect = build_scalar_aux("Mtilde0", lam, greek=greekt)
+    expect = build_companion("Mtilde0", lam, greekt)
     assert Mt.sub(expect).is_zero()
 
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from toda2.quantum import (build_aux, build_xi_quantum, check_representation,
-                           op_Q, op_Q2, permutation_matrix, quantum_wronskian)
+from toda2.matops import OpMatrix
+from toda2.quantum import (build_exchange, build_xi_quantum, check_representation,
+                           op_Q, op_Q2, quantum_wronskian)
 from toda2.reports import report_from_residuals
 from toda2.ring import Scalar
 from toda2.weyl import Lattice, WeylOp
@@ -28,8 +29,12 @@ def test_equal_site_exchange_weight():
     n = 2
     xi1 = build_xi_quantum(1, n, LAT)
     xi2 = build_xi_quantum(2, n, LAT)
-    Pm = permutation_matrix()
-    M = Pm.mul(build_aux("Rplus").add(build_aux("Rminus")))
+    one, zero = Scalar.const(1), Scalar.zero()
+    Pm = OpMatrix([[one, zero, zero, zero],
+                   [zero, zero, one, zero],
+                   [zero, one, zero, zero],
+                   [zero, zero, zero, one]])
+    M = Pm.mul(build_exchange("Rplus").add(build_exchange("Rminus")))
     splus = spow(1) + spow(-1)
     lhs = xi1 * xi2 * splus
     rhs = WeylOp.zero(LAT)
