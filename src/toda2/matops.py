@@ -4,7 +4,10 @@ Entries may be Scalars, ScalarFractions or Weyl operators; any type with the
 ring operators, ``is_zero`` and ``zero_like`` works.  Matrices over different
 entry rings multiply directly: a c-number matrix times an operator matrix (on
 either side) promotes entrywise through the operand's reflected operators, so
-no caller lifts its scalar entries first.  A matrix is just its entries and
+no caller lifts its scalar entries first.  Over Weyl operators each entry of
+a product is one :meth:`~toda2.weyl.WeylOp.dot` of its nonzero pairs, and
+:func:`product_difference` certifies ``a·b − c·d`` the same way, entry by
+entry, so neither product is built.  A matrix is just its entries and
 carries no denominator: structure matrices with rational spectral dependence
 come cleared, and each identity using them is checked as a polynomial one.
 """
@@ -14,8 +17,9 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .ring import Scalar, ScalarFraction
+from .weyl import WeylOp
 
-__all__ = ["OpMatrix", "tensor_embed", "swap_two_leg", "embed_two_leg"]
+__all__ = ["OpMatrix", "product_difference", "tensor_embed", "swap_two_leg", "embed_two_leg"]
 
 
 class OpMatrix:
@@ -41,27 +45,10 @@ class OpMatrix:
         return self.mul(other)
 
     def mul(self, other: "OpMatrix") -> "OpMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"dimension mismatch {self.rows}x{self.cols} @ "
-                             f"{other.rows}x{other.cols}")
-        out = [[None] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            arow = self.entries[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = other.entries[k]
-                orow = out[i]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b.is_zero():
-                        continue
-                    p = a * b
-                    orow[j] = p if orow[j] is None else orow[j] + p
-        # the zero of the product ring, without multiplying two real entries
-        zero = self.entries[0][0].zero_like() * other.entries[0][0].zero_like()
-        return OpMatrix([[e if e is not None else zero for e in row] for row in out])
+        _check_product(self, other)
+        zero = _product_zero(self, other)
+        return OpMatrix([[_dot(_pairs(self, other, i, j), zero) for j in range(other.cols)]
+                         for i in range(self.rows)])
 
     def add(self, other: "OpMatrix") -> "OpMatrix":
         self._same_shape(other)
@@ -98,7 +85,6 @@ class OpMatrix:
 
     def det(self):
         """Exact determinant by cofactor expansion; commutative entries only."""
-        from .weyl import WeylOp
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if any(isinstance(x, WeylOp) for row in self.entries for x in row):
@@ -153,6 +139,74 @@ class OpMatrix:
 
     def __repr__(self):
         return f"OpMatrix({self.rows}x{self.cols})"
+
+
+def product_difference(a: OpMatrix, b: OpMatrix, c: OpMatrix, d: OpMatrix) -> OpMatrix:
+    """``a·b − c·d`` without building either product.
+
+    Over Weyl operators each entry is one :meth:`WeylOp.dot` of the pairs of
+    both sides, so terms that cancel between the sides never stand apart; the
+    smaller factor of each pair of ``c·d`` is the one negated.  Over other
+    rings each entry is the fold ``sum(a b) - sum(c d)``, as ``mul`` and
+    ``sub`` would compute it.
+    """
+    _check_product(a, b)
+    _check_product(c, d)
+    if (a.rows, b.cols) != (c.rows, d.cols):
+        raise ValueError("shape mismatch")
+    zero = _product_zero(a, b)
+    negated: dict[int, object] = {}
+
+    def neg(x):
+        # tensor embeddings repeat one entry object, so negate each once
+        y = negated.get(id(x))
+        if y is None:
+            y = negated[id(x)] = -x
+        return y
+
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            plus, minus = _pairs(a, b, i, j), _pairs(c, d, i, j)
+            if any(isinstance(x, WeylOp) for pair in plus + minus for x in pair):
+                minus = [(neg(x), y) if len(x.terms) <= len(y.terms) else (x, neg(y))
+                         for x, y in minus]
+                row.append(WeylOp.dot(plus + minus))
+            else:
+                row.append(_dot(plus, zero) - _dot(minus, zero))
+        out.append(row)
+    return OpMatrix(out)
+
+
+def _check_product(a: OpMatrix, b: OpMatrix) -> None:
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+
+
+def _product_zero(a: OpMatrix, b: OpMatrix):
+    """The zero of the product ring, without multiplying two real entries."""
+    return a.entries[0][0].zero_like() * b.entries[0][0].zero_like()
+
+
+def _pairs(a: OpMatrix, b: OpMatrix, i: int, j: int) -> list[tuple]:
+    """The pairs ``(a_ik, b_kj)`` of entry ``(i, j)`` of ``a·b`` with neither factor zero."""
+    return [(x, y) for x, y in zip(a.entries[i], (row[j] for row in b.entries))
+            if not x.is_zero() and not y.is_zero()]
+
+
+def _dot(pairs: list[tuple], zero):
+    """``sum(x * y for x, y in pairs)``: one :meth:`WeylOp.dot` over operators,
+    a left fold over other rings, and ``zero`` for no pairs."""
+    if not pairs:
+        return zero
+    if any(isinstance(x, WeylOp) for pair in pairs for x in pair):
+        return WeylOp.dot(pairs)
+    total = None
+    for x, y in pairs:
+        p = x * y
+        total = p if total is None else total + p
+    return total
 
 
 def _as_fraction(x):

@@ -16,9 +16,12 @@ and the s-phase ``sum_n b1_n * a2_n``, which depends only on the U part of
 the left key and the V part of the right one.  The product kernel therefore
 groups the left operand by U part and the right one by V part, takes the
 phase once per pair of groups, and runs its inner loops on integer additions
-only.  The commutator is one fused pass of the same kind: ``k1 k2`` and
-``k2 k1`` share their key, so each pair adds ``c1 c2 (s^phi12 - s^phi21)``
-once and a pair with equal phases adds nothing.
+only.  It sums several products in one accumulator (:meth:`WeylOp.dot`), so a
+matrix entry or a residual ``a b - c d`` is built without its products
+standing apart; ``a * b`` is the sum of one product.  The commutator is one
+fused pass of the same kind: ``k1 k2`` and ``k2 k1`` share their key, so each
+pair adds ``c1 c2 (s^phi12 - s^phi21)`` once and a pair with equal phases
+adds nothing.
 """
 
 from __future__ import annotations
@@ -71,32 +74,40 @@ def decode_key(key: int) -> tuple:
     return tuple((n, a2, b2) for n, (a2, b2) in sites.items())
 
 
-def _grouped(terms: dict, size: int, part: int) -> tuple[dict, int]:
+def _grouped(terms: dict, size: int, part: int | None) -> tuple[dict, int, bool]:
     """The terms as (key, coefficient items), grouped by the digits of one part
-    of their keys (0: V, 1: U), and the largest |digit| of any key."""
+    of their keys (0: V, 1: U; None: one group, no key decoded), the largest
+    |digit| of any decoded key, and whether every coefficient is an int."""
     groups: dict[tuple, list] = {}
     bound = 0
+    integral = True
     for k, c in terms.items():
-        ds = digits(k, 0, 2 * size)
-        bound = max(bound, max(ds), -min(ds))
-        groups.setdefault(tuple(ds[part::2]), []).append((k, tuple(c.terms.items())))
-    return groups, bound
+        items = tuple(c.terms.items())
+        if integral:
+            integral = all(type(x) is int for _, x in items)
+        if part is None:
+            group = ()
+        else:
+            ds = digits(k, 0, 2 * size)
+            bound = max(bound, max(ds), -min(ds))
+            group = tuple(ds[part::2])
+        groups.setdefault(group, []).append((k, items))
+    return groups, bound, integral
 
 
-def _operands(terms1: dict, terms2: dict, size: int) -> tuple[dict, dict]:
+def _operands(terms1: dict, terms2: dict, size: int) -> tuple[dict, dict, bool]:
     """The left operand grouped by the U part of its keys and the right one by
-    the V part (see :func:`_grouped`); OverflowError if a key sum could carry."""
-    if (len(terms1) == 1 and 0 in terms1) or (len(terms2) == 1 and 0 in terms2):
-        # a scalar-valued operand merges with phase 0 and moves no digit, so
-        # neither side is grouped: decoding every key of the other operand
-        # costs the sites4 command about an eighth of its time
-        return ({(): [(k, tuple(c.terms.items())) for k, c in terms1.items()]},
-                {(): [(k, tuple(c.terms.items())) for k, c in terms2.items()]})
-    left, bound1 = _grouped(terms1, size, 1)
-    right, bound2 = _grouped(terms2, size, 0)
+    the V part (see :func:`_grouped`), and whether all their coefficients are
+    ints; OverflowError if a key sum could carry."""
+    # a scalar-valued operand merges with phase 0 and moves no digit, so
+    # neither side is grouped: decoding every key of the other operand
+    # costs the sites4 command about an eighth of its time
+    scalar = (len(terms1) == 1 and 0 in terms1) or (len(terms2) == 1 and 0 in terms2)
+    left, bound1, integral1 = _grouped(terms1, size, None if scalar else 1)
+    right, bound2, integral2 = _grouped(terms2, size, None if scalar else 0)
     # a key sum adds two digits each below 2**29: below the guard it cannot carry
     check_bound(bound1 + bound2)
-    return left, right
+    return left, right, integral1 and integral2
 
 
 def _indexed(groups: dict, size: int, part: int) -> tuple[dict, list]:
@@ -109,16 +120,13 @@ def _indexed(groups: dict, size: int, part: int) -> tuple[dict, list]:
     return out, list(parts)
 
 
-def _coeff_bound(terms1: dict, terms2: dict, phases) -> int:
+def _coeff_bound(terms1: dict, terms2: dict, phase: int) -> int:
     """The exponent bound of a kernel's coefficients: each exponent sums one
-    of a left coefficient, one of a right coefficient and a phase."""
+    of a left coefficient, one of a right coefficient and a phase of at most
+    ``phase`` in size."""
     return check_bound(max((c.exp_bound for c in terms1.values()), default=0)
                        + max((c.exp_bound for c in terms2.values()), default=0)
-                       + max(map(abs, phases), default=0))
-
-
-def _integral(terms: dict) -> bool:
-    return all(type(x) is int for c in terms.values() for x in c.terms.values())
+                       + phase)
 
 
 def _rows(acc: dict, bound: int, canonical: bool) -> dict[int, Scalar]:
@@ -127,15 +135,16 @@ def _rows(acc: dict, bound: int, canonical: bool) -> dict[int, Scalar]:
     return {k: make(row, bound) for k, row in acc.items()}
 
 
-def _product(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
-    """Terms of the normal-ordered product of two Weyl term maps.
+def _dot(pairs, size: int) -> dict[int, Scalar]:
+    """Terms of the sum of the normal-ordered products of pairs of Weyl term maps.
 
-    The s-phase is taken once per pair of a left U part and a right V part.
-    Each pair of keys is merged by one addition, and the products of the two
-    coefficients' terms go straight into a raw accumulator over packed scalar
-    keys.  One Scalar is built per surviving output key.
+    Every product adds into one accumulator, so a sum whose products cancel
+    never holds them apart.  Per pair, the s-phase is taken once per pair of
+    a left U part and a right V part, each pair of keys is merged by one
+    addition, and the products of the two coefficients' terms go straight
+    into a raw row over packed scalar keys.  One Scalar is built per
+    surviving output key.  The term cap applies to the accumulator.
     """
-    left, right = _operands(terms1, terms2, size)
     s_idx = var_index("s")
     shifts = {}
     acc: dict[int, dict[int, int | Fraction]] = {}
@@ -143,38 +152,46 @@ def _product(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
     # rows: every row stores the one object ``keys`` holds for it, which keeps
     # a product's rows small
     keys: dict[int, int] = {}
-    for u1, lefts in left.items():
-        for v2, rights in right.items():
-            ph = sum(map(mul, u1, v2))
-            sh = shifts.get(ph)
-            if sh is None:
-                sh = shifts[ph] = pack_power(s_idx, ph)
-            for k1, t1 in lefts:
-                for k2, t2 in rights:
-                    k = k1 + k2
-                    row = acc.get(k)
-                    if row is None:
-                        row = acc[k] = {}
-                    for m1, x1 in t1:
-                        m1 += sh
-                        for m2, x2 in t2:
-                            m = m1 + m2
-                            x = row.get(m)
-                            if x is None:
-                                row[keys.setdefault(m, m)] = x1 * x2
-                                continue
-                            x += x1 * x2
-                            if x:
-                                row[m] = x
-                            else:
-                                del row[m]
-                    if not row:
-                        del acc[k]
-                    elif len(acc) > TERM_CAP:
-                        raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
-    # each sum above adds three digits below 2**29, which cannot carry
-    bound = _coeff_bound(terms1, terms2, shifts)
-    return _rows(acc, bound, _integral(terms1) and _integral(terms2))
+    bound = 0
+    integral = True
+    for terms1, terms2 in pairs:
+        left, right, pair_integral = _operands(terms1, terms2, size)
+        integral = integral and pair_integral
+        top = 0
+        for u1, lefts in left.items():
+            for v2, rights in right.items():
+                ph = sum(map(mul, u1, v2))
+                sh = shifts.get(ph)
+                if sh is None:
+                    sh = shifts[ph] = pack_power(s_idx, ph)
+                if abs(ph) > top:
+                    top = abs(ph)
+                for k1, t1 in lefts:
+                    for k2, t2 in rights:
+                        k = k1 + k2
+                        row = acc.get(k)
+                        if row is None:
+                            row = acc[k] = {}
+                        for m1, x1 in t1:
+                            m1 += sh
+                            for m2, x2 in t2:
+                                m = m1 + m2
+                                x = row.get(m)
+                                if x is None:
+                                    row[keys.setdefault(m, m)] = x1 * x2
+                                    continue
+                                x += x1 * x2
+                                if x:
+                                    row[m] = x
+                                else:
+                                    del row[m]
+                        if not row:
+                            del acc[k]
+                        elif len(acc) > TERM_CAP:
+                            raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
+        # each sum above adds three digits below 2**29, which cannot carry
+        bound = max(bound, _coeff_bound(terms1, terms2, top))
+    return _rows(acc, bound, integral)
 
 
 def _commutator(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
@@ -182,10 +199,10 @@ def _commutator(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
 
     A key pair adds ``c1 c2 s^phi12`` and ``-c1 c2 s^phi21`` at ``k1 + k2``;
     pairs with ``phi12 == phi21`` commute and are skipped.  phi12 comes once
-    per group pair, as in :func:`_product`; phi21 pairs the left V part with
+    per group pair, as in :func:`_dot`; phi21 pairs the left V part with
     the right U part and is read from a table over the distinct parts.
     """
-    left, right = _operands(terms1, terms2, size)
+    left, right, integral = _operands(terms1, terms2, size)
     left, v1s = _indexed(left, size, 0)
     right, u2s = _indexed(right, size, 1)
     # phi21 of every left V part with every right U part
@@ -235,8 +252,8 @@ def _commutator(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
                         del acc[k]
                     elif len(acc) > TERM_CAP:
                         raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
-    bound = _coeff_bound(terms1, terms2, shifts)
-    return _rows(acc, bound, _integral(terms1) and _integral(terms2))
+    bound = _coeff_bound(terms1, terms2, max(map(abs, shifts), default=0))
+    return _rows(acc, bound, integral)
 
 
 class WeylOp:
@@ -347,13 +364,36 @@ class WeylOp:
         if not isinstance(other, WeylOp):
             return NotImplemented
         self._check(other)
-        return WeylOp._of(self.lattice, _product(self.terms, other.terms, self.lattice.size))
+        return WeylOp._of(self.lattice, _dot([(self.terms, other.terms)], self.lattice.size))
 
     def __rmul__(self, other):
         # Only scalars reach here; they commute with everything.
         if isinstance(other, (int, Fraction, Scalar)):
             return self * other
         return NotImplemented
+
+    @staticmethod
+    def dot(pairs) -> "WeylOp":
+        """``sum(a * b for a, b in pairs)``, built in one accumulator.
+
+        At least one factor must be a WeylOp; ring scalars among the others
+        are lifted onto its lattice, as ``*`` lifts them.
+        """
+        pairs = list(pairs)
+        op = next((x for pair in pairs for x in pair if isinstance(x, WeylOp)), None)
+        if op is None:
+            raise TypeError("WeylOp.dot needs a WeylOp among its factors")
+
+        def lifted(x) -> dict:
+            if isinstance(x, (int, Fraction, Scalar)):
+                return WeylOp.scalar(x, op.lattice).terms
+            if not isinstance(x, WeylOp):
+                raise TypeError(f"cannot multiply a WeylOp by {type(x).__name__}")
+            op._check(x)
+            return x.terms
+
+        terms = [(lifted(a), lifted(b)) for a, b in pairs]
+        return WeylOp._of(op.lattice, _dot(terms, op.lattice.size))
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
         """``self * other - other * self``, in one pass over the key pairs."""

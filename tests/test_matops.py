@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from toda2.matops import OpMatrix, embed_two_leg, tensor_embed
+from toda2.matops import OpMatrix, embed_two_leg, product_difference, tensor_embed
 from toda2.poisson import make_chart
 from toda2.ring import Scalar, ScalarFraction, unpack_key, var_index
 from toda2.weyl import Lattice, WeylOp
-from toda2.quantum import ModelParams, build_lax, build_scalar_aux, q_sigma_z
+from toda2.quantum import (ModelParams, build_aux, build_lax, build_scalar_aux, monodromy,
+                           q_sigma_z)
 
 LAT = Lattice(3, True)
 PARAMS = ModelParams.generic()
@@ -231,6 +232,72 @@ def test_scalar_matrix_multiplies_into_other_rings_on_both_sides(ring):
         assert all(isinstance(x, kind) for x in entries)
         assert entries[1].is_zero() and entries[3].is_zero()
         assert all(g == o for g, o in zip(entries, (x for row in oracle.entries for x in row)))
+
+
+# -- the fused residual a·b − c·d against two products and a difference ----------
+
+
+def _rand_weyl_entry(rng):
+    """Zero, or a sum of one to three half-integer words with small coefficients."""
+    total = WeylOp.zero(LAT)
+    for _ in range(rng.randint(0, 3)):
+        factors = [(rng.randint(1, 3), rng.choice("UV"), Fraction(rng.choice([-3, -1, 1, 2]), 2))
+                   for _ in range(rng.randint(1, 3))]
+        coeff = Scalar.monomial({"s": rng.randint(-2, 2), "lam": rng.randint(0, 2)},
+                                Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2])))
+        total = total + WeylOp.word(LAT, factors, coeff)
+    return total
+
+
+def _assert_product_difference(a, b, c, d):
+    got = product_difference(a, b, c, d)
+    expect = a.mul(b).sub(c.mul(d))
+    assert (got.rows, got.cols) == (expect.rows, expect.cols)
+    for g, e in zip((x for row in got.entries for x in row),
+                    (x for row in expect.entries for x in row)):
+        assert type(g) is type(e) and g == e
+    return got
+
+
+def test_product_difference_on_random_half_integer_weyl_matrices():
+    rng = random.Random(4242)
+    for _ in range(12):
+        a, b, c, d = (OpMatrix([[_rand_weyl_entry(rng) for _ in range(2)] for _ in range(2)])
+                      for _ in range(4))
+        _assert_product_difference(a, b, c, d)
+        # the two sides cancel exactly
+        assert product_difference(a, b, a, b).is_zero()
+
+
+def test_product_difference_on_three_site_monodromy_entries():
+    lam1, lam2 = Scalar.var("lam1"), Scalar.var("lam2")
+    T1 = tensor_embed(monodromy(3, lam1, PARAMS), 1)
+    T2 = tensor_embed(monodromy(3, lam2, PARAMS), 2)
+    res = _assert_product_difference(T1, T2, T2, T1)
+    assert not res.is_zero()  # the monodromy entries do not commute
+
+
+def test_product_difference_mixes_c_numbers_and_operators():
+    lam1, lam2 = Scalar.var("lam1"), Scalar.var("lam2")
+    A, D = build_aux("A", lam1, lam2), build_aux("D", lam1, lam2)
+    x1 = tensor_embed(build_lax("l", 1, lam1, PARAMS, LAT), 1)
+    x2 = tensor_embed(build_lax("l", 2, lam2, PARAMS, LAT), 2)
+    _assert_product_difference(A, x1, x2, D)
+    _assert_product_difference(x1, A, D, x2)
+    _assert_product_difference(A.mul(x1), x2, x2, x1.mul(D))
+    # c-numbers only: the fold of each side, then their difference
+    rng = random.Random(17)
+    a, b, c, d = (rand_scalar_matrix(rng, 3) for _ in range(4))
+    _assert_product_difference(a, b, c, d)
+
+
+def test_product_difference_rejects_mismatched_shapes():
+    a = rand_scalar_matrix(random.Random(3), 2)
+    b = OpMatrix([[sc(1)] * 3] * 2)
+    with pytest.raises(ValueError):
+        product_difference(a, b, a, a)
+    with pytest.raises(ValueError):
+        product_difference(a, a, b, a)
 
 
 # -- an independent check: the matrix layer against nested lists of Fractions ----

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from toda2.matops import OpMatrix
@@ -107,6 +109,36 @@ def test_monodromy_quadratic_algebra():
     # small rings wrap onto themselves; measured, not asserted
     rep2 = report_from_residuals({}, check_fm("ATT_TTD", N=2))
     assert rep2.residual_terms == 0
+
+
+def test_quadratic_algebra_catches_a_perturbed_d_entry(monkeypatch):
+    # the fused residual is not zero by construction: one wrong entry of D
+    # leaves terms behind
+    from toda2 import quantum
+    build = quantum.build_aux
+
+    def perturbed(kind, l1, l2):
+        m = build(kind, l1, l2)
+        if kind == "D":
+            m.entries[1][2] = m.entries[1][2] + spow(1)
+        return m
+
+    monkeypatch.setattr(quantum, "build_aux", perturbed)
+    rep = report_from_residuals({}, check_fm("ATT_TTD", N=3))
+    assert rep.status == "fail"
+    assert rep.residual_terms > 0 and rep.witness
+
+
+def test_quadratic_algebra_builds_neither_side_whole():
+    # both sides of A T1 B T2 = T2 C T1 D at three sites held 2.5 MiB at once;
+    # the fused residual keeps one entry's accumulator at a time
+    tracemalloc.start()
+    try:
+        check_fm("ATT_TTD", N=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_distant_entries_commute():

@@ -12,6 +12,7 @@ from toda2.reports import report_from_residuals
 @pytest.mark.parametrize("entry, classical, quantum", [
     ("W1W1", ["w1w1", "qq"], ["W_algebra_q", "QP_relations"]),
     ("QP", ["qp", "qp_from_rep"], ["QP_relations"]),
+    ("W2W2", ["w2w2"], ["W_algebra_q"]),
 ])
 def test_one_table_feeds_both_sides(entry, classical, quantum):
     original = poisson.W_BRACKETS[entry]

@@ -350,6 +350,68 @@ def test_kernel_scalar_operand_on_both_sides(c):
         assert decoded(c * a) == expect
 
 
+# -- the fused dot against a fold of products -------------------------------------
+
+
+def fold(pairs):
+    total = None
+    for a, b in pairs:
+        total = a * b if total is None else total + a * b
+    return total
+
+
+def test_dot_matches_the_fold_of_products_on_random_half_integer_words():
+    rng = random.Random(271828)
+    for _ in range(40):
+        pairs = [(rand_half_word_op(rng), rand_half_word_op(rng))
+                 for _ in range(rng.randint(1, 4))]
+        out = WeylOp.dot(pairs)
+        assert out.terms == fold(pairs).terms
+        assert canonical(out)
+
+
+def test_dot_cancels_products_across_pairs():
+    rng = random.Random(31)
+    for _ in range(10):
+        a, b = rand_half_word_op(rng), rand_half_word_op(rng)
+        assert WeylOp.dot([(a, b), (-a, b)]).is_zero()
+        assert WeylOp.dot([(a, b), (b, a), (a, -b)]).terms == (b * a).terms
+    # V1 U1 cancels between two pairs, where each product alone keeps it
+    u, v = gen(1, "U"), gen(1, "V")
+    out = WeylOp.dot([(u, v), (v, u * -spow(4)), (v, v)])
+    assert decoded(out) == {((1, 4, 0),): Scalar.const(1)}
+
+
+@pytest.mark.parametrize("c", [Scalar.var("lam", -2) * 3 + Scalar.var("s"), 7,
+                               Fraction(-5, 3), Scalar.zero()])
+def test_dot_lifts_scalar_operands_on_both_sides(c):
+    rng = random.Random(12)
+    for _ in range(10):
+        a, b = rand_half_word_op(rng), rand_half_word_op(rng)
+        pairs = [(a, c), (c, b), (a, b), (c, c)]
+        assert WeylOp.dot(pairs) == fold(pairs[:3]) + c * c
+        assert WeylOp.dot([(c, a)]).terms == (a * c).terms
+
+
+def test_dot_refuses_mixed_lattices_and_scalars_only():
+    with pytest.raises(ValueError):
+        WeylOp.dot([(gen(1, "U"), gen(1, "V", lat=PER))])
+    with pytest.raises(TypeError):
+        WeylOp.dot([(Scalar.var("lam"), 2)])
+
+
+def test_dot_cap_counts_the_accumulator(monkeypatch):
+    # a * b has 16 keys; with its negation the sum is zero, but the
+    # accumulator holds all 16 before the second pair cancels them
+    a = gen(1, "U") + gen(2, "U") + gen(3, "U") + gen(4, "U")
+    b = gen(1, "V") + gen(2, "V") + gen(3, "V") + gen(4, "V")
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 16)
+    assert WeylOp.dot([(a, b), (a, -b)]).is_zero()
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 15)
+    with pytest.raises(TermCapExceeded):
+        WeylOp.dot([(a, b), (a, -b)])
+
+
 # -- the fused commutator against a*b - b*a -------------------------------------
 
 
