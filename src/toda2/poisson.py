@@ -18,9 +18,10 @@ from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 
-from .ring import Scalar, ScalarFraction, check_bound, digits, pack_power, var_index
+from .ring import Scalar, ScalarFraction, accumulate, check_bound, digits, pack_power, var_index
 
-__all__ = ["Chart", "make_chart", "build_classical", "W_BRACKETS", "pp_bracket"]
+__all__ = ["Chart", "make_chart", "build_classical", "W_BRACKETS", "first_order",
+           "pp_bracket", "w2w2_tail"]
 
 
 # Componentwise coefficients of the rational exchange structure on the
@@ -45,8 +46,7 @@ _R_EQUAL = [[(p + m) / 2 for p, m in zip(rp, rm)] for rp, rm in zip(_R_PLUS, _R_
 # n, m and a Kronecker delta d (a periodic chart reads it mod N): classically
 # {X_n, Y_m} = c(n, m) X_n Y_m on the Wronskians W1, W2 and on Q, P, and the
 # quantum chain keeps the integers as X_n Y_m = s^c(n, m) Y_m X_n.  Q = 1/W1
-# shares the W1-W1 constants.  {W2_n, W2_m} adds a W1 tail, and {P_n, P_m}
-# (``pp_bracket``) closes on Q^2, so neither is of this form alone.
+# shares the W1-W1 constants.
 W_BRACKETS = {
     "W1W1": lambda n, m, d: d(n, m - 1) - d(n, m + 1),
     "W1W2": lambda n, m, d: d(n, m + 1) - d(n, m + 2) + d(n, m - 1) - d(n, m),
@@ -56,9 +56,27 @@ W_BRACKETS = {
 }
 
 
-def pp_bracket(n: int, m: int, d, q_squared):
-    """{P_n, P_m}, with ``q_squared(k)`` realising Q_k^2."""
-    return -4 * d(n, m + 1) * q_squared(m) + 4 * d(n + 1, m) * q_squared(n)
+# {P_n, P_m} closes on Q^2 and {W2_n, W2_m} adds a W1 tail, so neither is of
+# that form.  Their terms carry weights named by two s-exponents: ``weight(a,
+# b)`` is s^a - s^b in the quantum relations and a - b, its first-order term
+# at s = 1 + eps, in the classical brackets.
+def first_order(a: int, b: int) -> int:
+    """The classical weight of a term the quantum relation weighs by s^a - s^b."""
+    return a - b
+
+
+def pp_bracket(n: int, m: int, d, q_squared, weight):
+    """{P_n, P_m} = w (d(n+1, m) Q_n^2 - d(n, m+1) Q_m^2), w = weight(3, -1),
+    where ``q_squared(k)`` realises Q_k^2."""
+    w = weight(3, -1)
+    return w * d(n + 1, m) * q_squared(n) - w * d(n, m + 1) * q_squared(m)
+
+
+def w2w2_tail(n: int, m: int, d, w1, weight) -> list:
+    """The terms of the W1 tail of {W2_n, W2_m}: weight(σ, -3σ) W1_{k-1} W1_{k+1}
+    at m = n + σ, where k = max(n, m) and ``w1(k)`` realises W1_k."""
+    return [weight(sigma, -3 * sigma) * w1(k - 1) * w1(k + 1)
+            for sigma, k in ((-1, n), (1, m)) if d(n, m - sigma)]
 
 
 class Chart:
@@ -112,43 +130,34 @@ class Chart:
     # -- the bracket ----------------------------------------------------------
 
     def poly_bracket(self, p: Scalar, q: Scalar) -> Scalar:
-        """Bracket of two Laurent polynomials via the Leibniz monomial rule."""
+        """Bracket of two Laurent polynomials, contracted through their gradients:
+        ``{p, q} = sum_i d_i p * (sum_j {x_i, x_j} d_j q)``."""
         # a result exponent sums one of p, one of q, a removed generator and one of the table
         bound = check_bound(p.exp_bound + q.exp_bound + 1 + self._table_bound)
-        left, right = self._gen_exponents(p), self._gen_exponents(q)
-        table = self._table
+        grad_q = self._gradient(q)
         out: dict[int, int | Fraction] = {}
-        for k1, c1, e1 in left:
-            for k2, c2, e2 in right:
-                base = k1 + k2
-                for vi, ei, ui in e1:
-                    for vj, ej, uj in e2:
-                        t = table.get((vi, vj))
-                        if t is None:
-                            continue
-                        key = base - ui - uj
-                        c12 = c1 * c2 * ei * ej
-                        for k, c in t.terms.items():
-                            k += key
-                            c = out.get(k, 0) + c * c12
-                            if c:
-                                out[k] = c
-                            else:
-                                del out[k]
+        keys: dict[int, int] = {}
+        for i, dp in self._gradient(p).items():
+            row: dict[int, int | Fraction] = {}
+            for j, dq in grad_q.items():
+                t = self._table.get((i, j))
+                if t is not None:
+                    accumulate(row, t.terms.items(), dq, 0, keys)
+            accumulate(out, dp, row.items(), 0, keys)
         return Scalar(out, bound)
 
-    def _gen_exponents(self, p: Scalar) -> list[tuple]:
-        """The terms of ``p`` that contain a generator, each as (key, coefficient,
-        [(generator index, exponent, key of the generator)])."""
+    def _gradient(self, p: Scalar) -> dict[int, list]:
+        """The nonzero partial derivatives of ``p`` by the generators, by
+        variable index, each as its (key, coefficient) terms."""
         gens = self._gen_units
         first = gens[0][0]
         span = gens[-1][0] - first + 1
-        out = []
+        out: dict[int, list] = {}
         for k, c in p.terms.items():
             ds = digits(k, first, span)
-            exps = [(v, e, u) for v, u in gens if (e := ds[v - first])]
-            if exps:
-                out.append((k, c, exps))
+            for v, u in gens:
+                if e := ds[v - first]:
+                    out.setdefault(v, []).append((k - u, c * e))
         return out
 
     def bracket(self, f: ScalarFraction, g: ScalarFraction) -> ScalarFraction:
@@ -232,7 +241,7 @@ def _make_qp(size: int, periodic: bool) -> Chart:
         for m in rng:
             if n < m:
                 chart._set_bracket(f"Q{n}", f"Q{m}", W_BRACKETS["W1W1"](n, m, d) * Q(n) * Q(m))
-                chart._set_bracket(f"P{n}", f"P{m}", pp_bracket(n, m, d, q_squared))
+                chart._set_bracket(f"P{n}", f"P{m}", pp_bracket(n, m, d, q_squared, first_order))
             chart._set_bracket(f"Q{n}", f"P{m}", W_BRACKETS["QP"](n, m, d) * Q(n) * P(m))
     return chart
 
@@ -309,10 +318,7 @@ def residuals_wronskian(chart: Chart, p: int, r: int, window) -> list[tuple[str,
             x, y = w(n, p), w(m, r)
             rhs = x * y * c(n, m, d)
             if p == r == 2:
-                if d(n, m + 1):
-                    rhs = rhs - 4 * w(n - 1, 1) * w(n + 1, 1)
-                if d(n, m - 1):
-                    rhs = rhs + 4 * w(m - 1, 1) * w(m + 1, 1)
+                rhs = sum(w2w2_tail(n, m, d, lambda k: w(k, 1), first_order), rhs)
             out.append((f"(n={n},m={m})", chart.bracket(x, y) - rhs))
     return out
 
@@ -360,7 +366,7 @@ def residuals_qp(which: str, chart: Chart, window, q_of, p_of,
                 rhs = q_of(n) * p_of(m) * (power * W_BRACKETS["QP"](n, m, d))
             elif which == "pp":
                 lhs = chart.bracket(p_of(n), p_of(m))
-                rhs = pp_bracket(n, m, d, q_squared)
+                rhs = pp_bracket(n, m, d, q_squared, first_order)
             else:
                 raise ValueError(which)
             out.append((f"(n={n},m={m})", lhs - rhs))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .matops import OpMatrix, embed_two_leg, product_difference, swap_two_leg, tensor_embed
-from .poisson import W_BRACKETS
+from . import poisson
 from .ring import Scalar, ScalarFraction
 from .weyl import Lattice, WeylOp
 
@@ -37,6 +37,10 @@ def _s(k: int = 1) -> Scalar:
 
 def _c(v) -> Scalar:
     return Scalar.const(v)
+
+
+def _weight(a: int, b: int) -> Scalar:
+    return _s(a) - _s(b)
 
 
 @dataclass(frozen=True)
@@ -593,16 +597,13 @@ def check_representation(check_id: str, size: int) -> list:
         for p, r, ns, ms in ((1, 1, range(1, size), range(1, size)),
                              (1, 2, range(1, size), range(1, size - 1)),
                              (2, 2, inner, inner)):
-            c = W_BRACKETS[f"W{p}W{r}"]
+            c = poisson.W_BRACKETS[f"W{p}W{r}"]
             for n in ns:
                 for m in ms:
                     x, y = W[(p, n)], W[(r, m)]
                     rhs = y * x * _s(c(n, m, d))
                     if p == r == 2:
-                        if d(n, m + 1):
-                            rhs = rhs + W[(1, n - 1)] * W[(1, n + 1)] * (_s(-1) - _s(3))
-                        if d(n, m - 1):
-                            rhs = rhs + W[(1, m - 1)] * W[(1, m + 1)] * (_s(1) - _s(-3))
+                        rhs = sum(poisson.w2w2_tail(n, m, d, lambda k: W[(1, k)], _weight), rhs)
                     items.append((f"{p}{r}(n={n},m={m})", x * y - rhs))
         return items
 
@@ -613,14 +614,12 @@ def check_representation(check_id: str, size: int) -> list:
         items = []
         for n in Q:
             for m in Q:
-                r1 = Q[n] * Q[m] - Q[m] * Q[n] * _s(W_BRACKETS["W1W1"](n, m, d))
+                r1 = Q[n] * Q[m] - Q[m] * Q[n] * _s(poisson.W_BRACKETS["W1W1"](n, m, d))
                 items.append((f"QQ(n={n},m={m})", r1))
-                r2 = (P[n] * P[m] - P[m] * P[n]
-                      - (_s(3) - _s(-1))
-                      * (Q2[n] * d(n + 1, m) - Q2[m] * d(n, m + 1)))
+                r2 = P[n] * P[m] - P[m] * P[n] - poisson.pp_bracket(n, m, d, lambda k: Q2[k], _weight)
                 items.append((f"PP(n={n},m={m})", r2))
                 # {P_n, Q_m} = -{Q_m, P_n}
-                r3 = P[n] * Q[m] - Q[m] * P[n] * _s(-W_BRACKETS["QP"](m, n, d))
+                r3 = P[n] * Q[m] - Q[m] * P[n] * _s(-poisson.W_BRACKETS["QP"](m, n, d))
                 items.append((f"PQ(n={n},m={m})", r3))
         return items
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-__all__ = ["Scalar", "ScalarFraction", "var_index", "var_key",
-           "PACK_LIMIT", "check_bound", "digits", "pack_power", "unpack_key"]
+__all__ = ["Scalar", "ScalarFraction", "var_index", "var_key", "PACK_LIMIT",
+           "accumulate", "check_bound", "digits", "pack_power", "unpack_key"]
 
 
 # The variable table: name <-> index, append-only, shared by every Scalar.
@@ -100,6 +100,27 @@ def unpack_key(packed: int) -> tuple:
 def _key_bound(packed: int) -> int:
     """The largest |e| of a packed key."""
     return max((abs(e) for _, e in unpack_key(packed)), default=0)
+
+
+def accumulate(row: dict, terms1, terms2, shift: int, keys: dict) -> dict:
+    """Add every product of two ``(packed key, coefficient)`` sequences into the
+    raw ``row``, each key moved by ``shift``, dropping sums that cancel; return
+    ``row``.  Each new key is stored as the one int ``keys`` holds for it, so
+    rows share key objects.  Callers check the packed range and canonicalise."""
+    for m1, x1 in terms1:
+        m1 += shift
+        for m2, x2 in terms2:
+            m = m1 + m2
+            x = row.get(m)
+            if x is None:
+                row[keys.setdefault(m, m)] = x1 * x2
+                continue
+            x += x1 * x2
+            if x:
+                row[m] = x
+            else:
+                del row[m]
+    return row
 
 
 def var_key(name: str, power: int) -> int:
@@ -225,16 +246,7 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         bound = check_bound(self.exp_bound + o.exp_bound)
-        out: dict[int, int | Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in o.terms.items():
-                k = k1 + k2
-                c = out.get(k, 0) + c1 * c2
-                if c:
-                    out[k] = c
-                else:
-                    out.pop(k, None)
-        return Scalar(out, bound)
+        return Scalar(accumulate({}, self.terms.items(), o.terms.items(), 0, {}), bound)
 
     __rmul__ = __mul__
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import weyl
-from .ring import Scalar, ScalarFraction, var_key
+from .ring import Scalar, ScalarFraction, accumulate, check_bound, var_key
 from .weyl import Lattice, WeylOp, decode_key
 
 __all__ = ["FockVector", "fock_act", "build_state", "weyl_act",
@@ -176,8 +176,12 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
 
     Levels pushed below zero annihilate the state; that matches the left
     oscillator action whenever the operator lies in the oscillator algebra.
+    Each (operator term, state component) product adds, moved by its phase,
+    into one raw row per output level tuple (:func:`~toda2.ring.accumulate`).
     """
-    out: dict[tuple, Scalar] = {}
+    rows: dict[tuple, dict] = {}
+    keys: dict[int, int] = {}
+    bound = 0
     for key, scal in op.terms.items():
         site_exp = {site: (a2, b2) for site, a2, b2 in decode_key(key)}
         if any(a2 % 2 or b2 % 2 for a2, b2 in site_exp.values()):
@@ -185,25 +189,17 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
         for levels, c in v.coeffs.items():
             new = list(levels)
             phase = 0
-            dead = False
             for site, (a2, b2) in site_exp.items():
                 k = levels[site - 1]
                 phase += 2 * k * a2  # v^(k) V^a = q^(2ka) v^(k), a = a2/2
                 new[site - 1] = k + b2 // 2
-                if new[site - 1] < 0:
-                    dead = True
-                    break
-            if dead:
+            if min(new) < 0:
                 continue
-            coeff = (c * scal).shift(var_key("s", phase))
-            tkey = tuple(new)
-            cur = out.get(tkey)
-            nc = coeff if cur is None else cur + coeff
-            if nc.is_zero():
-                out.pop(tkey, None)
-            else:
-                out[tkey] = nc
-    return v._like(out)
+            # a result exponent sums one of c, one of scal and the phase
+            bound = max(bound, check_bound(c.exp_bound + scal.exp_bound + abs(phase)))
+            row = rows.setdefault(tuple(new), {})
+            accumulate(row, c.terms.items(), scal.terms.items(), var_key("s", phase), keys)
+    return v._like({levels: Scalar(row, bound) for levels, row in rows.items() if row})
 
 
 def stochastic_hamiltonian(lattice: Lattice) -> WeylOp:

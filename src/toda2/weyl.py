@@ -30,7 +30,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .ring import PACK_BITS, Scalar, check_bound, digits, pack_power, unpack_key, var_index, var_key
+from .ring import (PACK_BITS, Scalar, accumulate, check_bound, digits, pack_power, unpack_key,
+                   var_index, var_key)
 
 __all__ = ["Lattice", "WeylOp", "TermCapExceeded", "TERM_CAP", "decode_key"]
 
@@ -142,16 +143,13 @@ def _dot(pairs, size: int) -> dict[int, Scalar]:
     never holds them apart.  Per pair, the s-phase is taken once per pair of
     a left U part and a right V part, each pair of keys is merged by one
     addition, and the products of the two coefficients' terms go straight
-    into a raw row over packed scalar keys.  One Scalar is built per
-    surviving output key.  The term cap applies to the accumulator.
+    into a raw row over packed scalar keys (``ring.accumulate``).  One Scalar
+    is built per surviving output key.  The term cap applies to the accumulator.
     """
     s_idx = var_index("s")
     shifts = {}
     acc: dict[int, dict[int, int | Fraction]] = {}
-    # each sum m1 + m2 is a new int object, and the same key recurs across
-    # rows: every row stores the one object ``keys`` holds for it, which keeps
-    # a product's rows small
-    keys: dict[int, int] = {}
+    keys: dict[int, int] = {}  # shared by every row, see ring.accumulate
     bound = 0
     integral = True
     for terms1, terms2 in pairs:
@@ -172,19 +170,7 @@ def _dot(pairs, size: int) -> dict[int, Scalar]:
                         row = acc.get(k)
                         if row is None:
                             row = acc[k] = {}
-                        for m1, x1 in t1:
-                            m1 += sh
-                            for m2, x2 in t2:
-                                m = m1 + m2
-                                x = row.get(m)
-                                if x is None:
-                                    row[keys.setdefault(m, m)] = x1 * x2
-                                    continue
-                                x += x1 * x2
-                                if x:
-                                    row[m] = x
-                                else:
-                                    del row[m]
+                        accumulate(row, t1, t2, sh, keys)
                         if not row:
                             del acc[k]
                         elif len(acc) > TERM_CAP:

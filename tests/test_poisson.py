@@ -148,7 +148,7 @@ def _fold_bracket(chart, p, q):
 
 
 @pytest.mark.parametrize("kind,size,periodic", [("qp", 3, True), ("qp", 4, False),
-                                                ("exlat", 3, False)])
+                                                ("exlat", 3, False), ("darboux", 4, False)])
 def test_poly_bracket_equals_the_fold_over_term_pairs(kind, size, periodic):
     chart = make_chart(kind, size, periodic=periodic)
     rng = random.Random(size)

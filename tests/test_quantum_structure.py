@@ -129,6 +129,26 @@ def test_quadratic_algebra_catches_a_perturbed_d_entry(monkeypatch):
     assert rep.residual_terms > 0 and rep.witness
 
 
+@pytest.mark.parametrize("cid, kind", [("AD", "A"), ("AD", "D"), ("B", "C"), ("C", "B"),
+                                       ("YBE_twisted", "Rtwisted")])
+def test_fused_exchange_residuals_catch_a_perturbed_entry(monkeypatch, cid, kind):
+    # as for ATT_TTD: each product_difference identity leaves terms behind
+    # when one entry of the structure matrix it reads is wrong
+    from toda2 import quantum
+    build = quantum.build_aux
+
+    def perturbed(k, l1, l2):
+        m = build(k, l1, l2)
+        if k == kind:
+            m.entries[1][2] = m.entries[1][2] + spow(1)
+        return m
+
+    monkeypatch.setattr(quantum, "build_aux", perturbed)
+    rep = report_from_residuals({}, check_ybe(cid) if cid == "YBE_twisted" else check_fm(cid))
+    assert rep.status == "fail"
+    assert rep.residual_terms > 0 and rep.witness
+
+
 def test_quadratic_algebra_builds_neither_side_whole():
     # both sides of A T1 B T2 = T2 C T1 D at three sites held 2.5 MiB at once;
     # the fused residual keeps one entry's accumulator at a time

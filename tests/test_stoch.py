@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,9 @@ from toda2.registry import RunConfig, run_checks
 from toda2.reports import report_from_residuals
 from toda2.ring import Scalar, ScalarFraction
 from toda2.stoch import (FockVector, _interior_defect, build_state, check_stoch,
-                         fock_act, osc_a, osc_astar, stochastic_hamiltonian, weyl_act)
-from toda2.weyl import Lattice
+                         fock_act, osc_a, osc_astar, osc_qd, stochastic_hamiltonian,
+                         weyl_act)
+from toda2.weyl import Lattice, WeylOp
 
 
 def spow(k):
@@ -81,6 +83,52 @@ def test_hamiltonian_action_matches_sitewise_composition():
     one_step = fock_act("astar", 2, fock_act("a", 1, v))
     w = weyl_act(v, osc_a(lat, 1) * osc_astar(lat, 2))
     assert (one_step - w).is_zero()
+
+
+def _oscillator_words(lat, rng, count):
+    """``count`` random words of one to three oscillator generators on ``lat``."""
+    letters = [f(lat, n) for f in (osc_a, osc_astar, osc_qd) for n in range(1, lat.size + 1)]
+    words = []
+    for _ in range(count):
+        w = rng.choice(letters)
+        for _ in range(rng.randint(0, 2)):
+            w = w * rng.choice(letters)
+        words.append(w * spow(rng.randint(-2, 2)))
+    return words
+
+
+@pytest.mark.parametrize("sites", [2, 3])
+def test_weyl_act_is_a_right_action(sites):
+    # v (X Y) = (v X) Y and v (X + Y) = v X + v Y: the Fock action's
+    # accumulator against the Weyl kernel's products and sums
+    K = 3
+    lat = Lattice(sites, True)
+    rng = random.Random(sites)
+    states = [build_state("Omega", K, N=sites)]
+    states += [FockVector.basis(tuple(rng.randint(0, K) for _ in range(sites)), K)
+               for _ in range(3)]
+    words = _oscillator_words(lat, rng, 12)
+    for v in states:
+        for X, Y in zip(words, words[1:] + words[:1]):
+            vX = weyl_act(v, X)
+            assert (weyl_act(vX, Y) - weyl_act(v, X * Y)).is_zero()
+            assert (weyl_act(v, X + Y) - (vX + weyl_act(v, Y))).is_zero()
+            assert weyl_act(v, X - X).is_zero()
+
+
+def test_weyl_act_refuses_half_integer_exponents():
+    lat = Lattice(2, True)
+    v = FockVector.basis((1, 2), 4)
+    for kind in ("U", "V"):
+        op = osc_astar(lat, 1) + WeylOp.generator(lat, 2, kind, Fraction(1, 2))
+        with pytest.raises(ValueError, match="half-integer"):
+            weyl_act(v, op)
+
+
+def test_charge_checks_pass_on_four_sites():
+    for cid in ("Omega_H1", "zero_column_sum"):
+        rep = report_from_residuals({}, check_stoch(cid, K=6, N=4))
+        assert rep.status == "pass", (cid, rep.witness)
 
 
 def test_tensor_state_coefficients_factorise():
