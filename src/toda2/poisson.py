@@ -17,29 +17,13 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .ring import Scalar, ScalarFraction, accumulate, check_bound, digits, pack_power, var_index
 
 __all__ = ["Chart", "make_chart", "build_classical", "W_BRACKETS", "first_order",
-           "pp_bracket", "w2w2_tail"]
-
-
-# Componentwise coefficients of the rational exchange structure on the
-# doublet basis (11, 12, 21, 22): r_plus for first site > second site,
-# r_minus for first < second, their mean at equal sites.
-_R_PLUS = [
-    [Fraction(1), 0, 0, 0],
-    [0, Fraction(-1), Fraction(4), 0],
-    [0, 0, Fraction(-1), 0],
-    [0, 0, 0, Fraction(1)],
-]
-_R_MINUS = [
-    [Fraction(-1), 0, 0, 0],
-    [0, Fraction(1), 0, 0],
-    [0, Fraction(-4), Fraction(1), 0],
-    [0, 0, 0, Fraction(-1)],
-]
-_R_EQUAL = [[(p + m) / 2 for p, m in zip(rp, rm)] for rp, rm in zip(_R_PLUS, _R_MINUS)]
+           "pp_bracket", "w2w2_tail", "exchange", "exchange_sum", "wronskian",
+           "doublet_words", "p_words", "q2_word"]
 
 
 # Structure constants of the lattice W-algebra, each a function of the sites
@@ -79,6 +63,67 @@ def w2w2_tail(n: int, m: int, d, w1, weight) -> list:
             for sigma, k in ((-1, n), (1, m)) if d(n, m - sigma)]
 
 
+# The doublet exchange matrices on the basis (11, 12, 21, 22), the sum they
+# enter and the Wronskian: the quantum chain weighs by s^c and s^a - s^b, the
+# classical brackets by their first-order terms c and a - b.
+def exchange(sign: int, power, weight) -> list[list]:
+    """R+ (``sign`` 1) or R- (``sign`` -1), which is R+ at s -> 1/s with its
+    legs swapped; ``power(c)`` realises s^c and ``weight(a, b)`` s^a - s^b."""
+    zero = weight(0, 0)
+    r = [[power(sign), zero, zero, zero],
+         [zero, power(-sign), weight(sign, -3 * sign), zero],
+         [zero, zero, power(-sign), zero],
+         [zero, zero, zero, power(sign)]]
+    if sign < 0:
+        swap = (0, 2, 1, 3)
+        r = [[r[i][j] for j in swap] for i in swap]
+    return r
+
+
+def exchange_sum(xi, n: int, m: int, a: int, b: int, M, zero):
+    """sum_{a', b'} xi^a'_m xi^b'_n M[(b', a'), (a, b)] from ``zero``, where
+    ``xi[(k, c)]`` realises xi^c_k: the bracket {xi^a_n, xi^b_m} classically,
+    the reordered side of xi^a_n xi^b_m on the quantum chain."""
+    col = 2 * (a - 1) + (b - 1)
+    val = zero
+    for ap in (1, 2):
+        for bp in (1, 2):
+            cf = M[2 * (bp - 1) + (ap - 1)][col]
+            if cf != 0:
+                val = val + xi[(m, ap)] * xi[(n, bp)] * cf
+    return val
+
+
+def wronskian(xi, n: int, p: int, q):
+    """W^(p)_n = q xi^1_n xi^2_{n+p} - xi^2_n xi^1_{n+p}, where ``xi(c, k)``
+    realises xi^c_k: q = s^2 on the quantum chain and 1 classically."""
+    return xi(1, n) * xi(2, n + p) * q - xi(2, n) * xi(1, n + p)
+
+
+# The canonical-pair realisation of the chain as ordered (site, "U"|"V", power)
+# words: the quantum operators are WeylOp.word sums of them, and the darboux
+# chart reads U_k^p as g_k^(2p) and V_k^p as h_k^(2p).
+def doublet_words(component: int, n: int) -> list[list[tuple]]:
+    """The words whose sum realises the doublet component xi^component_n."""
+    h = Fraction(1, 2)
+    if component == 1:
+        return [[(n, "U", -h)] + [(a, "V", h) for a in range(1, n + 1)]]
+    if component == 2:
+        return [[(n, "U", -h)] + [(b, "V", h) for b in range(a, n + 1)] + [(a, "U", 1)]
+                + [(b, "V", -h) for b in range(1, a)] for a in range(1, n + 1)]
+    raise ValueError("component must be 1 or 2")
+
+
+def p_words(n: int) -> list[list[tuple]]:
+    """P_n = V_n^-1 + U_n U_{n+1}^-1."""
+    return [[(n, "V", -1)], [(n, "U", 1), (n + 1, "U", -1)]]
+
+
+def q2_word(n: int) -> list[tuple]:
+    """Q_n^2 without its constant: V_{n+1}^-1 U_n U_{n+1}^-1."""
+    return [(n + 1, "V", -1), (n, "U", 1), (n + 1, "U", -1)]
+
+
 class Chart:
     """Generators plus a frozen antisymmetric bracket table."""
 
@@ -87,18 +132,15 @@ class Chart:
         self.size = size
         self.periodic = periodic
         self.gen_names: list[str] = []
-        self._gen_index: dict[str, int] = {}
         # (variable index, key of the variable), ascending by index
         self._gen_units: list[tuple[int, int]] = []
         self._table: dict[tuple[int, int], Scalar] = {}
         self._table_bound = 0  # the largest exponent bound of a table entry
 
-    def _add_gen(self, name: str) -> int:
+    def _add_gen(self, name: str) -> None:
         idx = var_index(name)
         self.gen_names.append(name)
-        self._gen_index[name] = idx
         insort(self._gen_units, (idx, pack_power(idx, 1)))
-        return idx
 
     def _set_bracket(self, g1: str, g2: str, value: Scalar) -> None:
         """Store {g1, g2} = value and {g2, g1} = -value."""
@@ -123,7 +165,7 @@ class Chart:
     # -- element constructors ------------------------------------------------
 
     def gen(self, name: str, power: int = 1) -> ScalarFraction:
-        if name not in self._gen_index:
+        if name not in self.gen_names:
             raise KeyError(f"{name!r} is not a generator of this chart")
         return ScalarFraction(Scalar.var(name, power))
 
@@ -197,29 +239,25 @@ def _make_exlat(size: int) -> Chart:
         chart._add_gen(f"xi2_{n}")
 
     xi = {(n, c): Scalar.var(f"xi{c}_{n}") for n in range(1, size + 1) for c in (1, 2)}
-    for n in range(1, size + 1):
-        for m in range(1, n + 1):
-            for a in (1, 2):
-                for b in (1, 2):
-                    if n == m and a >= b:
-                        continue  # store upper pairs only; diagonal is zero
-                    chart._set_bracket(f"xi{a}_{n}", f"xi{b}_{m}",
-                                       _exchange_bracket(xi, n, m, a, b, Scalar.zero()))
+    for (n, m, a, b), value in _exchange_brackets(xi, size, Scalar.zero()):
+        if n > m or a < b:  # store upper pairs only; diagonal is zero
+            chart._set_bracket(f"xi{a}_{n}", f"xi{b}_{m}", value)
     return chart
 
 
-def _exchange_bracket(xi, n: int, m: int, a: int, b: int, zero):
-    """{xi^a_n, xi^b_m} for n >= m: the exchange structure acting on the
-    products xi[(n, a')] xi[(m, b')], summed from ``zero``."""
-    struct = _R_PLUS if n > m else _R_EQUAL
-    col = 2 * (a - 1) + (b - 1)
-    val = zero
-    for ap in (1, 2):
-        for bp in (1, 2):
-            coeff = struct[2 * (ap - 1) + (bp - 1)][col]
-            if coeff:
-                val = val + coeff * xi[(n, ap)] * xi[(m, bp)]
-    return val
+def _exchange_tables() -> tuple[list[list], list[list]]:
+    """The classical exchange structure: the first-order terms of R+, for a
+    first site above the second, and their mean with those of R- at equal sites."""
+    plus, minus = (exchange(sign, lambda c: c, first_order) for sign in (1, -1))
+    equal = [[Fraction(p + m, 2) for p, m in zip(rp, rm)] for rp, rm in zip(plus, minus)]
+    return plus, equal
+
+
+def _exchange_brackets(xi, size: int, zero) -> list[tuple[tuple, object]]:
+    """{xi^a_n, xi^b_m} for n >= m, labelled (n, m, a, b), on the doublets ``xi``."""
+    plus, equal = _exchange_tables()
+    return [((n, m, a, b), exchange_sum(xi, n, m, a, b, plus if n > m else equal, zero))
+            for n in range(1, size + 1) for m in range(1, n + 1) for a in (1, 2) for b in (1, 2)]
 
 
 def _make_qp(size: int, periodic: bool) -> Chart:
@@ -274,34 +312,29 @@ def build_classical(symbol: str, n: int, chart: Chart) -> ScalarFraction:
     if symbol == "P":
         return _wronskian(chart, n - 1, 2) / (_wronskian(chart, n - 1, 1) * _wronskian(chart, n, 1))
     if symbol == "xi1_darboux":
-        elem = chart.gen(f"g{n}", -1)
-        for a in range(1, n + 1):
-            elem = elem * chart.gen(f"h{a}")
-        return elem
+        return _darboux_sum(chart, doublet_words(1, n))
     if symbol == "xi2_darboux":
-        total = ScalarFraction(0)
-        for a in range(1, n + 1):
-            term = chart.gen(f"g{a}", 2)
-            for b in range(a, n + 1):
-                term = term * chart.gen(f"h{b}")
-            for b in range(1, a):
-                term = term * chart.gen(f"h{b}", -1)
-            total = total + term
-        return chart.gen(f"g{n}", -1) * total
+        return _darboux_sum(chart, doublet_words(2, n))
     if symbol == "repQ2":
-        return (chart.gen(f"h{n + 1}", -2) * chart.gen(f"g{n}", 2)
-                * chart.gen(f"g{n + 1}", -2))
+        return _darboux_sum(chart, [q2_word(n)])
     if symbol == "repP":
-        return (chart.gen(f"h{n}", -2)
-                + chart.gen(f"g{n}", 2) * chart.gen(f"g{n + 1}", -2))
+        return _darboux_sum(chart, p_words(n))
     raise ValueError(f"unknown classical symbol {symbol!r}")
+
+
+def _darboux_sum(chart: Chart, words) -> ScalarFraction:
+    """A sum of words on the darboux chart, U_k^p read as g_k^(2p) and V_k^p as
+    h_k^(2p)."""
+    letter = {"U": "g", "V": "h"}
+    return sum((prod((chart.gen(f"{letter[kind]}{site}", int(2 * power))
+                      for site, kind, power in word), start=ScalarFraction(1))
+                for word in words), ScalarFraction(0))
 
 
 def _wronskian(chart: Chart, n: int, p: int) -> ScalarFraction:
     if chart.kind != "exlat":
         raise ValueError("lattice Wronskians live on the exchange-doublet chart")
-    return (chart.gen(f"xi1_{n}") * chart.gen(f"xi2_{n + p}")
-            - chart.gen(f"xi2_{n}") * chart.gen(f"xi1_{n + p}"))
+    return wronskian(lambda c, k: chart.gen(f"xi{c}_{k}"), n, p, 1)
 
 
 # -- identity suites -----------------------------------------------------------
@@ -375,19 +408,10 @@ def residuals_qp(which: str, chart: Chart, window, q_of, p_of,
 
 def residuals_exlat_from_darboux(chart: Chart) -> list[tuple[str, ScalarFraction]]:
     """Check the doublet exchange bracket on the canonical-pair realisation."""
-    xi = {}
-    for n in range(1, chart.size + 1):
-        xi[(n, 1)] = build_classical("xi1_darboux", n, chart)
-        xi[(n, 2)] = build_classical("xi2_darboux", n, chart)
-    out = []
-    for n in range(1, chart.size + 1):
-        for m in range(1, n + 1):
-            for a in (1, 2):
-                for b in (1, 2):
-                    lhs = chart.bracket(xi[(n, a)], xi[(m, b)])
-                    rhs = _exchange_bracket(xi, n, m, a, b, ScalarFraction(0))
-                    out.append((f"(n={n},m={m},a={a},b={b})", lhs - rhs))
-    return out
+    xi = {(n, c): build_classical(f"xi{c}_darboux", n, chart)
+          for n in range(1, chart.size + 1) for c in (1, 2)}
+    return [(f"(n={n},m={m},a={a},b={b})", chart.bracket(xi[(n, a)], xi[(m, b)]) - rhs)
+            for (n, m, a, b), rhs in _exchange_brackets(xi, chart.size, ScalarFraction(0))]
 
 
 def residuals_jacobi(chart: Chart) -> list[tuple[str, ScalarFraction]]:

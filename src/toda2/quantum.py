@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .matops import OpMatrix, embed_two_leg, product_difference, swap_two_leg, tensor_embed
+from .matops import OpMatrix, embed_two_leg, product_difference, tensor_embed
 from . import poisson
 from .ring import Scalar, ScalarFraction
 from .weyl import Lattice, WeylOp
@@ -113,18 +113,12 @@ def build_aux(kind: str, l1: Scalar, l2: Scalar) -> OpMatrix:
 
 
 def build_exchange(kind: str) -> OpMatrix:
-    """The spectral-free doublet exchange matrices: ``Rplus``, and ``Rminus``,
-    the leg swap of Rplus at s -> 1/s."""
-    zero, s = Scalar.zero(), _s(1)
-    rplus = OpMatrix([[s, zero, zero, zero],
-                      [zero, _s(-1), s - _s(-3), zero],
-                      [zero, zero, _s(-1), zero],
-                      [zero, zero, zero, s]])
-    if kind == "Rplus":
-        return rplus
-    if kind == "Rminus":
-        return swap_two_leg(rplus.map(lambda x: x.substitute({"s": _s(-1)})), 2)
-    raise ValueError(f"unknown exchange matrix kind {kind!r}")
+    """The spectral-free doublet exchange matrices ``Rplus`` and ``Rminus``
+    (``poisson.exchange`` with s-power entries)."""
+    signs = {"Rplus": 1, "Rminus": -1}
+    if kind not in signs:
+        raise ValueError(f"unknown exchange matrix kind {kind!r}")
+    return OpMatrix(poisson.exchange(signs[kind], _s, _weight))
 
 
 def q_sigma_z(power_of_q: int) -> OpMatrix:
@@ -170,21 +164,24 @@ def build_companion(kind: str, lam: Scalar,
 # -- chain operators and Lax matrices --------------------------------------------
 
 
+def _words(lattice: Lattice, words) -> WeylOp:
+    """The sum of the normal-ordered words."""
+    return sum((WeylOp.word(lattice, word) for word in words), WeylOp.zero(lattice))
+
+
 def op_P(lattice: Lattice, n: int) -> WeylOp:
-    """P_n = V_n^-1 + U_n U_{n+1}^-1."""
-    return (WeylOp.word(lattice, [(n, "V", -1)])
-            + WeylOp.word(lattice, [(n, "U", 1), (n + 1, "U", -1)]))
+    """P_n = V_n^-1 + U_n U_{n+1}^-1 (``poisson.p_words``)."""
+    return _words(lattice, poisson.p_words(n))
 
 
 def op_Q2(lattice: Lattice, n: int) -> WeylOp:
-    """Q_n^2 = q^(1/2) V_{n+1}^-1 U_n U_{n+1}^-1."""
-    return WeylOp.word(lattice, [(n + 1, "V", -1), (n, "U", 1), (n + 1, "U", -1)], _s(1))
+    """Q_n^2 = q^(1/2) V_{n+1}^-1 U_n U_{n+1}^-1 (``poisson.q2_word``)."""
+    return WeylOp.word(lattice, poisson.q2_word(n), _s(1))
 
 
 def op_Q(lattice: Lattice, n: int) -> WeylOp:
-    """The square root of Q_n^2 (half-integer Weyl monomial)."""
-    h = Fraction(1, 2)
-    return WeylOp.word(lattice, [(n + 1, "V", -h), (n, "U", h), (n + 1, "U", -h)])
+    """The square root of Q_n^2: the word of Q_n^2 at half its powers."""
+    return WeylOp.word(lattice, [(k, g, Fraction(e, 2)) for k, g, e in poisson.q2_word(n)])
 
 
 def build_lax(kind: str, n: int, lam: Scalar, params: ModelParams,
@@ -325,30 +322,14 @@ def trq(power: int, N: int) -> WeylOp:
 
 
 def build_xi_quantum(component: int, n: int, lattice: Lattice) -> WeylOp:
-    """Weyl realisation of the quantum doublet on an open chain."""
-    h = Fraction(1, 2)
-    if component == 1:
-        factors = [(n, "U", -h)] + [(a, "V", h) for a in range(1, n + 1)]
-        return WeylOp.word(lattice, factors)
-    if component == 2:
-        total = WeylOp.zero(lattice)
-        for a in range(1, n + 1):
-            factors = [(n, "U", -h)]
-            factors += [(b, "V", h) for b in range(a, n + 1)]
-            factors += [(a, "U", 1)]
-            factors += [(b, "V", -h) for b in range(1, a)]
-            total = total + WeylOp.word(lattice, factors)
-        return total
-    raise ValueError("component must be 1 or 2")
+    """Weyl realisation of the quantum doublet on an open chain
+    (``poisson.doublet_words``)."""
+    return _words(lattice, poisson.doublet_words(component, n))
 
 
 def quantum_wronskian(p: int, n: int, lattice: Lattice) -> WeylOp:
-    """W_n^(p) = q xi^1_n xi^2_{n+p} - xi^2_n xi^1_{n+p}."""
-    q = _s(2)
-    return (build_xi_quantum(1, n, lattice)
-            * build_xi_quantum(2, n + p, lattice) * q
-            - build_xi_quantum(2, n, lattice)
-            * build_xi_quantum(1, n + p, lattice))
+    """W_n^(p) = q xi^1_n xi^2_{n+p} - xi^2_n xi^1_{n+p} (``poisson.wronskian``)."""
+    return poisson.wronskian(lambda c, k: build_xi_quantum(c, k, lattice), n, p, _s(2))
 
 
 # -- named checks ------------------------------------------------------------------
@@ -578,14 +559,8 @@ def check_representation(check_id: str, size: int) -> list:
                 for a in (1, 2):
                     for b in (1, 2):
                         lhs = xi[(n, a)] * xi[(m, b)] * scale
-                        rhs = WeylOp.zero(lattice)
-                        col = 2 * (a - 1) + (b - 1)
-                        for ap in (1, 2):
-                            for bp in (1, 2):
-                                # row (ap, bp) of P M is row (bp, ap) of M
-                                cf = M.entries[2 * (bp - 1) + (ap - 1)][col]
-                                if not cf.is_zero():
-                                    rhs = rhs + xi[(m, ap)] * xi[(n, bp)] * cf
+                        rhs = poisson.exchange_sum(xi, n, m, a, b, M.entries,
+                                                   WeylOp.zero(lattice))
                         items.append((f"(n={n},m={m},a={a},b={b})", lhs - rhs))
         return items
 

@@ -23,6 +23,9 @@ SITES4_REFERENCE = REFERENCE / "sites4.json"
 # rows of the three commutator checks at 5 sites, witness text included,
 # recorded before the commutator became one fused pass
 SITES5_REFERENCE = Path(__file__).resolve().parent / "reference" / "sites5_commute.json"
+# the bytes of `toda2 verify all --json` at the defaults (seed 0), witness text
+# included, recorded before the realisation was written once for both sides
+CATALOGUE_REPORT = Path(__file__).resolve().parent / "reference" / "catalogue_report.json"
 
 
 def _run(ids, **cfg):
@@ -152,11 +155,13 @@ def test_criterion_12_deterministic_reports(tmp_path):
     assert cli.main(["verify", "all", "--json", str(p2)]) == 0
     elapsed = time.perf_counter() - t0
     identical = p1.read_bytes() == p2.read_bytes()
+    pinned = p1.read_bytes() == CATALOGUE_REPORT.read_bytes()
     rows = json.loads(p1.read_text())
-    ok = identical and len(rows) == len(REGISTRY)
+    ok = identical and pinned and len(rows) == len(REGISTRY)
     print(f"ACCEPTANCE 12 [{'PASS' if ok else 'FAIL'}] byte-identical full "
           f"reports ({elapsed:.1f}s)")
     assert identical
+    assert pinned
     assert [r["id"] for r in rows] == sorted(REGISTRY)
     # the benchmark's reference rows of the same command
     ref = json.loads(CATALOGUE_REFERENCE.read_text())["rows"]

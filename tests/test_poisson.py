@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toda2 import ring
 from toda2.poisson import (build_classical, check_bracket_identity, make_chart,
                            residuals_wronskian)
 from toda2.reports import report_from_residuals
@@ -94,6 +95,12 @@ def test_out_of_range_site_rejected():
     chart = make_chart("exlat", 4)
     with pytest.raises(KeyError):
         build_classical("W2", 3, chart)  # needs site 5
+    with pytest.raises(KeyError):
+        build_classical("repP", 4, make_chart("darboux", 4))  # needs g5
+    # refusing a name leaves the variable registry as it was
+    with pytest.raises(KeyError):
+        chart.gen("not_a_chart_variable")
+    assert "not_a_chart_variable" not in ring._INDEX
     with pytest.raises(ValueError):
         make_chart("exlat", 4, periodic=True)
     with pytest.raises(ValueError):

@@ -1,12 +1,26 @@
-"""The W-algebra structure constants are written once, in ``poisson.W_BRACKETS``,
+"""The W-algebra structure constants, the chain's realisation words, the
+doublet exchange matrices and the Wronskian are written once, in ``poisson``,
 and both the classical bracket suites and the quantum relations read them."""
+
+from fractions import Fraction
 
 import pytest
 
 from toda2 import poisson
 from toda2.poisson import check_bracket_identity
-from toda2.quantum import check_representation
+from toda2.quantum import _weight, build_exchange, check_representation
 from toda2.reports import report_from_residuals
+from toda2.ring import unpack_key, var_index
+
+
+def _run(cid):
+    """The status of one check at the suite sizes: 6 sites for the canonical
+    pairs and the quantum chain, 8 for the exchange chart."""
+    if cid in ("exlat_from_darboux", "qp_from_rep"):
+        return report_from_residuals({}, check_bracket_identity(cid, size=6)).status
+    if cid in ("w1w1", "w2w2", "qq", "qp", "pp"):
+        return report_from_residuals({}, check_bracket_identity(cid, size=8)).status
+    return report_from_residuals({}, check_representation(cid, size=6)).status
 
 
 @pytest.mark.parametrize("entry, classical, quantum", [
@@ -19,17 +33,11 @@ def test_one_table_feeds_both_sides(entry, classical, quantum):
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(poisson.W_BRACKETS, entry,
                    lambda n, m, d: original(n, m, d) + d(n, m - 2))
-        for cid in classical:
-            size = 6 if cid == "qp_from_rep" else 8
-            rep = report_from_residuals({}, check_bracket_identity(cid, size=size))
-            assert rep.status == "fail", cid
-        for cid in quantum:
-            rep = report_from_residuals({}, check_representation(cid, size=6))
-            assert rep.status == "fail", cid
+        for cid in classical + quantum:
+            assert _run(cid) == "fail", cid
     assert poisson.W_BRACKETS[entry] is original
     for cid in classical:
-        size = 6 if cid == "qp_from_rep" else 8
-        assert report_from_residuals({}, check_bracket_identity(cid, size=size)).status == "pass"
+        assert _run(cid) == "pass", cid
 
 
 def _shifted_delta(original):
@@ -66,24 +74,70 @@ def test_one_closing_bracket_feeds_both_sides(name, corrupt, classical, quantum)
     original = getattr(poisson, name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poisson, name, corrupt(original))
-        for cid in classical:
-            size = 6 if cid == "qp_from_rep" else 8
-            rep = report_from_residuals({}, check_bracket_identity(cid, size=size))
-            assert rep.status == "fail", cid
-        for cid in quantum:
-            rep = report_from_residuals({}, check_representation(cid, size=6))
-            assert rep.status == "fail", cid
+        for cid in classical + quantum:
+            assert _run(cid) == "fail", cid
     assert getattr(poisson, name) is original
     for cid in quantum:
-        assert report_from_residuals({}, check_representation(cid, size=6)).status == "pass"
+        assert _run(cid) == "pass", cid
+
+
+def _slope(x):
+    """d/ds at s = 1 of a Scalar in s alone."""
+    s = var_index("s")
+    return sum(c * dict(unpack_key(k)).get(s, 0) for k, c in x.terms.items())
 
 
 def test_first_order_is_the_slope_of_the_quantum_weight_at_s_1():
-    from toda2.quantum import _weight
-    from toda2.ring import unpack_key, var_index
-
-    s = var_index("s")
     for a, b in ((3, -1), (1, -3), (-1, 3)):
-        # d/ds (s^a - s^b) at s = 1
-        slope = sum(c * dict(unpack_key(k)).get(s, 0) for k, c in _weight(a, b).terms.items())
-        assert slope == poisson.first_order(a, b)
+        assert _slope(_weight(a, b)) == poisson.first_order(a, b)
+
+
+def _exchange_weight(original):
+    # s - s^-6 in place of s - s^-3 off the diagonal of R+; classically 7 for 4
+    return lambda sign, power, weight: original(sign, power, lambda a, b: weight(a, 2 * b))
+
+
+def _dropped_factor(original):
+    return lambda component, n: [word[:-1] for word in original(component, n)]
+
+
+def _one_p_word(original):
+    return lambda n: original(n)[:1]
+
+
+def _no_v_in_q2(original):
+    return lambda n: original(n)[1:]
+
+
+def _wronskian_weight(original):
+    return lambda xi, n, p, q: original(xi, n, p, 2 * q)
+
+
+@pytest.mark.parametrize("name, corrupt, checks", [
+    ("exchange", _exchange_weight, ["exlat_from_darboux", "w1w1", "exchange_xi"]),
+    ("doublet_words", _dropped_factor, ["exlat_from_darboux", "exchange_xi"]),
+    ("p_words", _one_p_word, ["qp_from_rep", "QP_relations", "QP_match"]),
+    ("q2_word", _no_v_in_q2, ["qp_from_rep", "QP_relations", "QP_match"]),
+    ("wronskian", _wronskian_weight, ["w1w1", "W_algebra_q"]),
+])
+def test_one_realisation_feeds_both_sides(name, corrupt, checks):
+    # the realisation words, the exchange matrices and the Wronskian are
+    # written once, in poisson: the darboux and exchange charts read them
+    # classically and the quantum chain through WeylOp.word and s-powers
+    original = getattr(poisson, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poisson, name, corrupt(original))
+        assert [_run(cid) for cid in checks] == ["fail"] * len(checks)
+    assert getattr(poisson, name) is original
+    assert [_run(cid) for cid in checks] == ["pass"] * len(checks)
+
+
+def test_classical_tables_are_the_slope_of_the_quantum_exchange_at_s_1():
+    plus, equal = poisson._exchange_tables()
+    rp, rm = build_exchange("Rplus").entries, build_exchange("Rminus").entries
+    assert plus == [[_slope(x) for x in row] for row in rp]
+    assert equal == [[Fraction(_slope(x) + _slope(y), 2) for x, y in zip(r, t)]
+                     for r, t in zip(rp, rm)]
+    # exact throughout: no float, not even a zero
+    assert all(type(c) in (int, Fraction) for table in (plus, equal) for row in table
+               for c in row)
