@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import prod
 
@@ -209,8 +210,7 @@ class Chart:
         pb = self.poly_bracket
         num = (pb(a, c) * b * d - pb(a, d) * c * b
                - pb(b, c) * a * d + pb(b, d) * a * c)
-        den = b * b * d * d
-        return ScalarFraction(num, den)
+        return ScalarFraction.over(num, f, f, g, g)
 
     def __repr__(self):
         return f"Chart({self.kind!r}, size={self.size}, periodic={self.periodic})"
@@ -344,7 +344,8 @@ def residuals_wronskian(chart: Chart, p: int, r: int, window) -> list[tuple[str,
     """Residuals of {W^(p)_n, W^(r)_m} against the W-algebra table on ``window``."""
     c = W_BRACKETS[f"W{p}W{r}"]
     d = chart.delta
-    w = lambda k, e: _wronskian(chart, k, e)
+    # each Wronskian is built once, so the fractions share their factor keys
+    w = cache(lambda k, e: _wronskian(chart, k, e))
     out = []
     for n in window:
         for m in window:
@@ -373,10 +374,10 @@ def residuals_virlat(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
             rhs = -(S[n] * S[m] * inner)
             out.append((f"SS(n={n},m={m})", lhs - rhs))
     for n in window:
+        w1n = _wronskian(chart, n, 1)
+        qn = build_classical("Q", n, chart)
         for m in window:
-            w1n = _wronskian(chart, n, 1)
             out.append((f"W1S(n={n},m={m})", chart.bracket(w1n, S[m])))
-            qn = build_classical("Q", n, chart)
             out.append((f"QS(n={n},m={m})", chart.bracket(qn, S[m])))
     return out
 
@@ -386,7 +387,9 @@ def residuals_qp(which: str, chart: Chart, window, q_of, p_of,
     """Residuals of the closed Q/P bracket relations, with ``p_of`` realising P
     and ``q_of`` realising Q^power: ``power`` is 1, or 2 where only Q^2 is
     realised."""
-    q_squared = (lambda k: q_of(k) ** 2) if power == 1 else q_of
+    # each field is built once, so the fractions share their factor keys
+    q_of, p_of = cache(q_of), cache(p_of)
+    q_squared = cache(lambda k: q_of(k) ** 2) if power == 1 else q_of
     d = chart.delta
     out = []
     for n in window:

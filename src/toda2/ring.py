@@ -2,10 +2,15 @@
 
 Everything downstream (Weyl operators, matrices) uses this ring for its
 coefficients, and :class:`ScalarFraction` is the only fraction type: the
-Poisson side computes with it directly.  The deformation parameter is stored
-through the variable ``s`` with q = s**2: reordering factors of the form
-q^(ab/2) with half-integer exponents are then integer powers of s and never
-leave the ring.
+Poisson side computes with it directly.  A fraction keeps its denominator as
+powers of factor Scalars, so a sum is taken over the least common multiple
+of two denominators rather than their product (common-denominator
+bookkeeping in partially factored form, after Geddes, Czapor & Labahn 1992);
+its text still reads as the product-of-denominators form.
+
+The deformation parameter is stored through the variable ``s`` with
+q = s**2: reordering factors of the form q^(ab/2) with half-integer
+exponents are then integer powers of s and never leave the ring.
 
 A :class:`Scalar` is a dict from packed monomial keys to nonzero exact
 coefficients, each an ``int`` or a ``Fraction``: an ``int`` whenever the
@@ -407,9 +412,24 @@ _ONE = Scalar.const(1)
 
 
 class ScalarFraction:
-    """Unreduced quotient of two Scalars; equality by cross-multiplication."""
+    """Quotient of two Scalars, its denominator kept as powers of factors.
 
-    __slots__ = ("num", "den")
+    ``factors`` maps each factor Scalar to its power, and ``num`` is the
+    numerator over their product, the least common multiple of the
+    denominators the operations met.  Products, quotients and powers add the
+    powers; a sum takes the lcm of the two maps and multiplies each numerator
+    by its own missing factors only.  Factors match by Scalar equality, so no
+    polynomial gcd is taken and nothing else is cancelled.  ``den`` expands
+    ``factors`` on first use.
+
+    ``unreduced`` maps the factors of the product-of-denominators form: each
+    sum with unequal denominators multiplied both of them, each product and
+    quotient multiplied numerators and denominators.  A fraction's text and
+    residual size read that form, so they do not depend on the reduction.
+    Equality is of values, over the lcm.
+    """
+
+    __slots__ = ("num", "factors", "unreduced", "_den")
 
     def __init__(self, num: Scalar | int | Fraction, den: Scalar | int | Fraction = _ONE):
         if not isinstance(num, Scalar):
@@ -419,7 +439,39 @@ class ScalarFraction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num = num
-        self.den = den
+        self.factors = self.unreduced = _factor(den)
+        self._den = den
+
+    @classmethod
+    def _of(cls, num: Scalar, factors: dict, unreduced: dict,
+            den: Scalar | None = None) -> "ScalarFraction":
+        """``num`` over ``factors``; the maps are shared, never changed in place."""
+        self = object.__new__(cls)
+        self.num = num
+        self.factors = factors
+        self.unreduced = unreduced
+        self._den = den
+        return self
+
+    @classmethod
+    def over(cls, num: Scalar, *fractions: "ScalarFraction") -> "ScalarFraction":
+        """``num`` over the product of the denominators of ``fractions``."""
+        return cls._of(num, _merge(*(f.factors for f in fractions)),
+                       _merge(*(f.unreduced for f in fractions)))
+
+    @property
+    def den(self) -> Scalar:
+        if self._den is None:
+            self._den = _expand(self.factors)
+        return self._den
+
+    def _times_missing(self, factors: dict) -> Scalar:
+        """The numerator over ``factors``, a multiple of this denominator."""
+        return _product(self.num, _expand(_missing(factors, self.factors)))
+
+    def unreduced_num(self) -> Scalar:
+        """The numerator of the product-of-denominators form."""
+        return self._times_missing(self.unreduced) if self.num.terms else self.num
 
     def _coerce(self, other) -> "ScalarFraction":
         if isinstance(other, ScalarFraction):
@@ -432,14 +484,23 @@ class ScalarFraction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.den.terms == o.den.terms:
-            return ScalarFraction(self.num + o.num, self.den)
-        return ScalarFraction(self.num * o.den + o.num * self.den, self.den * o.den)
+        unreduced, other = self.unreduced, o.unreduced
+        if unreduced != other:
+            if _ends(unreduced) == _ends(other) and _expand(unreduced) == _expand(other):
+                # unequal maps of one product: the sum stays over that product
+                return ScalarFraction._of(self.unreduced_num() + o.unreduced_num(),
+                                          unreduced, unreduced)
+            unreduced = _merge(unreduced, other)
+        if self.factors == o.factors:
+            return ScalarFraction._of(self.num + o.num, self.factors, unreduced, self._den)
+        factors = _lcm(self.factors, o.factors)
+        return ScalarFraction._of(self._times_missing(factors) + o._times_missing(factors),
+                                  factors, unreduced)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarFraction(-self.num, self.den)
+        return ScalarFraction._of(-self.num, self.factors, self.unreduced, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -454,7 +515,8 @@ class ScalarFraction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return ScalarFraction(self.num * o.num, _product(self.den, o.den))
+        return ScalarFraction._of(self.num * o.num, _merge(self.factors, o.factors),
+                                  _merge(self.unreduced, o.unreduced))
 
     __rmul__ = __mul__
 
@@ -464,12 +526,17 @@ class ScalarFraction:
             return NotImplemented
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero fraction")
-        return ScalarFraction(_product(self.num, o.den), _product(self.den, o.num))
+        divisor = _factor(o.num)
+        # the product-of-denominators form divides by o.num times o's excess
+        return ScalarFraction._of(_product(self.num, o.den), _merge(self.factors, divisor),
+                                  _merge(self.unreduced, divisor,
+                                         _missing(o.unreduced, o.factors)))
 
     def __pow__(self, n: int):
         if n < 0:
-            return ScalarFraction(self.den, self.num) ** (-n)
-        return ScalarFraction(self.num ** n, self.den ** n)
+            return (ScalarFraction(1) / self) ** (-n)
+        return ScalarFraction._of(self.num ** n, _scale(self.factors, n),
+                                  _scale(self.unreduced, n))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -482,15 +549,18 @@ class ScalarFraction:
             other = self._coerce(other)
         if not isinstance(other, ScalarFraction):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        factors = _lcm(self.factors, other.factors)
+        return self._times_missing(factors) == other._times_missing(factors)
 
     def __hash__(self):
-        raise TypeError("unreduced fractions are not hashable")
+        raise TypeError("fractions are not hashable")
 
     def to_text(self) -> str:
-        if self.den.is_one():
-            return self.num.to_text()
-        return f"({self.num.to_text()}) / ({self.den.to_text()})"
+        """The text of the product-of-denominators form."""
+        num, den = self.unreduced_num(), _expand(self.unreduced)
+        if den.is_one():
+            return num.to_text()
+        return f"({num.to_text()}) / ({den.to_text()})"
 
     def __repr__(self):
         return f"ScalarFraction({self.to_text()})"
@@ -499,11 +569,79 @@ class ScalarFraction:
 def _product(a: Scalar, b: Scalar) -> Scalar:
     """``a * b``, returning either factor itself when the other is 1.
 
-    Most fractions in the checks have the unit denominator, so most
-    denominator products are of this kind.
+    Most fractions in the checks have the unit denominator, and most sums
+    miss no factor, so most products of a numerator by a denominator's
+    factors are of this kind.
     """
     if b.is_one():
         return a
     if a.is_one():
         return b
     return a * b
+
+
+# Factor maps: factor Scalar -> positive power, in first-met order.  A map is
+# never changed once built, so the helpers return an operand itself where they can.
+def _factor(s: Scalar) -> dict:
+    return {} if s.is_one() else {s: 1}
+
+
+def _merge(*maps: dict) -> dict:
+    """The product of factor maps: powers add."""
+    maps = [m for m in maps if m]
+    if len(maps) < 2:
+        return maps[0] if maps else {}
+    out = dict(maps[0])
+    for m in maps[1:]:
+        for f, p in m.items():
+            out[f] = out.get(f, 0) + p
+    return out
+
+
+def _scale(m: dict, n: int) -> dict:
+    """The ``n``-th power of a factor map, ``n >= 0``."""
+    if n == 1 or not m:
+        return m
+    return {f: p * n for f, p in m.items()} if n else {}
+
+
+def _lcm(a: dict, b: dict) -> dict:
+    """The least common multiple of two factor maps: the larger power of each."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = dict(a)
+    for f, p in b.items():
+        if p > out.get(f, 0):
+            out[f] = p
+    return out
+
+
+def _missing(m: dict, sub: dict) -> dict:
+    """The factors of ``m`` beyond those of its divisor ``sub``."""
+    if not sub:
+        return m
+    return {f: p - sub.get(f, 0) for f, p in m.items() if p > sub.get(f, 0)}
+
+
+def _expand(m: dict) -> Scalar:
+    """The product of a factor map as one Scalar."""
+    out = _ONE
+    for f, p in m.items():
+        out = _product(out, f if p == 1 else f ** p)
+    return out
+
+
+def _ends(m: dict) -> tuple[int, int]:
+    """The largest and smallest packed key of the product of a factor map.
+
+    Keys add under multiplication and their integer order respects the
+    addition, so each end of a product is the sum of its factors' ends: two
+    maps with different ends cannot have the same product.
+    """
+    top = bottom = 0
+    for f, p in m.items():
+        top += p * max(f.terms)
+        bottom += p * min(f.terms)
+    return top, bottom

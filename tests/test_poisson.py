@@ -178,3 +178,23 @@ def test_poly_bracket_equals_the_fold_over_term_pairs(kind, size, periodic):
             assert got == _fold_bracket(chart, a, b)
             cancelled += got.is_zero()
     assert cancelled >= 30
+
+
+def test_virlat_term_pairs_stay_below_the_factored_budget(monkeypatch):
+    # a deterministic work guard: sums over the lcm of factored denominators
+    # make about 35k term pairs here, multiplying denominators out 260k
+    from toda2 import poisson, stoch, weyl
+
+    pairs = 0
+    accumulate = ring.accumulate
+
+    def counted(row, terms1, terms2, shift, keys):
+        nonlocal pairs
+        pairs += len(terms1) * len(terms2)
+        return accumulate(row, terms1, terms2, shift, keys)
+
+    for module in (ring, poisson, weyl, stoch):
+        monkeypatch.setattr(module, "accumulate", counted)
+    report = report_from_residuals({}, check_bracket_identity("virlat", 8))
+    assert report.status == "pass"
+    assert 0 < pairs < 50_000
