@@ -198,8 +198,9 @@ def check_classical(check_id: str, N: int, mutate: bool = False):
             corner = -corner
         pN = shifted.det() - corner
         if check_id == "curve_NxN":
-            # mu-freeness through a fresh spectral variable: unreduced
-            # fractions make an exponent scan unreliable
+            # mu-freeness through a fresh spectral variable: no gcd is taken,
+            # so a factor of mu may sit in both num and den and an exponent
+            # scan is unreliable
             nu = Scalar.var("nu")
             pN_nu = ScalarFraction(pN.num.substitute({"mu": nu}),
                                    pN.den.substitute({"mu": nu}))

@@ -121,11 +121,10 @@ def build_exchange(kind: str) -> OpMatrix:
     return OpMatrix(poisson.exchange(signs[kind], _s, _weight))
 
 
-def q_sigma_z(power_of_q: int) -> OpMatrix:
-    """diag(q^k, q^-k) for q^(k sigma^z); k integer keeps the ring integral."""
+def q_sigma_z() -> OpMatrix:
+    """diag(q^-1, q), the twist q^(-sigma^z) that closes the trace."""
     zero = Scalar.zero()
-    return OpMatrix([[_s(2 * power_of_q), zero],
-                     [zero, _s(-2 * power_of_q)]])
+    return OpMatrix([[_s(-2), zero], [zero, _s(2)]])
 
 
 def build_scalar_aux(kind: str, lam: Scalar, params: ModelParams) -> OpMatrix:
@@ -280,7 +279,7 @@ def transfer_trace(kind: str, N: int, lam: Scalar, params: ModelParams) -> WeylO
     lattice = Lattice(N, True)
     if kind == "tau":
         t = monodromy(N, lam, params)
-        close = build_scalar_aux("Gtilde0", lam, params).mul(q_sigma_z(-1))
+        close = build_scalar_aux("Gtilde0", lam, params).mul(q_sigma_z())
         return t.mul(close).trace()
     if kind == "tloc":
         return reduce(OpMatrix.mul, (build_lax("Lloc", n, lam, params, lattice)
@@ -509,11 +508,11 @@ def check_ultralocalisation(step: str, N: int = 3, mutate: bool = False) -> list
             build_lax("l", 1, lam, params, lattice)).mul(gtilde).mul(
             build_lax("gaugeN", 1, lam, params, lattice))
         T = monodromy(N, lam, params)
-        lhs_m = T.mul(gtilde).mul(q_sigma_z(-1))
+        lhs_m = T.mul(gtilde).mul(q_sigma_z())
         scriptL = [build_lax("scriptL", n, lam, params, lattice) for n in range(N, 1, -1)]
         prod = reduce(OpMatrix.mul, scriptL + [lt])
         rhs_m = build_lax("gaugeN", N + 1, lam, params, lattice).mul(prod).mul(
-            build_lax("gaugeNinv", 1, lam, params, lattice)).mul(q_sigma_z(-1))
+            build_lax("gaugeNinv", 1, lam, params, lattice)).mul(q_sigma_z())
         gauge_res = lhs_m.sub(rhs_m)
         lhs_tr = rhs_m.trace()
         scriptL1 = build_lax("scriptL", 1, lam, params, lattice)
@@ -610,16 +609,13 @@ def check_representation(check_id: str, size: int) -> list:
 
     if check_id == "QP_match":
         items = []
-        for n in range(1, size):
-            w = quantum_wronskian(1, n, lattice)
-            qn = w.monomial_inverse()
-            items.append((f"Q2(n={n})", qn * qn - op_Q2(lattice, n)))
+        Q = {n: quantum_wronskian(1, n, lattice).monomial_inverse() for n in range(1, size)}
+        for n in Q:
+            items.append((f"Q2(n={n})", Q[n] * Q[n] - op_Q2(lattice, n)))
         for n in range(2, size):
             w2 = quantum_wronskian(2, n - 1, lattice)
-            qprev = quantum_wronskian(1, n - 1, lattice).monomial_inverse()
-            qn = quantum_wronskian(1, n, lattice).monomial_inverse()
-            left = qprev * qn * w2
-            right = w2 * qprev * qn
+            left = Q[n - 1] * Q[n] * w2
+            right = w2 * Q[n - 1] * Q[n]
             items.append((f"P orderings (n={n})", left - right))
             items.append((f"P(n={n})", left - op_P(lattice, n)))
         return items
@@ -661,8 +657,10 @@ def check_hamiltonians(check_id: str, N: int) -> list:
                 coeff=_s(-2) * d1)
         return [("first charge", hs[1] - expect)]
 
-    if check_id in ("H1_Toda2", "H2_Toda2"):
+    if check_id in ("H1_Toda2", "H2_Toda2", "trq_match1", "trq_match2"):
         hs = hamiltonians(N, ModelParams.toda2())
+        if check_id == "trq_match1":
+            return [("first q-trace", hs[1].substitute({"d2": 1}) - trq(1, N))]
         d2 = Scalar.var("d2")
         if check_id == "H1_Toda2":
             expect = WeylOp.zero(lattice)
@@ -672,6 +670,9 @@ def check_hamiltonians(check_id: str, N: int) -> list:
                                               coeff=d2)
             return [("first charge", hs[1] - expect)]
         combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2))
+        if check_id == "trq_match2":
+            res = combo.substitute({"d2": 1}) - trq(2, N) * _c(Fraction(-1, 2))
+            return [("second q-trace", res)]
         expect = WeylOp.zero(lattice)
         for n in range(1, N + 1):
             expect = expect + WeylOp.word(lattice, [(n, "V", -2)])
@@ -689,15 +690,6 @@ def check_hamiltonians(check_id: str, N: int) -> list:
     if check_id == "trq_commute":
         t1, t2 = trq(1, N), trq(2, N)
         return [("q-trace pair", t1.commutator(t2))]
-
-    if check_id in ("trq_match1", "trq_match2"):
-        hs = hamiltonians(N, ModelParams.toda2())
-        if check_id == "trq_match1":
-            res = hs[1].substitute({"d2": 1}) - trq(1, N)
-            return [("first q-trace", res)]
-        combo = hs[2] - hs[1] * hs[1] * _c(Fraction(1, 2))
-        res = combo.substitute({"d2": 1}) - trq(2, N) * _c(Fraction(-1, 2))
-        return [("second q-trace", res)]
 
     if check_id == "qosc_coherence":
         params = ModelParams.q_osc()

@@ -45,7 +45,7 @@ def residual_size(obj) -> int:
     if isinstance(obj, WeylOp):
         return sum(len(c.terms) for c in obj.terms.values())
     if isinstance(obj, ScalarFraction):
-        return len(obj.unreduced_num().terms)
+        return len(obj.num.terms)
     if isinstance(obj, Scalar):
         return len(obj.terms)
     if isinstance(obj, FockVector):

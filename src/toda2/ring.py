@@ -5,8 +5,8 @@ coefficients, and :class:`ScalarFraction` is the only fraction type: the
 Poisson side computes with it directly.  A fraction keeps its denominator as
 powers of factor Scalars, so a sum is taken over the least common multiple
 of two denominators rather than their product (common-denominator
-bookkeeping in partially factored form, after Geddes, Czapor & Labahn 1992);
-its text still reads as the product-of-denominators form.
+bookkeeping in partially factored form, after Geddes, Czapor & Labahn 1992),
+and its text reads that numerator over that denominator.
 
 The deformation parameter is stored through the variable ``s`` with
 q = s**2: reordering factors of the form q^(ab/2) with half-integer
@@ -418,18 +418,13 @@ class ScalarFraction:
     numerator over their product, the least common multiple of the
     denominators the operations met.  Products, quotients and powers add the
     powers; a sum takes the lcm of the two maps and multiplies each numerator
-    by its own missing factors only.  Factors match by Scalar equality, so no
-    polynomial gcd is taken and nothing else is cancelled.  ``den`` expands
-    ``factors`` on first use.
-
-    ``unreduced`` maps the factors of the product-of-denominators form: each
-    sum with unequal denominators multiplied both of them, each product and
-    quotient multiplied numerators and denominators.  A fraction's text and
-    residual size read that form, so they do not depend on the reduction.
-    Equality is of values, over the lcm.
+    by its own missing factors only, unless both maps expand to one product.
+    Factors match by Scalar equality, so no polynomial gcd is taken and
+    nothing else is cancelled.  ``den`` expands ``factors`` on first use, and
+    the text reads ``num`` over ``den`` as they are held.
     """
 
-    __slots__ = ("num", "factors", "unreduced", "_den")
+    __slots__ = ("num", "factors", "_den")
 
     def __init__(self, num: Scalar | int | Fraction, den: Scalar | int | Fraction = _ONE):
         if not isinstance(num, Scalar):
@@ -439,25 +434,22 @@ class ScalarFraction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num = num
-        self.factors = self.unreduced = _factor(den)
+        self.factors = _factor(den)
         self._den = den
 
     @classmethod
-    def _of(cls, num: Scalar, factors: dict, unreduced: dict,
-            den: Scalar | None = None) -> "ScalarFraction":
-        """``num`` over ``factors``; the maps are shared, never changed in place."""
+    def _of(cls, num: Scalar, factors: dict, den: Scalar | None = None) -> "ScalarFraction":
+        """``num`` over ``factors``; the map is shared, never changed in place."""
         self = object.__new__(cls)
         self.num = num
         self.factors = factors
-        self.unreduced = unreduced
         self._den = den
         return self
 
     @classmethod
     def over(cls, num: Scalar, *fractions: "ScalarFraction") -> "ScalarFraction":
         """``num`` over the product of the denominators of ``fractions``."""
-        return cls._of(num, _merge(*(f.factors for f in fractions)),
-                       _merge(*(f.unreduced for f in fractions)))
+        return cls._of(num, _merge(*(f.factors for f in fractions)))
 
     @property
     def den(self) -> Scalar:
@@ -468,10 +460,6 @@ class ScalarFraction:
     def _times_missing(self, factors: dict) -> Scalar:
         """The numerator over ``factors``, a multiple of this denominator."""
         return _product(self.num, _expand(_missing(factors, self.factors)))
-
-    def unreduced_num(self) -> Scalar:
-        """The numerator of the product-of-denominators form."""
-        return self._times_missing(self.unreduced) if self.num.terms else self.num
 
     def _coerce(self, other) -> "ScalarFraction":
         if isinstance(other, ScalarFraction):
@@ -484,23 +472,18 @@ class ScalarFraction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        unreduced, other = self.unreduced, o.unreduced
-        if unreduced != other:
-            if _ends(unreduced) == _ends(other) and _expand(unreduced) == _expand(other):
-                # unequal maps of one product: the sum stays over that product
-                return ScalarFraction._of(self.unreduced_num() + o.unreduced_num(),
-                                          unreduced, unreduced)
-            unreduced = _merge(unreduced, other)
-        if self.factors == o.factors:
-            return ScalarFraction._of(self.num + o.num, self.factors, unreduced, self._den)
+        if self.factors == o.factors or (_ends(self.factors) == _ends(o.factors)
+                                         and self.den == o.den):
+            # one map, or unequal maps of one product: the sum stays over it
+            return ScalarFraction._of(self.num + o.num, self.factors, self._den)
         factors = _lcm(self.factors, o.factors)
         return ScalarFraction._of(self._times_missing(factors) + o._times_missing(factors),
-                                  factors, unreduced)
+                                  factors)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarFraction._of(-self.num, self.factors, self.unreduced, self._den)
+        return ScalarFraction._of(-self.num, self.factors, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -515,8 +498,7 @@ class ScalarFraction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return ScalarFraction._of(self.num * o.num, _merge(self.factors, o.factors),
-                                  _merge(self.unreduced, o.unreduced))
+        return ScalarFraction._of(self.num * o.num, _merge(self.factors, o.factors))
 
     __rmul__ = __mul__
 
@@ -526,17 +508,13 @@ class ScalarFraction:
             return NotImplemented
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero fraction")
-        divisor = _factor(o.num)
-        # the product-of-denominators form divides by o.num times o's excess
-        return ScalarFraction._of(_product(self.num, o.den), _merge(self.factors, divisor),
-                                  _merge(self.unreduced, divisor,
-                                         _missing(o.unreduced, o.factors)))
+        return ScalarFraction._of(_product(self.num, o.den),
+                                  _merge(self.factors, _factor(o.num)))
 
     def __pow__(self, n: int):
         if n < 0:
             return (ScalarFraction(1) / self) ** (-n)
-        return ScalarFraction._of(self.num ** n, _scale(self.factors, n),
-                                  _scale(self.unreduced, n))
+        return ScalarFraction._of(self.num ** n, _scale(self.factors, n))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -556,11 +534,10 @@ class ScalarFraction:
         raise TypeError("fractions are not hashable")
 
     def to_text(self) -> str:
-        """The text of the product-of-denominators form."""
-        num, den = self.unreduced_num(), _expand(self.unreduced)
-        if den.is_one():
-            return num.to_text()
-        return f"({num.to_text()}) / ({den.to_text()})"
+        """``(num) / (den)``, or ``num`` alone over the unit denominator."""
+        if self.den.is_one():
+            return self.num.to_text()
+        return f"({self.num.to_text()}) / ({self.den.to_text()})"
 
     def __repr__(self):
         return f"ScalarFraction({self.to_text()})"

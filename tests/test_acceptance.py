@@ -130,7 +130,7 @@ def test_criterion_11_mutation_sensitivity():
 
 MUTATION_WITNESSES = {
     "mutation_classical": "corruption detected: entry brackets vs explicit form: entry (1,6): "
-                          "(-2*Q1*Q3*mu1*mu2^6 + 2*Q1*Q3*mu1^2*mu2^5) / (mu1*mu2^6)",
+                          "(-2*Q1*Q3*mu1*mu2^2 + 2*Q1*Q3*mu1^2*mu2) / (mu1*mu2^2)",
     "mutation_fm": "corruption detected: compatibility: entry (2,3): -alpha^2*lam1*s^3 "
                    "+ alpha^2*lam1*s^5 + alpha^2*lam1*s^7 - alpha^2*lam1*s^9 "
                    "+ alpha^2*lam2*s^3 - alpha^2*lam2*s^5 - alpha^2*lam2*s^7 "

@@ -117,7 +117,7 @@ def test_trace_identity_and_closing_trace():
     # diagonal of the trace-closing companion against diag(q^-1, q)
     lam = Scalar.var("lam")
     g = build_scalar_aux("Gtilde0", lam, PARAMS)
-    closed = g.mul(q_sigma_z(-1))
+    closed = g.mul(q_sigma_z())
     d1, d23 = Scalar.var("d1"), Scalar.var("d2") * Scalar.var("d3")
     s = Scalar.var("s")
     expect = (Scalar.var("s", -2)

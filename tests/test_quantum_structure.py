@@ -84,7 +84,7 @@ def test_dressing_matrix_entries():
     assert G.entries[0][1] == spow(7) * Scalar.var("d2") * Scalar.var("d3") * lam
     Gt = build_scalar_aux("Gtilde0", lam, PARAMS)
     # the closing companion factorises through diag(q^-1, q)
-    Mt = Gt.mul(q_sigma_z(-1))
+    Mt = Gt.mul(q_sigma_z())
     greekt = (spow(-2), spow(3) * Scalar.var("d2") * Scalar.var("d3"),
               Scalar.const(1) - spow(4), spow(5) * Scalar.var("d1"))
     expect = build_companion("Mtilde0", lam, greekt)

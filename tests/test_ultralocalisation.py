@@ -48,7 +48,7 @@ def test_single_site_twist_identity_by_hand():
     # independent expansion of the N = 1 relation from 2x2 entries
     lat = Lattice(1, True)
     l1 = build_lax("l", 1, LAM, PARAMS, lat)
-    close = build_scalar_aux("Gtilde0", LAM, PARAMS).mul(q_sigma_z(-1))
+    close = build_scalar_aux("Gtilde0", LAM, PARAMS).mul(q_sigma_z())
     closew = close.map(lambda x: WeylOp.scalar(x, lat))
     tau = (l1.entries[0][0] * closew.entries[0][0]
            + l1.entries[0][1] * closew.entries[1][0]
