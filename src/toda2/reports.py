@@ -4,6 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .matops import OpMatrix
+from .ring import Scalar, ScalarFraction
+from .stoch import FockVector
+from .weyl import WeylOp
+
 __all__ = ["CheckReport", "report_from_residuals", "residual_size"]
 
 PASS = "pass"
@@ -35,11 +40,6 @@ class CheckReport:
 
 def residual_size(obj) -> int:
     """Number of surviving terms in a residual of any supported kind."""
-    from .matops import OpMatrix
-    from .ring import Scalar, ScalarFraction
-    from .stoch import FockVector
-    from .weyl import WeylOp
-
     if isinstance(obj, OpMatrix):
         return sum(residual_size(x) for row in obj.entries for x in row)
     if isinstance(obj, WeylOp):
@@ -54,8 +54,6 @@ def residual_size(obj) -> int:
 
 
 def _witness_text(obj) -> str:
-    from .matops import OpMatrix
-
     if isinstance(obj, OpMatrix):
         for i, j in obj.nonzero_entries():
             return f"entry ({i + 1},{j + 1}): {_clip(obj.entries[i][j].to_text())}"

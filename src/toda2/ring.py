@@ -346,12 +346,10 @@ class Scalar:
     def coeff_of(self, name: str, power: int) -> "Scalar":
         """Collect the coefficient of ``name**power`` (the variable removed)."""
         idx = var_index(name)
-        out: dict[int, int | Fraction] = {}
-        for k, c in self.terms.items():
-            if dict(unpack_key(k)).get(idx, 0) == power:
-                rest = k - pack_power(idx, power)
-                out[rest] = out.get(rest, 0) + c
-        return Scalar(out, self.exp_bound)
+        # removing one fixed power maps distinct keys to distinct keys
+        shift = pack_power(idx, power)
+        return Scalar._of({k - shift: c for k, c in self.terms.items()
+                           if dict(unpack_key(k)).get(idx, 0) == power}, self.exp_bound)
 
     # -- canonical text ------------------------------------------------------
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import weyl
+from .quantum import ModelParams, build_lax
 from .ring import Scalar, ScalarFraction, accumulate, check_bound, var_key
 from .weyl import Lattice, WeylOp, decode_key
 
@@ -230,8 +231,6 @@ def _interior_defect(K: int, N: int, term_cap: int) -> tuple[FockVector, tuple]:
 def check_stoch(check_id: str, K: int, N: int, mutate: bool = False):
     """Labelled residuals of the oscillator and stochastic-structure checks at
     truncation K on N sites."""
-    from .quantum import ModelParams, build_lax
-
     if K < MIN_TRUNC:
         raise ValueError("truncation too small to leave interior levels")
     lat1 = Lattice(1, True)
@@ -296,15 +295,15 @@ def check_stoch(check_id: str, K: int, N: int, mutate: bool = False):
         return items or [("no interior columns", defect)]
 
     if check_id == "realisation_consistency":
+        generators = (("a", "a", osc_a(lat1, 1)),
+                      ("a*", "astar", osc_astar(lat1, 1)),
+                      ("qD", "qD", osc_qd(lat1, 1)))
         items = []
         for k in range(0, K):
             v = build_state("vk", K, k=k)
-            for name, wop in (("a", osc_a(lat1, 1)),
-                              ("a*", osc_astar(lat1, 1)),
-                              ("qD", osc_qd(lat1, 1))):
-                items.append((f"{name} on level {k}",
-                              fock_act({"a": "a", "a*": "astar", "qD": "qD"}[name], 1, v)
-                              - weyl_act(v, wop)))
+            for label, fock_name, wop in generators:
+                items.append((f"{label} on level {k}",
+                              fock_act(fock_name, 1, v) - weyl_act(v, wop)))
         return items
 
     raise ValueError(f"unknown stochastic check {check_id!r}")

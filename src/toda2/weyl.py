@@ -20,8 +20,9 @@ only.  It sums several products in one accumulator (:meth:`WeylOp.dot`), so a
 matrix entry or a residual ``a b - c d`` is built without its products
 standing apart; ``a * b`` is the sum of one product.  The commutator is one
 fused pass of the same kind: ``k1 k2`` and ``k2 k1`` share their key, so each
-pair adds ``c1 c2 (s^phi12 - s^phi21)`` once and a pair with equal phases
-adds nothing.
+pair adds ``c1 c2 s^phi12`` and ``-c1 c2 s^phi21`` into one row and a pair
+with equal phases adds nothing.  Both kernels add every coefficient product
+through ``ring.accumulate`` and build one Scalar per surviving row.
 """
 
 from __future__ import annotations
@@ -75,40 +76,35 @@ def decode_key(key: int) -> tuple:
     return tuple((n, a2, b2) for n, (a2, b2) in sites.items())
 
 
-def _grouped(terms: dict, size: int, part: int | None) -> tuple[dict, int, bool]:
+def _grouped(terms: dict, size: int, part: int | None) -> tuple[dict, int]:
     """The terms as (key, coefficient items), grouped by the digits of one part
-    of their keys (0: V, 1: U; None: one group, no key decoded), the largest
-    |digit| of any decoded key, and whether every coefficient is an int."""
+    of their keys (0: V, 1: U; None: one group, no key decoded), and the
+    largest |digit| of any decoded key."""
     groups: dict[tuple, list] = {}
     bound = 0
-    integral = True
     for k, c in terms.items():
-        items = tuple(c.terms.items())
-        if integral:
-            integral = all(type(x) is int for _, x in items)
         if part is None:
             group = ()
         else:
             ds = digits(k, 0, 2 * size)
             bound = max(bound, max(ds), -min(ds))
             group = tuple(ds[part::2])
-        groups.setdefault(group, []).append((k, items))
-    return groups, bound, integral
+        groups.setdefault(group, []).append((k, tuple(c.terms.items())))
+    return groups, bound
 
 
-def _operands(terms1: dict, terms2: dict, size: int) -> tuple[dict, dict, bool]:
+def _operands(terms1: dict, terms2: dict, size: int) -> tuple[dict, dict]:
     """The left operand grouped by the U part of its keys and the right one by
-    the V part (see :func:`_grouped`), and whether all their coefficients are
-    ints; OverflowError if a key sum could carry."""
+    the V part (see :func:`_grouped`); OverflowError if a key sum could carry."""
     # a scalar-valued operand merges with phase 0 and moves no digit, so
     # neither side is grouped: decoding every key of the other operand
     # costs the sites4 command about an eighth of its time
     scalar = (len(terms1) == 1 and 0 in terms1) or (len(terms2) == 1 and 0 in terms2)
-    left, bound1, integral1 = _grouped(terms1, size, None if scalar else 1)
-    right, bound2, integral2 = _grouped(terms2, size, None if scalar else 0)
+    left, bound1 = _grouped(terms1, size, None if scalar else 1)
+    right, bound2 = _grouped(terms2, size, None if scalar else 0)
     # a key sum adds two digits each below 2**29: below the guard it cannot carry
     check_bound(bound1 + bound2)
-    return left, right, integral1 and integral2
+    return left, right
 
 
 def _indexed(groups: dict, size: int, part: int) -> tuple[dict, list]:
@@ -130,12 +126,6 @@ def _coeff_bound(terms1: dict, terms2: dict, phase: int) -> int:
                        + phase)
 
 
-def _rows(acc: dict, bound: int, canonical: bool) -> dict[int, Scalar]:
-    """One Scalar per accumulated row; rows of integer products are already canonical."""
-    make = Scalar._of if canonical else Scalar
-    return {k: make(row, bound) for k, row in acc.items()}
-
-
 def _dot(pairs, size: int) -> dict[int, Scalar]:
     """Terms of the sum of the normal-ordered products of pairs of Weyl term maps.
 
@@ -151,10 +141,8 @@ def _dot(pairs, size: int) -> dict[int, Scalar]:
     acc: dict[int, dict[int, int | Fraction]] = {}
     keys: dict[int, int] = {}  # shared by every row, see ring.accumulate
     bound = 0
-    integral = True
     for terms1, terms2 in pairs:
-        left, right, pair_integral = _operands(terms1, terms2, size)
-        integral = integral and pair_integral
+        left, right = _operands(terms1, terms2, size)
         top = 0
         for u1, lefts in left.items():
             for v2, rights in right.items():
@@ -177,20 +165,24 @@ def _dot(pairs, size: int) -> dict[int, Scalar]:
                             raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
         # each sum above adds three digits below 2**29, which cannot carry
         bound = max(bound, _coeff_bound(terms1, terms2, top))
-    return _rows(acc, bound, integral)
+    return {k: Scalar(row, bound) for k, row in acc.items()}
 
 
 def _commutator(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
     """Terms of ``a*b - b*a`` for two Weyl term maps, in one pass.
 
-    A key pair adds ``c1 c2 s^phi12`` and ``-c1 c2 s^phi21`` at ``k1 + k2``;
-    pairs with ``phi12 == phi21`` commute and are skipped.  phi12 comes once
-    per group pair, as in :func:`_dot`; phi21 pairs the left V part with
-    the right U part and is read from a table over the distinct parts.
+    A key pair adds ``c1 c2 s^phi12`` and ``-c1 c2 s^phi21`` at ``k1 + k2``,
+    two ``ring.accumulate`` calls into one row; pairs with ``phi12 == phi21``
+    commute and are skipped.  phi12 comes once per group pair, as in
+    :func:`_dot`; phi21 pairs the left V part with the right U part and is
+    read from a table over the distinct parts.
     """
-    left, right, integral = _operands(terms1, terms2, size)
+    left, right = _operands(terms1, terms2, size)
     left, v1s = _indexed(left, size, 0)
     right, u2s = _indexed(right, size, 1)
+    # each left term with its negated coefficients, for the b*a products
+    left = {u1: [(k, t, tuple((m, -x) for m, x in t), i) for k, t, i in ts]
+            for u1, ts in left.items()}
     # phi21 of every left V part with every right U part
     table = [[sum(map(mul, v1, u2)) for u2 in u2s] for v1 in v1s]
     s_idx = var_index("s")
@@ -203,43 +195,24 @@ def _commutator(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
             sh12 = shifts.get(ph12)
             if sh12 is None:
                 sh12 = shifts[ph12] = pack_power(s_idx, ph12)
-            for k1, t1, i1 in lefts:
+            for k1, t1, n1, i1 in lefts:
                 phases21 = table[i1]
                 for k2, t2, i2 in rights:
                     ph21 = phases21[i2]
                     if ph21 == ph12:
                         continue
-                    sh21 = shifts[ph21]
                     k = k1 + k2
                     row = acc.get(k)
                     if row is None:
                         row = acc[k] = {}
-                    for m1, x1 in t1:
-                        m12, m21 = m1 + sh12, m1 + sh21
-                        for m2, x2 in t2:
-                            x = x1 * x2
-                            m = m12 + m2
-                            y = row.get(m)
-                            if y is None:
-                                row[keys.setdefault(m, m)] = x
-                            elif y != -x:
-                                row[m] = y + x
-                            else:
-                                del row[m]
-                            m = m21 + m2
-                            y = row.get(m)
-                            if y is None:
-                                row[keys.setdefault(m, m)] = -x
-                            elif y != x:
-                                row[m] = y - x
-                            else:
-                                del row[m]
+                    accumulate(row, t1, t2, sh12, keys)
+                    accumulate(row, n1, t2, shifts[ph21], keys)
                     if not row:
                         del acc[k]
                     elif len(acc) > TERM_CAP:
                         raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
     bound = _coeff_bound(terms1, terms2, max(map(abs, shifts), default=0))
-    return _rows(acc, bound, integral)
+    return {k: Scalar(row, bound) for k, row in acc.items()}
 
 
 class WeylOp:
@@ -390,13 +363,7 @@ class WeylOp:
 
     def substitute(self, bindings) -> "WeylOp":
         """Apply a coefficient-ring substitution to every term."""
-        out: dict[int, Scalar] = {}
-        for k, c in self.terms.items():
-            nc = c.substitute(bindings)
-            if not nc.is_zero():
-                prev = out.get(k)
-                out[k] = nc if prev is None else prev + nc
-        return WeylOp(self.lattice, out)
+        return WeylOp(self.lattice, {k: c.substitute(bindings) for k, c in self.terms.items()})
 
     def conjugate_v(self) -> "WeylOp":
         """Conjugation by the product over sites of the d2-twist operator.
@@ -434,12 +401,7 @@ class WeylOp:
 
     def coeff_of_var(self, name: str, power: int) -> "WeylOp":
         """Weyl coefficient of ``name**power`` inside the Scalar coefficients."""
-        out = {}
-        for k, c in self.terms.items():
-            nc = c.coeff_of(name, power)
-            if not nc.is_zero():
-                out[k] = nc
-        return WeylOp(self.lattice, out)
+        return WeylOp(self.lattice, {k: c.coeff_of(name, power) for k, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):

@@ -164,8 +164,11 @@ def test_periodic_site_reduction():
 
 
 def test_lattice_mismatch_rejected():
-    with pytest.raises(ValueError):
-        _ = gen(1, "U") * WeylOp.one(PER)
+    a, b = gen(1, "U"), WeylOp.one(PER)
+    for op in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: a.commutator(b)):
+        with pytest.raises(ValueError):
+            op()
+    assert (a == gen(1, "U", lat=PER)) is False
 
 
 def test_non_half_integer_power_rejected():
@@ -305,9 +308,21 @@ def test_kernel_matches_fold_on_random_half_integer_words():
         a, b = rand_half_word_op(rng), rand_half_word_op(rng)
         assert decoded(a * b) == reference_product(a, b)
         assert canonical(a * b) and canonical(a.commutator(b))
-        # a product of integral operands is built without a rescan
+        # integer-coefficient operands give int coefficients in both kernels
         ai, bi = a * 6, b * 6
         assert canonical(ai * bi) and canonical(ai.commutator(bi))
+    # Fraction coefficients whose products are integers: 1/2 * 2 and 1/3 * 3
+    # must come out as ints in both kernels
+    a = gen(1, "U") * Fraction(1, 2) + gen(2, "V") * Fraction(1, 3)
+    b = gen(1, "V") * 2 + gen(2, "U") * 3
+    ab, ba = reference_product(a, b), reference_product(b, a)
+    anticommutator = {k: ab.get(k, Scalar.zero()) + ba.get(k, Scalar.zero())
+                      for k in ab.keys() | ba.keys()}
+    for out, reference in ((a * b, ab),
+                           (a.commutator(b), reference_commutator(a, b)),
+                           (WeylOp.dot([(a, b), (b, a)]), anticommutator)):
+        assert canonical(out)
+        assert decoded(out) == {k: c for k, c in reference.items() if not c.is_zero()}
 
 
 def cancelling_pair():
@@ -398,6 +413,8 @@ def test_dot_refuses_mixed_lattices_and_scalars_only():
         WeylOp.dot([(gen(1, "U"), gen(1, "V", lat=PER))])
     with pytest.raises(TypeError):
         WeylOp.dot([(Scalar.var("lam"), 2)])
+    with pytest.raises(TypeError):
+        WeylOp.dot([(gen(1, "U"), object())])
 
 
 def test_dot_cap_counts_the_accumulator(monkeypatch):
