@@ -49,7 +49,7 @@ def residual_size(obj) -> int:
     if isinstance(obj, Scalar):
         return len(obj.terms)
     if isinstance(obj, FockVector):
-        return sum(len(c.terms) for c in obj.coeffs.values())
+        return sum(map(residual_size, obj.coeffs.values()))
     raise TypeError(f"unsupported residual type {type(obj)!r}")
 
 

@@ -2,7 +2,8 @@
 
 Everything downstream (Weyl operators, matrices) uses this ring for its
 coefficients, and :class:`ScalarFraction` is the only fraction type: the
-Poisson side computes with it directly.  A fraction keeps its denominator as
+Poisson side computes with it directly, and the Fock states of the
+stochastic checks hold one per level.  A fraction keeps its denominator as
 powers of factor Scalars, so a sum is taken over the least common multiple
 of two denominators rather than their product (common-denominator
 bookkeeping in partially factored form, after Geddes, Czapor & Labahn 1992),
@@ -493,6 +494,8 @@ class ScalarFraction:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Scalar):  # the denominator stays as it is
+            return ScalarFraction._of(self.num * other, self.factors, self._den)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

@@ -29,30 +29,28 @@ def _q(k: int) -> Scalar:
     return Scalar.var("s", 2 * k)
 
 
-_ONE = Scalar.const(1)
+_ZERO = ScalarFraction(0)
 
 
 class FockVector:
-    """Left row vector: map from level tuples to numerators over one ``den``."""
+    """Left row vector: map from level tuples to fraction coefficients."""
 
-    __slots__ = ("sites", "trunc", "coeffs", "den")
+    __slots__ = ("sites", "trunc", "coeffs")
 
-    def __init__(self, sites: int, trunc: int, coeffs: dict[tuple, Scalar],
-                 den: Scalar = _ONE):
+    def __init__(self, sites: int, trunc: int, coeffs: dict[tuple, ScalarFraction]):
         self.sites = sites
         self.trunc = trunc
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-        self.den = den
 
     @classmethod
     def basis(cls, levels: tuple, trunc: int) -> "FockVector":
-        return cls(len(levels), trunc, {tuple(levels): _ONE})
+        return cls(len(levels), trunc, {tuple(levels): ScalarFraction(1)})
 
-    def _like(self, coeffs: dict[tuple, Scalar]) -> "FockVector":
-        return FockVector(self.sites, self.trunc, coeffs, self.den)
+    def _like(self, coeffs: dict[tuple, ScalarFraction]) -> "FockVector":
+        return FockVector(self.sites, self.trunc, coeffs)
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        if (self.sites, self.trunc, self.den) != (other.sites, other.trunc, other.den):
+        if (self.sites, self.trunc) != (other.sites, other.trunc):
             raise ValueError("incompatible Fock spaces")
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -61,7 +59,7 @@ class FockVector:
         return self._like(out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(Scalar.const(-1))
+        return self + other._like({k: -c for k, c in other.coeffs.items()})
 
     def scale(self, c: Scalar) -> "FockVector":
         return self._like({k: v * c for k, v in self.coeffs.items()})
@@ -78,7 +76,7 @@ class FockVector:
                            if all(x < self.trunc for x in k)})
 
     def coefficient(self, levels: tuple) -> ScalarFraction:
-        return ScalarFraction(self.coeffs.get(tuple(levels), Scalar.zero()), self.den)
+        return self.coeffs.get(tuple(levels), _ZERO)
 
     def to_text(self) -> str:
         if not self.coeffs:
@@ -98,27 +96,18 @@ def fock_act(op: str, site: int, v: FockVector) -> FockVector:
     Raising past the truncation level is recorded, not dropped: the overflow
     component at level K+1 stays in the vector and the checks locate it.
     """
-    out: dict[tuple, Scalar] = {}
-
-    def add(levels: tuple, c: Scalar) -> None:
-        cur = out.get(levels)
-        nc = c if cur is None else cur + c
-        if nc.is_zero():
-            out.pop(levels, None)
-        else:
-            out[levels] = nc
-
+    # each generator moves one site's level by a fixed step: no two components meet
+    out: dict[tuple, ScalarFraction] = {}
     i = site - 1
     for levels, c in v.coeffs.items():
         k = levels[i]
         if op == "a":
             if k > 0:
-                coeff = Scalar.const(1) - _q(-2 * k)
-                add(levels[:i] + (k - 1,) + levels[i + 1:], c * coeff)
+                out[levels[:i] + (k - 1,) + levels[i + 1:]] = c * (Scalar.const(1) - _q(-2 * k))
         elif op == "astar":
-            add(levels[:i] + (k + 1,) + levels[i + 1:], c)
+            out[levels[:i] + (k + 1,) + levels[i + 1:]] = c
         elif op == "qD":
-            add(levels, c.shift(var_key("s", -4 * k)))
+            out[levels] = c * _q(-2 * k)
         else:
             raise ValueError(f"unknown oscillator generator {op!r}")
     return v._like(out)
@@ -130,7 +119,7 @@ def build_state(kind: str, K: int, N: int = 1, k: int = 0) -> FockVector:
     if kind == "vk":
         return FockVector.basis((k,), K)
     if kind == "omega":
-        # common denominator prod_{j<=K}(1 - q^(-2j)) keeps additions aligned
+        # every level over prod_{j<=K}(1 - q^(-2j)): sums of levels stay on one denominator
         den = Scalar.const(1)
         for j in range(1, K + 1):
             den = den * (Scalar.const(1) - _q(-2 * j))
@@ -139,19 +128,16 @@ def build_state(kind: str, K: int, N: int = 1, k: int = 0) -> FockVector:
             num = _q(-2 * kk)
             for j in range(kk + 1, K + 1):
                 num = num * (Scalar.const(1) - _q(-2 * j))
-            coeffs[(kk,)] = num
-        return FockVector(1, K, coeffs, den)
+            coeffs[(kk,)] = ScalarFraction(num, den)
+        return FockVector(1, K, coeffs)
     if kind == "Omega":
-        # numerators multiply out; the shared denominator is raised once
+        # level fractions multiply, so the denominator's power adds up to N
         base = build_state("omega", K)
-        coeffs = {(): _ONE}
+        coeffs = {(): ScalarFraction(1)}
         for _ in range(N):
-            new = {}
-            for levels, c in coeffs.items():
-                for (kk,), c2 in base.coeffs.items():
-                    new[levels + (kk,)] = c * c2
-            coeffs = new
-        return FockVector(N, K, coeffs, base.den ** N)
+            coeffs = {levels + kk: c * c2 for levels, c in coeffs.items()
+                      for kk, c2 in base.coeffs.items()}
+        return FockVector(N, K, coeffs)
     raise ValueError(f"unknown state kind {kind!r}")
 
 
@@ -177,17 +163,25 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
 
     Levels pushed below zero annihilate the state; that matches the left
     oscillator action whenever the operator lies in the oscillator algebra.
-    Each (operator term, state component) product adds, moved by its phase,
-    into one raw row per output level tuple (:func:`~toda2.ring.accumulate`).
+    Each (operator term, state component) product adds its numerator, moved
+    by its phase, into one raw row per output level tuple and factor map of
+    the component's denominator (:func:`~toda2.ring.accumulate`).  Each row
+    is one fraction over its map, and the rows of one level add as fractions.
     """
-    rows: dict[tuple, dict] = {}
+    # factor map -> a component over it and the rows of its group
+    groups: dict[frozenset, tuple[ScalarFraction, dict]] = {}
+    comps = []
+    for levels, c in v.coeffs.items():
+        _, rows = groups.setdefault(frozenset(c.factors.items()), (c, {}))
+        comps.append((levels, c.num, rows))
     keys: dict[int, int] = {}
     bound = 0
+    s = var_key("s", 1)  # phase * s packs s^phase: check_bound keeps the phase in range
     for key, scal in op.terms.items():
         site_exp = {site: (a2, b2) for site, a2, b2 in decode_key(key)}
         if any(a2 % 2 or b2 % 2 for a2, b2 in site_exp.values()):
             raise ValueError("half-integer exponents have no Fock action here")
-        for levels, c in v.coeffs.items():
+        for levels, c, rows in comps:
             new = list(levels)
             phase = 0
             for site, (a2, b2) in site_exp.items():
@@ -199,8 +193,13 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
             # a result exponent sums one of c, one of scal and the phase
             bound = max(bound, check_bound(c.exp_bound + scal.exp_bound + abs(phase)))
             row = rows.setdefault(tuple(new), {})
-            accumulate(row, c.terms.items(), scal.terms.items(), var_key("s", phase), keys)
-    return v._like({levels: Scalar(row, bound) for levels, row in rows.items() if row})
+            accumulate(row, c.terms.items(), scal.terms.items(), phase * s, keys)
+    out: dict[tuple, ScalarFraction] = {}
+    for first, rows in groups.values():
+        for levels, row in rows.items():
+            f = ScalarFraction.over(Scalar(row, bound), first)
+            out[levels] = out[levels] + f if levels in out else f
+    return v._like(out)
 
 
 def stochastic_hamiltonian(lattice: Lattice) -> WeylOp:

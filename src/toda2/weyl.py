@@ -76,45 +76,38 @@ def decode_key(key: int) -> tuple:
     return tuple((n, a2, b2) for n, (a2, b2) in sites.items())
 
 
-def _grouped(terms: dict, size: int, part: int | None) -> tuple[dict, int]:
-    """The terms as (key, coefficient items), grouped by the digits of one part
-    of their keys (0: V, 1: U; None: one group, no key decoded), and the
-    largest |digit| of any decoded key."""
+def _grouped(terms: dict, size: int, part: int | None) -> tuple[dict, list, int]:
+    """The terms grouped by the digits of one part of their keys (0: V, 1: U;
+    None: one group, no key decoded), each as (key, coefficient items, index
+    of the digits of the other part of its key); the distinct other parts in
+    index order; and the largest |digit| of any decoded key."""
     groups: dict[tuple, list] = {}
+    others: dict[tuple, int] = {}
     bound = 0
     for k, c in terms.items():
-        if part is None:
-            group = ()
-        else:
+        group = other = ()
+        if part is not None:
             ds = digits(k, 0, 2 * size)
             bound = max(bound, max(ds), -min(ds))
-            group = tuple(ds[part::2])
-        groups.setdefault(group, []).append((k, tuple(c.terms.items())))
-    return groups, bound
+            group, other = tuple(ds[part::2]), tuple(ds[1 - part::2])
+        index = others.setdefault(other, len(others))
+        groups.setdefault(group, []).append((k, tuple(c.terms.items()), index))
+    return groups, list(others), bound
 
 
-def _operands(terms1: dict, terms2: dict, size: int) -> tuple[dict, dict]:
+def _operands(terms1: dict, terms2: dict, size: int) -> tuple[tuple, tuple]:
     """The left operand grouped by the U part of its keys and the right one by
-    the V part (see :func:`_grouped`); OverflowError if a key sum could carry."""
+    the V part, each with its distinct other parts (see :func:`_grouped`);
+    OverflowError if a key sum could carry."""
     # a scalar-valued operand merges with phase 0 and moves no digit, so
     # neither side is grouped: decoding every key of the other operand
     # costs the sites4 command about an eighth of its time
     scalar = (len(terms1) == 1 and 0 in terms1) or (len(terms2) == 1 and 0 in terms2)
-    left, bound1 = _grouped(terms1, size, None if scalar else 1)
-    right, bound2 = _grouped(terms2, size, None if scalar else 0)
+    left, v1s, bound1 = _grouped(terms1, size, None if scalar else 1)
+    right, u2s, bound2 = _grouped(terms2, size, None if scalar else 0)
     # a key sum adds two digits each below 2**29: below the guard it cannot carry
     check_bound(bound1 + bound2)
-    return left, right
-
-
-def _indexed(groups: dict, size: int, part: int) -> tuple[dict, list]:
-    """The groups with each term extended by the index of the digits of the
-    other part (0: V, 1: U) of its key among the distinct ones, and those."""
-    parts: dict[tuple, int] = {}
-    out = {g: [(k, t, parts.setdefault(tuple(digits(k, 0, 2 * size)[part::2]), len(parts)))
-               for k, t in ts]
-           for g, ts in groups.items()}
-    return out, list(parts)
+    return (left, v1s), (right, u2s)
 
 
 def _coeff_bound(terms1: dict, terms2: dict, phase: int) -> int:
@@ -142,7 +135,7 @@ def _dot(pairs, size: int) -> dict[int, Scalar]:
     keys: dict[int, int] = {}  # shared by every row, see ring.accumulate
     bound = 0
     for terms1, terms2 in pairs:
-        left, right = _operands(terms1, terms2, size)
+        (left, _), (right, _) = _operands(terms1, terms2, size)
         top = 0
         for u1, lefts in left.items():
             for v2, rights in right.items():
@@ -152,8 +145,8 @@ def _dot(pairs, size: int) -> dict[int, Scalar]:
                     sh = shifts[ph] = pack_power(s_idx, ph)
                 if abs(ph) > top:
                     top = abs(ph)
-                for k1, t1 in lefts:
-                    for k2, t2 in rights:
+                for k1, t1, _ in lefts:
+                    for k2, t2, _ in rights:
                         k = k1 + k2
                         row = acc.get(k)
                         if row is None:
@@ -177,9 +170,7 @@ def _commutator(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
     :func:`_dot`; phi21 pairs the left V part with the right U part and is
     read from a table over the distinct parts.
     """
-    left, right = _operands(terms1, terms2, size)
-    left, v1s = _indexed(left, size, 0)
-    right, u2s = _indexed(right, size, 1)
+    (left, v1s), (right, u2s) = _operands(terms1, terms2, size)
     # each left term with its negated coefficients, for the b*a products
     left = {u1: [(k, t, tuple((m, -x) for m, x in t), i) for k, t, i in ts]
             for u1, ts in left.items()}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toda2.registry import RunConfig, run_checks
-from toda2.reports import report_from_residuals
+from toda2.reports import report_from_residuals, residual_size
 from toda2.ring import Scalar, ScalarFraction
 from toda2.stoch import (FockVector, _interior_defect, build_state, check_stoch,
                          fock_act, osc_a, osc_astar, osc_qd, stochastic_hamiltonian,
@@ -107,6 +107,13 @@ def test_weyl_act_is_a_right_action(sites):
     states = [build_state("Omega", K, N=sites)]
     states += [FockVector.basis(tuple(rng.randint(0, K) for _ in range(sites)), K)
                for _ in range(3)]
+    # levels over two denominators: raised Omega leaves site 1 occupied at
+    # every level, and the basis level with every site empty has denominator 1
+    mixed = fock_act("astar", 1, states[0]) + FockVector.basis((0,) * sites, K)
+    states.append(mixed)
+    for n in range(1, sites + 1):
+        for name, gen in (("a", osc_a), ("astar", osc_astar), ("qD", osc_qd)):
+            assert (fock_act(name, n, mixed) - weyl_act(mixed, gen(lat, n))).is_zero()
     words = _oscillator_words(lat, rng, 12)
     for v in states:
         for X, Y in zip(words, words[1:] + words[:1]):
@@ -149,15 +156,37 @@ def test_defect_confined_to_boundary_levels():
     assert all(any(x >= K for x in lv) for lv in diff.support_levels())
 
 
-def test_fock_vector_keeps_one_denominator():
+_WRONG_EIGEN_WITNESS = (
+    "interior levels: ((-1 - s^-252 + 3*s^-248 - 5*s^-240 + 7*s^-228 - 3*s^-224"
+    " + 6*s^-220 + 6*s^-216 - 18*s^-212 - 9*s^-208 - 9*s^-204 + 12*s^-200 + 6*s^-196"
+    " + 32*s^-192 + 24*s^-188 - 18*s^-184 - 30*s^-180 - 45*s^-176 - 1 ...")
+
+
+def test_wrong_charge_eigenvalue_fails_at_every_interior_level():
+    # H Omega - (N+1) Omega on the 3-site tensor state, the residual that a
+    # wrong charge eigenvalue leaves: its size, support and witness are pinned
+    K, N = 6, 3
+    Om = build_state("Omega", K, N=N)
+    H = stochastic_hamiltonian(Lattice(N, True))
+    defect = (weyl_act(Om, H) - Om.scale(Scalar.const(N + 1))).interior_part()
+    assert residual_size(defect) == 8924
+    assert len(defect.support_levels()) == (K ** N) == 216
+    rep = report_from_residuals({}, [("interior levels", defect)])
+    assert (rep.status, rep.residual_terms) == ("fail", 8924)
+    assert rep.witness == _WRONG_EIGEN_WITNESS
+
+
+def test_fock_states_add_over_any_denominators():
     om = build_state("omega", 3)
-    Om = build_state("Omega", 3, N=2)
-    assert Om.den == om.den ** 2
-    assert all(type(c) is Scalar for c in Om.coeffs.values())
-    absent = om.coefficient((7,))
-    assert absent.is_zero() and absent.den == om.den
-    with pytest.raises(ValueError, match="incompatible Fock spaces"):
-        om + build_state("vk", 3, k=0)
+    mixed = om + build_state("vk", 3, k=0)
+    assert mixed.coefficient((0,)) == ScalarFraction(2)
+    for k in (1, 2, 3):
+        assert mixed.coefficient((k,)) == om.coefficient((k,))
+    assert all(type(c) is ScalarFraction for c in mixed.coeffs.values())
+    assert mixed.coefficient((7,)).is_zero()
+    for other in (build_state("vk", 4, k=0), FockVector.basis((0, 0), 3)):
+        with pytest.raises(ValueError, match="incompatible Fock spaces"):
+            om + other
 
 
 def _row(cid, **cfg):

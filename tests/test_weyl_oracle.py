@@ -5,16 +5,18 @@ constants) let ``V_n^(a/2)`` act as multiplication by ``y_n^a`` and
 ``U_n^(b/2)`` as the shift ``y_n -> s^b y_n``.  Then ``U_n V_n = s^4 V_n U_n =
 q^2 V_n U_n``, and for formal ``s`` the action is faithful, so a product is
 right iff acting with it equals acting with its factors in turn.  The action
-is built from :class:`Scalar` substitution and products alone and never calls
-the Weyl product or the commutator; it reads each key through ``decode_key``.
+is built from monomial shifts, sums and products of :class:`Scalar` alone and
+never calls the Weyl product or the commutator; it reads each key through
+``decode_key``.
 """
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from toda2.quantum import ModelParams, monodromy
-from toda2.ring import Scalar
+from toda2.ring import Scalar, unpack_key, var_index, var_key
 from toda2.weyl import Lattice, WeylOp, decode_key
 
 pytest.importorskip("hypothesis")
@@ -29,13 +31,24 @@ ORACLE = settings(max_examples=100, deadline=None)
 
 
 def act(op: WeylOp, f: Scalar) -> Scalar:
-    """The image of ``f`` under ``op``: per term, shift by U, then multiply by V."""
+    """The image of ``f`` under ``op``: a term ``V^(a/2) U^(b/2)`` sends ``y^e``
+    to ``s^(b.e) y^(e+a)``, so each group of terms of ``f`` with one power
+    ``y^e`` moves by one monomial."""
+    groups: dict[tuple, Scalar] = {}
+    for k, c in f.terms.items():
+        powers = dict(unpack_key(k))
+        e = tuple(powers.get(var_index(y), 0) for y in Y)
+        groups[e] = groups.get(e, Scalar.zero()) + Scalar({k: c})
     total = Scalar.zero()
     for key, coeff in op.terms.items():
-        sites = decode_key(key)
-        shifts = {f"y{n}": Scalar.monomial({"s": b2, f"y{n}": 1}) for n, _, b2 in sites if b2}
-        v = Scalar.monomial({f"y{n}": a2 for n, a2, _ in sites}, 1)
-        total = total + coeff * v * f.substitute(shifts)
+        a, b = [0] * N, [0] * N
+        for n, a2, b2 in decode_key(key):
+            a[n - 1], b[n - 1] = a2, b2
+        v = sum(var_key(y, an) for y, an in zip(Y, a))
+        image = Scalar.zero()
+        for e, g in groups.items():
+            image = image + g.shift(v + var_key("s", sum(map(mul, b, e))))
+        total = total + coeff * image
     return total
 
 
