@@ -58,7 +58,8 @@ def main(argv=None) -> int:
         cfg = RunConfig(sites=args.sites, trunc=args.trunc, max_terms=args.max_terms)
         reports = run_checks(ids, cfg)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
     width = max(len(r.id) for r in reports)

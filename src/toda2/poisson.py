@@ -159,10 +159,6 @@ class Chart:
             return 1 if (a - b) % self.size == 0 else 0
         return 1 if a == b else 0
 
-    def table(self, i: int, j: int) -> Scalar | None:
-        """Bracket of two generator variables by variable index (None if zero)."""
-        return self._table.get((i, j))
-
     # -- element constructors ------------------------------------------------
 
     def gen(self, name: str, power: int = 1) -> ScalarFraction:

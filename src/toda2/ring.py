@@ -194,10 +194,8 @@ class Scalar:
         return cls({}, 0)
 
     @classmethod
-    def var(cls, name: str, power: int = 1, coeff=1) -> "Scalar":
-        key = var_key(name, _exponent(power))
-        c = _coeff(coeff)
-        return cls({key: c} if c else {}, abs(power))
+    def var(cls, name: str, power: int = 1) -> "Scalar":
+        return cls({var_key(name, _exponent(power)): 1}, abs(power))
 
     @classmethod
     def monomial(cls, powers: Mapping[str, int], coeff=1) -> "Scalar":
@@ -256,18 +254,16 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def shift(self, key: int, c=1) -> "Scalar":
-        """``self * Scalar({key: c})``: one monomial re-keys every term.
+    def shift(self, key: int) -> "Scalar":
+        """``self * Scalar({key: 1})``: one monomial re-keys every term.
 
         Laurent monomials form a group, so distinct keys stay distinct and
-        nothing merges; with ``c == 1`` no coefficient is multiplied.
+        nothing merges, and no coefficient is multiplied.
         """
-        if c == 1 and not key:
+        if not key:
             return self
         bound = check_bound(self.exp_bound + _key_bound(key))
-        if c == 1:
-            return Scalar({k + key: v for k, v in self.terms.items()}, bound)
-        return Scalar({k + key: v * c for k, v in self.terms.items()}, bound)
+        return Scalar({k + key: v for k, v in self.terms.items()}, bound)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -416,14 +412,14 @@ class ScalarFraction:
     ``factors`` maps each factor Scalar to its power, and ``num`` is the
     numerator over their product, the least common multiple of the
     denominators the operations met.  Products, quotients and powers add the
-    powers; a sum takes the lcm of the two maps and multiplies each numerator
-    by its own missing factors only, unless both maps expand to one product.
-    Factors match by Scalar equality, so no polynomial gcd is taken and
-    nothing else is cancelled.  ``den`` expands ``factors`` on first use, and
-    the text reads ``num`` over ``den`` as they are held.
+    powers; a sum over one map adds the numerators, and any other sum takes
+    the lcm of the two maps and multiplies each numerator by its own missing
+    factors only.  Factors match by Scalar equality, so no polynomial gcd is
+    taken and nothing else is cancelled.  ``den`` expands ``factors`` on each
+    read, and the text reads ``num`` over ``den`` as they are held.
     """
 
-    __slots__ = ("num", "factors", "_den")
+    __slots__ = ("num", "factors")
 
     def __init__(self, num: Scalar | int | Fraction, den: Scalar | int | Fraction = _ONE):
         if not isinstance(num, Scalar):
@@ -434,15 +430,13 @@ class ScalarFraction:
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.factors = _factor(den)
-        self._den = den
 
     @classmethod
-    def _of(cls, num: Scalar, factors: dict, den: Scalar | None = None) -> "ScalarFraction":
+    def _of(cls, num: Scalar, factors: dict) -> "ScalarFraction":
         """``num`` over ``factors``; the map is shared, never changed in place."""
         self = object.__new__(cls)
         self.num = num
         self.factors = factors
-        self._den = den
         return self
 
     @classmethod
@@ -452,9 +446,7 @@ class ScalarFraction:
 
     @property
     def den(self) -> Scalar:
-        if self._den is None:
-            self._den = _expand(self.factors)
-        return self._den
+        return _expand(self.factors)
 
     def _times_missing(self, factors: dict) -> Scalar:
         """The numerator over ``factors``, a multiple of this denominator."""
@@ -471,10 +463,8 @@ class ScalarFraction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.factors == o.factors or (_ends(self.factors) == _ends(o.factors)
-                                         and self.den == o.den):
-            # one map, or unequal maps of one product: the sum stays over it
-            return ScalarFraction._of(self.num + o.num, self.factors, self._den)
+        if self.factors == o.factors:
+            return ScalarFraction._of(self.num + o.num, self.factors)
         factors = _lcm(self.factors, o.factors)
         return ScalarFraction._of(self._times_missing(factors) + o._times_missing(factors),
                                   factors)
@@ -482,7 +472,7 @@ class ScalarFraction:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarFraction._of(-self.num, self.factors, self._den)
+        return ScalarFraction._of(-self.num, self.factors)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -495,7 +485,7 @@ class ScalarFraction:
 
     def __mul__(self, other):
         if isinstance(other, Scalar):  # the denominator stays as it is
-            return ScalarFraction._of(self.num * other, self.factors, self._den)
+            return ScalarFraction._of(self.num * other, self.factors)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -536,9 +526,10 @@ class ScalarFraction:
 
     def to_text(self) -> str:
         """``(num) / (den)``, or ``num`` alone over the unit denominator."""
-        if self.den.is_one():
+        den = self.den
+        if den.is_one():
             return self.num.to_text()
-        return f"({self.num.to_text()}) / ({self.den.to_text()})"
+        return f"({self.num.to_text()}) / ({den.to_text()})"
 
     def __repr__(self):
         return f"ScalarFraction({self.to_text()})"
@@ -610,16 +601,3 @@ def _expand(m: dict) -> Scalar:
         out = _product(out, f if p == 1 else f ** p)
     return out
 
-
-def _ends(m: dict) -> tuple[int, int]:
-    """The largest and smallest packed key of the product of a factor map.
-
-    Keys add under multiplication and their integer order respects the
-    addition, so each end of a product is the sum of its factors' ends: two
-    maps with different ends cannot have the same product.
-    """
-    top = bottom = 0
-    for f, p in m.items():
-        top += p * max(f.terms)
-        bottom += p * min(f.terms)
-    return top, bottom

@@ -1,4 +1,5 @@
-"""Every function and method of the package has a caller inside the package.
+"""Every function and method of the package has a caller inside the package,
+and every defaulted parameter has a call that passes it.
 
 A reference is a ``Name`` or an ``Attribute`` anywhere in ``src/toda2`` outside
 the definition's own body.  A method counts as referenced only through an
@@ -6,6 +7,11 @@ the definition's own body.  A method counts as referenced only through an
 hide it; a function counts through either.  Matching is by name alone, so a
 method that shares its name with a referenced one (one class's ``to_text``
 while another's is called) is not caught.  Dunder methods are exempt.
+
+A call passes a parameter by keyword, by position, or through a ``*`` or
+``**`` spread; calls inside the function's own body count, since a builder may
+recurse.  Calls match by the called name as above, and a method's ``self`` or
+``cls`` takes no position of the call.
 """
 
 import ast
@@ -19,14 +25,24 @@ SRC = Path(toda2.__file__).parent
 ALLOWED = {
     "generator": "bench/test_bench.py builds single Weyl generators with it",
     "from_text": "the inverse of Scalar.to_text, which the text round-trip test uses",
-    "table": "the bracket lookup of the fold reference in tests/test_poisson.py",
+}
+
+_SWAPPED = "tests/test_classical.py swaps them to show that the orientation is unique"
+# Defaulted parameters that no call in the package passes, and why.
+ALLOWED_UNPASSED = {
+    "main(argv)": "bench/child.py and the CLI tests pass the argument list",
+    "generator(power)": "tests/test_weyl.py and tests/test_ring.py build other powers",
+    "bracket_matrix(mu1)": _SWAPPED,
+    "bracket_matrix(mu2)": _SWAPPED,
 }
 
 
-def _uncalled(src: Path) -> set[str]:
+def _scan(src: Path):
+    """The function definitions of ``src``, each with whether it is a method,
+    and its ``Name``, ``Attribute`` and ``Call`` nodes by name."""
     trees = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
     defs = []  # (function node, is a method)
-    names, attrs = {}, {}
+    names, attrs, calls = {}, {}, {}
     for tree in trees:
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
@@ -36,10 +52,18 @@ def _uncalled(src: Path) -> set[str]:
                 names.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
                 attrs.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    defs = [(fn, m) for fn, m in defs if not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    return defs, names, attrs, calls
+
+
+def _uncalled(src: Path) -> set[str]:
+    defs, names, attrs, _ = _scan(src)
     out = set()
     for fn, is_method in defs:
-        if fn.name.startswith("__") and fn.name.endswith("__"):
-            continue
         inside = {id(n) for n in ast.walk(fn)}
         refs = attrs.get(fn.name, []) + ([] if is_method else names.get(fn.name, []))
         if all(id(r) in inside for r in refs):
@@ -47,10 +71,39 @@ def _uncalled(src: Path) -> set[str]:
     return out
 
 
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    if any(k.arg in (None, name) for k in call.keywords):  # by keyword or ``**``
+        return True
+    return position is not None and (len(call.args) > position
+                                     or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unpassed(src: Path) -> set[str]:
+    defs, _, _, calls = _scan(src)
+    out = set()
+    for fn, is_method in defs:
+        a = fn.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        positional = (a.posonlyargs + a.args)[int(is_method and not static):]
+        first = len(positional) - len(a.defaults)
+        defaulted = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for position, name in defaulted:
+            if not any(_passes(c, position, name) for c in calls.get(fn.name, [])):
+                out.add(f"{fn.name}({name})")
+    return out
+
+
 def test_every_function_has_a_caller_in_the_package():
     uncalled = _uncalled(SRC)
     assert uncalled - set(ALLOWED) == set(), "defined but never referenced"
     assert set(ALLOWED) - uncalled == set(), "allow-listed but referenced: drop the entry"
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    unpassed = _unpassed(SRC)
+    assert unpassed - set(ALLOWED_UNPASSED) == set(), "defaulted but never passed"
+    assert set(ALLOWED_UNPASSED) - unpassed == set(), "allow-listed but passed: drop the entry"
 
 
 def test_the_scan_sees_an_uncalled_helper_and_ignores_a_same_named_local(tmp_path):
@@ -61,3 +114,23 @@ def test_the_scan_sees_an_uncalled_helper_and_ignores_a_same_named_local(tmp_pat
         "def caller():\n    meth = K()\n    return meth\n\n"
         "run = caller\n")
     assert _uncalled(tmp_path) == {"orphan", "meth"}
+
+
+def test_the_scan_sees_a_parameter_no_call_passes(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n"
+        "def g(a=1, b=2):\n    return g(b=a) if a else 0\n\n"
+        "def h(a=1, b=2, *, c=3):\n    return a\n\n"
+        "class K:\n"
+        "    def meth(self, a=1, b=2):\n        return a\n\n"
+        "    @classmethod\n    def make(cls, a=1):\n        return cls()\n\n"
+        "    @staticmethod\n    def st(a=1, b=2):\n        return a\n\n"
+        "args, kw = (1,), {}\n"
+        "f(0, 1, d=2)\n"     # b by position, d by keyword
+        "g()\n"              # b only in g's own body
+        "h(*args)\n"         # a and b through a spread, but not c
+        "f(0, **kw)\n"       # every keyword through a spread
+        "K().meth(1)\n"      # a, after self
+        "K.make()\n"
+        "K.st(1)\n")
+    assert _unpassed(tmp_path) == {"g(a)", "h(c)", "meth(b)", "make(a)", "st(b)"}

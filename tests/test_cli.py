@@ -30,8 +30,8 @@ def test_list_is_reproducible(capsys):
 
 def test_unknown_check_id_is_usage_error(capsys):
     assert cli.main(["verify", "not_a_check"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown check ids" in err
+    # the message as raised, not the quoted str() of the KeyError
+    assert capsys.readouterr().err == "error: unknown check ids: not_a_check\n"
 
 
 def test_bad_config_is_usage_error():

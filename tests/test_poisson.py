@@ -145,7 +145,7 @@ def _fold_bracket(chart, p, q):
         for k2, c2 in q.terms.items():
             for vi, ei in ((v, e) for v, e in unpack_key(k1) if v in names):
                 for vj, ej in ((v, e) for v, e in unpack_key(k2) if v in names):
-                    t = chart.table(vi, vj)
+                    t = chart._table.get((vi, vj))  # {x_i, x_j}, None if zero
                     if t is None:
                         continue
                     mono = (Scalar({k1: c1 * c2 * ei * ej}) * Scalar({k2: 1})

@@ -161,7 +161,7 @@ def test_coefficients_that_cancel_to_integers_are_stored_as_int():
         (x * half * y).substitute({"x": Scalar.monomial({"y": -1}, 2)}),
         (x * half * y + x * half * y).coeff_of("y", 1),
         Scalar.monomial({"x": 1, "y": -2}, Fraction(6, 3)),
-        Scalar.var("x", 1, Fraction(-4, 2)).monomial_inverse(),
+        Scalar.monomial({"x": 1}, Fraction(-4, 2)).monomial_inverse(),
         Scalar.from_text("4/2*x + 1/2*y"),
     ]
     assert whole == x and summed == y
@@ -187,7 +187,7 @@ def test_integral_fraction_constant_equals_int_constant():
 @pytest.mark.parametrize("build", [
     lambda: Scalar.const(0.1),
     lambda: Scalar.const("1/2"),
-    lambda: Scalar.var("x", 1, 0.5),
+    lambda: Scalar.var("x") * 0.5,
     lambda: Scalar.monomial({"x": 2}, 1.0),
     lambda: ScalarFraction(0.5),
     lambda: ScalarFraction(s, 0.5),
@@ -229,15 +229,13 @@ def test_shift_equals_product_with_one_monomial():
         return poly, key
 
     @settings(max_examples=80, deadline=None)
-    @given(laurent_and_key(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
-    def check(pk, c):
+    @given(laurent_and_key())
+    def check(pk):
         poly, key = pk
-        shifted = poly.shift(key, c)
+        shifted = poly.shift(key)
         # the general product it replaces
-        assert shifted == poly * Scalar({key: c})
+        assert shifted == poly * Scalar({key: 1})
         assert _canonical(shifted)
-        if c == 1:
-            assert poly.shift(key) == shifted
 
     check()
 
@@ -330,10 +328,10 @@ def test_the_exponent_guard_raises_before_any_carry():
     with pytest.raises(OverflowError):
         x28.shift(var_key("x", 2 ** 28))
     with pytest.raises(OverflowError):
-        Scalar.var("x", -2 ** 28).shift(var_key("x", -2 ** 28), Fraction(1, 2))
+        Scalar.var("x", -2 ** 28).shift(var_key("x", -2 ** 28))
     assert x28.shift(var_key("x", 2 ** 28 - 1)) == Scalar.var("x", 2 ** 29 - 1)
     with pytest.raises(OverflowError):
-        (x28 * Scalar.var("y", 1, 3)).substitute({"y": x28})
+        (x28 * Scalar.var("y") * 3).substitute({"y": x28})
     assert (x28 * Scalar.var("y")).substitute({"y": Scalar.var("x", 2 ** 28 - 1)}) \
         == Scalar.var("x", 2 ** 29 - 1)
 
