@@ -97,6 +97,8 @@ def fock_act(op: str, site: int, v: FockVector) -> FockVector:
     Raising past the truncation level is recorded, not dropped: the overflow
     component at level K+1 stays in the vector and the checks locate it.
     """
+    if not 1 <= site <= v.sites:
+        raise ValueError(f"site {site} outside the {v.sites}-site state")
     # each generator moves one site's level by a fixed step: no two components meet
     out: dict[tuple, ScalarFraction] = {}
     i = site - 1
@@ -114,30 +116,25 @@ def fock_act(op: str, site: int, v: FockVector) -> FockVector:
     return v._like(out)
 
 
-def build_state(kind: str, K: int, N: int = 1, k: int = 0) -> FockVector:
-    """Named left states: a basis level, the single-site geometric state on
-    levels <= K, or its N-fold tensor power."""
-    if kind == "vk":
-        return FockVector.basis((k,), K)
+def build_state(kind: str, K: int, N: int = 1) -> FockVector:
+    """The geometric state on levels <= K: ``"omega"`` on one site, or
+    ``"Omega"``, its N-fold tensor power."""
+    # level k of a site is q^(-2k) / prod_{j<=k}(1 - q^(-2j)), over its own factors
+    levels = [ScalarFraction(1)]
+    for k in range(1, K + 1):
+        levels.append(levels[-1] * ScalarFraction(_q(-2), Scalar.const(1) - _q(-2 * k)))
     if kind == "omega":
-        # every level over prod_{j<=K}(1 - q^(-2j)): sums of levels stay on one denominator
-        den = Scalar.const(1)
-        for j in range(1, K + 1):
-            den = den * (Scalar.const(1) - _q(-2 * j))
-        coeffs = {}
-        for kk in range(K + 1):
-            num = _q(-2 * kk)
-            for j in range(kk + 1, K + 1):
-                num = num * (Scalar.const(1) - _q(-2 * j))
-            coeffs[(kk,)] = ScalarFraction(num, den)
-        return FockVector(1, K, coeffs)
+        # every level over level K's factors, so that column_eigen's sums keep one map
+        tails = [Scalar.const(1)]  # prod_{k<j<=K}(1 - q^(-2j)) for k = K, K-1, ..., 0
+        for k in range(K, 0, -1):
+            tails.append(tails[-1] * (Scalar.const(1) - _q(-2 * k)))
+        return FockVector(1, K, {(k,): ScalarFraction.over(_q(-2 * k) * tail, levels[K])
+                                 for k, tail in enumerate(reversed(tails))})
     if kind == "Omega":
-        # level fractions multiply, so the denominator's power adds up to N
-        base = build_state("omega", K)
+        # a tensor level is the product of its sites' level fractions
         coeffs = {(): ScalarFraction(1)}
         for _ in range(N):
-            coeffs = {levels + kk: c * c2 for levels, c in coeffs.items()
-                      for kk, c2 in base.coeffs.items()}
+            coeffs = {lv + (k,): c * f for lv, c in coeffs.items() for k, f in enumerate(levels)}
         return FockVector(N, K, coeffs)
     raise ValueError(f"unknown state kind {kind!r}")
 
@@ -169,6 +166,8 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
     the component's denominator (:func:`~toda2.ring.accumulate`).  Each row
     is one fraction over its map, and the rows of one level add as fractions.
     """
+    if op.lattice.size != v.sites:
+        raise ValueError(f"{op.lattice.size}-site operator on a {v.sites}-site state")
     # factor map -> a component over it and the rows of its group
     groups: dict[frozenset, tuple[ScalarFraction, dict]] = {}
     comps = []
@@ -298,7 +297,7 @@ def check_stoch(check_id: str, K: int, N: int, mutate: bool = False):
                       ("qD", "qD", osc_qd(lat1, 1)))
         items = []
         for k in range(0, K):
-            v = build_state("vk", K, k=k)
+            v = FockVector.basis((k,), K)
             for label, fock_name, wop in generators:
                 items.append((f"{label} on level {k}",
                               fock_act(fock_name, 1, v) - weyl_act(v, wop)))

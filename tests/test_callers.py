@@ -12,6 +12,12 @@ A call passes a parameter by keyword, by position, or through a ``*`` or
 ``**`` spread; calls inside the function's own body count, since a builder may
 recurse.  Calls match by the called name as above, and a method's ``self`` or
 ``cls`` takes no position of the call.
+
+No module reads (``obj._name``) or imports (``from .x import _name``) an
+underscore name that only another module defines: a module defines the names
+it binds (functions, classes, methods, assignment targets, ``self._x = ...``),
+and names match as above, so a module that defines a name of its own may read
+another's of the same name.  Dunder names are exempt.
 """
 
 import ast
@@ -94,6 +100,28 @@ def _unpassed(src: Path) -> set[str]:
     return out
 
 
+def _foreign_private(src: Path) -> set[str]:
+    """``module._name`` for each underscore name a module of ``src`` reads or
+    imports that it does not define but another module does."""
+    defined, used = {}, {}
+    for p in sorted(src.glob("*.py")):
+        own, uses = set(), set()
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                own.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                (own if isinstance(node.ctx, ast.Store) else uses).add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                uses.update(a.name for a in node.names)
+        defined[p.stem] = own
+        used[p.stem] = {n for n in uses
+                        if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+    return {f"{mod}.{name}" for mod, names in used.items() for name in names - defined[mod]
+            if any(name in own for other, own in defined.items() if other != mod)}
+
+
 def test_every_function_has_a_caller_in_the_package():
     uncalled = _uncalled(SRC)
     assert uncalled - set(ALLOWED) == set(), "defined but never referenced"
@@ -104,6 +132,28 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
     unpassed = _unpassed(SRC)
     assert unpassed - set(ALLOWED_UNPASSED) == set(), "defaulted but never passed"
     assert set(ALLOWED_UNPASSED) - unpassed == set(), "allow-listed but passed: drop the entry"
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    assert _foreign_private(SRC) == set()
+
+
+def test_the_scan_sees_a_private_name_from_another_module(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _helper():\n    return 1\n\n"
+        "class K:\n"
+        "    def __init__(self):\n        self._cache = 1\n\n"
+        "    @classmethod\n    def _of(cls):\n        return cls()\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import K, _helper\n\n"
+        "def _own():\n    return 2\n\n"
+        "def f(obj, k=K._of()):\n"
+        "    return (_helper(), k._cache, obj._own, obj._elsewhere, obj.__dict__,\n"
+        "            obj.__class__, obj._of)\n")
+    (tmp_path / "c.py").write_text(
+        "class M:\n    def _of(self):\n        return self._cache\n")
+    # c defines its own _of; _elsewhere and the dunders are no module's names
+    assert _foreign_private(tmp_path) == {"b._helper", "b._of", "b._cache", "c._cache"}
 
 
 def test_the_scan_sees_an_uncalled_helper_and_ignores_a_same_named_local(tmp_path):

@@ -17,24 +17,24 @@ def spow(k):
 
 
 def test_lowering_kills_the_vacuum():
-    v0 = build_state("vk", 6, k=0)
+    v0 = FockVector.basis((0,), 6)
     assert fock_act("a", 1, v0).is_zero()
 
 
 def test_number_operator_eigenvalue():
-    v2 = build_state("vk", 6, k=2)
+    v2 = FockVector.basis((2,), 6)
     assert (fock_act("qD", 1, v2) - v2.scale(spow(-8))).is_zero()
 
 
 def test_lowering_coefficient():
-    v1 = build_state("vk", 6, k=1)
-    v0 = build_state("vk", 6, k=0)
+    v1 = FockVector.basis((1,), 6)
+    v0 = FockVector.basis((0,), 6)
     got = fock_act("a", 1, v1)
     assert (got - v0.scale(Scalar.const(1) - spow(-4))).is_zero()
 
 
 def test_raising_overflow_is_recorded():
-    vK = build_state("vk", 4, k=4)
+    vK = FockVector.basis((4,), 4)
     up = fock_act("astar", 1, vK)
     assert up.support_levels() == {(5,)}
     assert up.interior_part().is_zero()
@@ -47,7 +47,7 @@ def test_geometric_state_coefficients():
     den2 = (Scalar.const(1) - spow(-4)) * (Scalar.const(1) - spow(-8))
     assert om.coefficient((2,)) == ScalarFraction(spow(-8), den2)
     om0 = build_state("omega", 0)
-    assert (om0 - build_state("vk", 0, k=0)).is_zero()
+    assert (om0 - FockVector.basis((0,), 0)).is_zero()
 
 
 def test_geometric_state_eigen_recurrence():
@@ -132,6 +132,16 @@ def test_weyl_act_refuses_half_integer_exponents():
             weyl_act(v, op)
 
 
+def test_fock_actions_refuse_sites_outside_the_state():
+    v = FockVector.basis((1, 2, 0), 4)
+    for size in (2, 4):
+        with pytest.raises(ValueError, match="-site operator on a 3-site state"):
+            weyl_act(v, osc_astar(Lattice(size, True), 2))
+    for site in (0, 4, -1):
+        with pytest.raises(ValueError, match="outside the 3-site state"):
+            fock_act("astar", site, v)
+
+
 def test_charge_checks_pass_on_four_sites():
     for cid in ("Omega_H1", "zero_column_sum"):
         rep = report_from_residuals({}, check_stoch(cid, K=6, N=4))
@@ -145,6 +155,17 @@ def test_tensor_state_coefficients_factorise():
     for k1 in range(K + 1):
         for k2 in range(K + 1):
             assert Om.coefficient((k1, k2)) == om.coefficient((k1,)) * om.coefficient((k2,))
+    # each tensor level is the monomial q^(-2(k1+..+kN)) over the factors
+    # 1 - q^(-2j), each to the power of the number of sites at level >= j
+    Om3 = build_state("Omega", K, N=3)
+    for levels, c in Om3.coeffs.items():
+        assert c.num == spow(-4 * sum(levels))
+        assert c.factors == {Scalar.const(1) - spow(-4 * j): sum(k >= j for k in levels)
+                             for j in range(1, max(levels) + 1)}
+    # the one-site state keeps every level over the top level's factors
+    first, *rest = [c.factors for c in om.coeffs.values()]
+    assert first == {Scalar.const(1) - spow(-4 * j): 1 for j in range(1, K + 1)}
+    assert all(m is first for m in rest)
 
 
 def test_defect_confined_to_boundary_levels():
@@ -157,9 +178,9 @@ def test_defect_confined_to_boundary_levels():
 
 
 _WRONG_EIGEN_WITNESS = (
-    "interior levels: ((-1 - s^-252 + 3*s^-248 - 5*s^-240 + 7*s^-228 - 3*s^-224"
-    " + 6*s^-220 + 6*s^-216 - 18*s^-212 - 9*s^-208 - 9*s^-204 + 12*s^-200 + 6*s^-196"
-    " + 32*s^-192 + 24*s^-188 - 18*s^-184 - 30*s^-180 - 45*s^-176 - 1 ...")
+    "interior levels: (-1) v[0, 0, 0]  +  ((-s^-4) / (1 - s^-4)) v[0, 0, 1]"
+    "  +  ((s^-12 - s^-8) / (1 - s^-16 + 2*s^-12 - 2*s^-4)) v[0, 0, 2]"
+    "  +  ((s^-16 - s^-12) / (1 + s^-28 - 2*s^-24 + s^-16 + s^-12 - 2*s^-4)) v[0, 0, 3] ...")
 
 
 def test_wrong_charge_eigenvalue_fails_at_every_interior_level():
@@ -169,22 +190,22 @@ def test_wrong_charge_eigenvalue_fails_at_every_interior_level():
     Om = build_state("Omega", K, N=N)
     H = stochastic_hamiltonian(Lattice(N, True))
     defect = (weyl_act(Om, H) - Om.scale(Scalar.const(N + 1))).interior_part()
-    assert residual_size(defect) == 8924
+    assert residual_size(defect) == 839
     assert len(defect.support_levels()) == (K ** N) == 216
     rep = report_from_residuals({}, [("interior levels", defect)])
-    assert (rep.status, rep.residual_terms) == ("fail", 8924)
+    assert (rep.status, rep.residual_terms) == ("fail", 839)
     assert rep.witness == _WRONG_EIGEN_WITNESS
 
 
 def test_fock_states_add_over_any_denominators():
     om = build_state("omega", 3)
-    mixed = om + build_state("vk", 3, k=0)
+    mixed = om + FockVector.basis((0,), 3)
     assert mixed.coefficient((0,)) == ScalarFraction(2)
     for k in (1, 2, 3):
         assert mixed.coefficient((k,)) == om.coefficient((k,))
     assert all(type(c) is ScalarFraction for c in mixed.coeffs.values())
     assert mixed.coefficient((7,)).is_zero()
-    for other in (build_state("vk", 4, k=0), FockVector.basis((0, 0), 3)):
+    for other in (FockVector.basis((0,), 4), FockVector.basis((0, 0), 3)):
         with pytest.raises(ValueError, match="incompatible Fock spaces"):
             om + other
 
