@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .registry import REGISTRY, RunConfig, list_checks, run_checks
+from .registry import REGISTRY, RunConfig, run_checks
 from .reports import DEGENERATE, FAIL
 
 
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
 
     if args.command == "list":
         default = RunConfig()
-        for d in list_checks():
+        for _, d in sorted(REGISTRY.items()):
             defaults = ", ".join(f"{k}={v}" for k, v in d.params(default).items()) or "-"
             print(f"{d.id:24s} [{d.module:9s}] {d.anchor}  (defaults: {defaults})")
         print(f"{len(REGISTRY)} checks registered")

@@ -361,7 +361,7 @@ def residuals_virlat(chart: Chart, window) -> list[tuple[str, ScalarFraction]]:
     for n in window:
         for m in window:
             lhs = chart.bracket(S[n], S[m])
-            bump = chart.delta(n, m - 1) - chart.delta(n, m + 1)
+            bump = W_BRACKETS["W1W1"](n, m, chart.delta)
             inner = (4 - S[n] - S[m]) * bump
             if chart.delta(n, m + 2):
                 inner = inner + S[n - 1]

@@ -15,7 +15,7 @@ from typing import Callable
 from . import classical, poisson, quantum, stoch, weyl
 from .reports import DEGENERATE, FAIL, PASS, CheckReport, report_from_residuals
 
-__all__ = ["RunConfig", "CheckDef", "REGISTRY", "run_checks", "list_checks"]
+__all__ = ["RunConfig", "CheckDef", "REGISTRY", "run_checks"]
 
 
 @dataclass
@@ -47,68 +47,6 @@ class CheckDef:
     rule: Callable[[CheckReport], CheckReport] | None = None
 
 
-# What each suite check certifies, keyed by the id its suite function takes.
-ANCHORS = {
-    # poisson
-    "w1w1": "adjacent-step Wronskian brackets close quadratically",
-    "w1w2": "mixed-step Wronskian brackets close quadratically",
-    "w2w2": "double-step Wronskian brackets close with quartic tail",
-    "virlat": "cubic subalgebra closes and decouples from the Wronskians",
-    "qq": "Q-Q bracket recovered from the Wronskian realisation",
-    "qp": "Q-P bracket recovered from the Wronskian realisation",
-    "pp": "P-P bracket recovered from the Wronskian realisation",
-    "exlat_from_darboux": "canonical-pair realisation satisfies the doublet exchange bracket",
-    "qp_from_rep": "canonical-pair realisation reproduces the quadratic Q/P brackets",
-    "jacobi": "Jacobi identity for every shipped bracket table",
-    # quantum
-    "AD": "same-site Lax exchange through the A/D pair",
-    "B": "adjacent-site Lax exchange through the C-type matrix",
-    "C": "adjacent-site Lax exchange through the B-type matrix",
-    "DGCG_general": "companion-matrix compatibility for free parameters",
-    "dual_general": "dual compatibility for the trace-closing companion",
-    "ATT_TTD": "monodromy quadratic exchange algebra",
-    "distant_commute": "Lax entries at distant sites commute",
-    "YBE_twisted": "twisted R-matrix satisfies the Yang-Baxter equation",
-    "RLL_ultralocal": "RLL exchange for the ultralocal Lax matrix",
-    "gauge_l": "gauge transform of the bare Lax is ultralocal",
-    "gauge_G": "gauge transform of the companion matrix, long entries included",
-    "scriptL_assembly": "gauged Lax times gauged companion equals the dressed form",
-    "trace_identity": "closed trace of the gauged chain drops the twist",
-    "entrywise_conjugation": "entrywise twist carries the gauged Lax to the ultralocal one",
-    "taut": "twisted rescaled transfer trace equals the ultralocal transfer matrix",
-    "exchange_xi": "doublet exchange algebra, including the equal-site weight",
-    "W_algebra_q": "deformed Wronskian algebra closes",
-    "QP_relations": "closed-form Q/P commutation relations",
-    "W1_monomial": "step-one Wronskian collapses to an invertible monomial",
-    "QP_match": "Wronskian-built Q/P equal their closed forms",
-    "commute": "transfer-derived charges commute pairwise",
-    "tau_commute": "dressed transfer traces commute at two spectral points",
-    "tloc_commute": "ultralocal transfer traces commute at two spectral points",
-    "H1_qToda": "first charge at the hopping-free point",
-    "H1_Toda2": "first charge of the quadratic-bracket chain",
-    "H2_Toda2": "second charge combination of the quadratic-bracket chain",
-    "trq_commute": "the two deformed trace charges commute",
-    "trq_match1": "first deformed trace matches the first charge",
-    "trq_match2": "second deformed trace matches the second charge combination",
-    "qosc_coherence": "oscillator Lax transfer equals the preset transfer",
-    # classical
-    "poissonL_explicit": "entry brackets of the big Lax match the explicit quadratic form",
-    "poissonL_dform": "entry brackets of the big Lax match the commutator form",
-    "involution": "trace powers are in involution and the corner product is central",
-    "curve_NxN": "characteristic polynomial splits off the corner term",
-    "curve_2x2": "monodromy characteristic relation and spectral determinant",
-    "pN_equals_trT": "corner-free characteristic part equals the monodromy trace",
-    # stoch
-    "qosc_algebra": "deformed oscillator algebra in the Weyl realisation",
-    "Lqosc_match": "oscillator Lax equals the ultralocal Lax at the preset",
-    "column_eigen": "column sums act on the geometric state with eigenvalue lam - 1",
-    "omega_identity": "raising identity of the geometric state below truncation",
-    "Omega_H1": "tensor geometric state is a left eigenstate of the chain charge",
-    "zero_column_sum": "interior columns of the shifted generator sum to zero",
-    "realisation_consistency": "Fock action agrees with the Weyl realisation",
-}
-
-
 def _caught(report: CheckReport) -> CheckReport:
     """Row of a deliberately corrupted identity: pass iff the corruption is caught."""
     if report.status == FAIL and report.witness:
@@ -125,89 +63,132 @@ def _degenerate(report: CheckReport) -> CheckReport:
 
 
 def _build_registry() -> dict[str, CheckDef]:
-    defs: list[CheckDef] = []
+    defs: dict[str, CheckDef] = {}
 
-    def add(module: str, ids: str, params, residuals) -> None:
-        """Register each of the space-separated ``ids``: ``params(cfg)`` gives
-        its row's params and ``residuals(id, params)`` its residuals there."""
-        for cid in ids.split():
-            defs.append(CheckDef(cid, module, ANCHORS[cid], params,
-                                 lambda p, c=cid: residuals(c, p)))
+    def add(module: str, params, residuals, rule=None, **anchors: str) -> None:
+        """Register each keyword as a check id with what it certifies: ``params(cfg)``
+        gives its row's params, ``residuals(id, params)`` its residuals there and
+        ``rule``, if any, turns their summary into the row."""
+        for cid, anchor in anchors.items():
+            defs[cid] = CheckDef(cid, module, anchor, params,
+                                 lambda p, c=cid: residuals(c, p), rule)
 
+    # every runner looks its suite function up through the module when it
+    # runs, so a rebound check_* (bench/tracing.py wraps them) reaches every row
     bracket = lambda c, p: poisson.check_bracket_identity(c, **p)
-    add("poisson", "w1w1 w1w2 w2w2 virlat qq qp pp", lambda cfg: {"size": 8}, bracket)
-    add("poisson", "exlat_from_darboux qp_from_rep", lambda cfg: {"size": 6}, bracket)
-    add("poisson", "jacobi", lambda cfg: {"charts": "exlat,qp,darboux"},
-        lambda c, p: poisson.check_bracket_identity(c))
+    add("poisson", lambda cfg: {"size": 8}, bracket,
+        w1w1="adjacent-step Wronskian brackets close quadratically",
+        w1w2="mixed-step Wronskian brackets close quadratically",
+        w2w2="double-step Wronskian brackets close with quartic tail",
+        virlat="cubic subalgebra closes and decouples from the Wronskians",
+        qq="Q-Q bracket recovered from the Wronskian realisation",
+        qp="Q-P bracket recovered from the Wronskian realisation",
+        pp="P-P bracket recovered from the Wronskian realisation")
+    add("poisson", lambda cfg: {"size": 6}, bracket,
+        exlat_from_darboux="canonical-pair realisation satisfies the doublet exchange bracket",
+        qp_from_rep="canonical-pair realisation reproduces the quadratic Q/P brackets")
+    add("poisson", lambda cfg: {"charts": "exlat,qp,darboux"},
+        lambda c, p: poisson.check_bracket_identity(c),
+        jacobi="Jacobi identity for every shipped bracket table")
 
     fm = lambda c, p: quantum.check_fm(c, **p)
-    add("quantum", "AD B C ATT_TTD", lambda cfg: {"N": max(cfg.sites, 3)}, fm)
-    add("quantum", "DGCG_general dual_general", lambda cfg: {"parameters": "free"},
-        lambda c, p: quantum.check_fm(c))
-    add("quantum", "distant_commute", lambda cfg: {"N": max(cfg.sites, 5)}, fm)
-    add("quantum", "YBE_twisted", lambda cfg: {"legs": 3}, lambda c, p: quantum.check_ybe(c))
-    add("quantum", "RLL_ultralocal", lambda cfg: {"d": "generic"},
-        lambda c, p: quantum.check_ybe(c))
+    add("quantum", lambda cfg: {"N": max(cfg.sites, 3)}, fm,
+        AD="same-site Lax exchange through the A/D pair",
+        B="adjacent-site Lax exchange through the C-type matrix",
+        C="adjacent-site Lax exchange through the B-type matrix",
+        ATT_TTD="monodromy quadratic exchange algebra")
+    add("quantum", lambda cfg: {"parameters": "free"}, lambda c, p: quantum.check_fm(c),
+        DGCG_general="companion-matrix compatibility for free parameters",
+        dual_general="dual compatibility for the trace-closing companion")
+    add("quantum", lambda cfg: {"N": max(cfg.sites, 5)}, fm,
+        distant_commute="Lax entries at distant sites commute")
+    add("quantum", lambda cfg: {"legs": 3}, lambda c, p: quantum.check_ybe(c),
+        YBE_twisted="twisted R-matrix satisfies the Yang-Baxter equation")
+    add("quantum", lambda cfg: {"d": "generic"}, lambda c, p: quantum.check_ybe(c),
+        RLL_ultralocal="RLL exchange for the ultralocal Lax matrix")
     ultralocalisation = lambda c, p: quantum.check_ultralocalisation(c, **p)
-    add("quantum", "gauge_l gauge_G scriptL_assembly entrywise_conjugation",
-        lambda cfg: {"N": 3}, ultralocalisation)
-    add("quantum", "trace_identity", lambda cfg: {"N": cfg.sites}, ultralocalisation)
+    add("quantum", lambda cfg: {"N": 3}, ultralocalisation,
+        gauge_l="gauge transform of the bare Lax is ultralocal",
+        gauge_G="gauge transform of the companion matrix, long entries included",
+        scriptL_assembly="gauged Lax times gauged companion equals the dressed form",
+        entrywise_conjugation="entrywise twist carries the gauged Lax to the ultralocal one")
+    add("quantum", lambda cfg: {"N": cfg.sites}, ultralocalisation,
+        trace_identity="closed trace of the gauged chain drops the twist")
     # one row for the chain lengths 1..N: residual lists concatenate
-    add("quantum", "taut", lambda cfg: {"N": f"1..{max(cfg.sites, 3)}"},
+    add("quantum", lambda cfg: {"N": f"1..{max(cfg.sites, 3)}"},
         lambda c, p: [item for n in range(1, int(p["N"].split("..")[1]) + 1)
-                      for item in quantum.check_ultralocalisation(c, N=n)])
-    add("quantum", "exchange_xi W_algebra_q QP_relations W1_monomial QP_match",
-        lambda cfg: {"size": 6}, lambda c, p: quantum.check_representation(c, **p))
+                      for item in quantum.check_ultralocalisation(c, N=n)],
+        taut="twisted rescaled transfer trace equals the ultralocal transfer matrix")
+    add("quantum", lambda cfg: {"size": 6}, lambda c, p: quantum.check_representation(c, **p),
+        exchange_xi="doublet exchange algebra, including the equal-site weight",
+        W_algebra_q="deformed Wronskian algebra closes",
+        QP_relations="closed-form Q/P commutation relations",
+        W1_monomial="step-one Wronskian collapses to an invertible monomial",
+        QP_match="Wronskian-built Q/P equal their closed forms")
     hamiltonians = lambda c, p: quantum.check_hamiltonians(c, **p)
-    add("quantum", "commute H1_qToda H1_Toda2 H2_Toda2 trq_commute trq_match1 trq_match2 "
-        "qosc_coherence", lambda cfg: {"N": max(cfg.sites, 2)}, hamiltonians)
-    add("quantum", "tau_commute tloc_commute", lambda cfg: {"N": max(cfg.sites, 3)},
-        hamiltonians)
+    add("quantum", lambda cfg: {"N": max(cfg.sites, 2)}, hamiltonians,
+        commute="transfer-derived charges commute pairwise",
+        H1_qToda="first charge at the hopping-free point",
+        H1_Toda2="first charge of the quadratic-bracket chain",
+        H2_Toda2="second charge combination of the quadratic-bracket chain",
+        trq_commute="the two deformed trace charges commute",
+        trq_match1="first deformed trace matches the first charge",
+        trq_match2="second deformed trace matches the second charge combination",
+        qosc_coherence="oscillator Lax transfer equals the preset transfer")
+    add("quantum", lambda cfg: {"N": max(cfg.sites, 3)}, hamiltonians,
+        tau_commute="dressed transfer traces commute at two spectral points",
+        tloc_commute="ultralocal transfer traces commute at two spectral points")
 
-    add("classical", "poissonL_explicit poissonL_dform involution curve_NxN curve_2x2",
-        lambda cfg: {"N": max(cfg.sites, 3)}, lambda c, p: classical.check_classical(c, **p))
-    defs.append(CheckDef("poissonL_degenerate", "classical",
-                         ANCHORS["poissonL_explicit"] + " (degenerate wrap)",
-                         lambda cfg: {"N": 2},
-                         lambda p: classical.check_classical("poissonL_explicit", **p),
-                         _degenerate))
-    add("classical", "pN_equals_trT", lambda cfg: {"N": "2,3,4"},
+    explicit = "entry brackets of the big Lax match the explicit quadratic form"
+    add("classical", lambda cfg: {"N": max(cfg.sites, 3)},
+        lambda c, p: classical.check_classical(c, **p),
+        poissonL_explicit=explicit,
+        poissonL_dform="entry brackets of the big Lax match the commutator form",
+        involution="trace powers are in involution and the corner product is central",
+        curve_NxN="characteristic polynomial splits off the corner term",
+        curve_2x2="monodromy characteristic relation and spectral determinant")
+    add("classical", lambda cfg: {"N": 2},
+        lambda c, p: classical.check_classical("poissonL_explicit", **p), _degenerate,
+        poissonL_degenerate=explicit + " (degenerate wrap)")
+    add("classical", lambda cfg: {"N": "2,3,4"},
         lambda c, p: [item for n in map(int, p["N"].split(","))
-                      for item in classical.check_classical(c, N=n)])
+                      for item in classical.check_classical(c, N=n)],
+        pN_equals_trT="corner-free characteristic part equals the monodromy trace")
 
-    add("stoch", "qosc_algebra Lqosc_match column_eigen omega_identity Omega_H1 "
-        "zero_column_sum realisation_consistency",
-        lambda cfg: {"K": cfg.trunc, "N": min(max(cfg.sites, 2), 3)},
-        lambda c, p: stoch.check_stoch(c, **p))
+    add("stoch", lambda cfg: {"K": cfg.trunc, "N": min(max(cfg.sites, 2), 3)},
+        lambda c, p: stoch.check_stoch(c, **p),
+        qosc_algebra="deformed oscillator algebra in the Weyl realisation",
+        Lqosc_match="oscillator Lax equals the ultralocal Lax at the preset",
+        column_eigen="column sums act on the geometric state with eigenvalue lam - 1",
+        omega_identity="raising identity of the geometric state below truncation",
+        Omega_H1="tensor geometric state is a left eigenstate of the chain charge",
+        zero_column_sum="interior columns of the shifted generator sum to zero",
+        realisation_consistency="Fock action agrees with the Weyl realisation")
 
     # mutation sensitivity: one corrupted run per suite must be caught
-    mutations = (
-        ("mutation_poisson", "poisson", "corrupted Wronskian bracket identity is caught",
-         {"size": 8}, lambda p: poisson.check_bracket_identity("w1w1", mutate=True, **p)),
-        ("mutation_fm", "quantum", "sign-flipped compatibility parameter is caught",
-         {"parameters": "free"}, lambda p: quantum.check_fm("DGCG_general", mutate=True)),
-        ("mutation_rll", "quantum", "zeroed ultralocal Lax entry is caught",
-         {"d": "generic"}, lambda p: quantum.check_ybe("RLL_ultralocal", mutate=True)),
-        ("mutation_gauge", "quantum", "sign-flipped companion entry is caught",
-         {"N": 3}, lambda p: quantum.check_ultralocalisation("gauge_G", mutate=True, **p)),
-        ("mutation_classical", "classical",
-         "sign-flipped antisymmetric structure matrix is caught",
-         {"N": 3}, lambda p: classical.check_classical("poissonL_explicit", mutate=True, **p)),
-        ("mutation_stoch", "stoch", "wrong column eigenvalue is caught",
-         {"K": 6, "N": 2}, lambda p: stoch.check_stoch("column_eigen", mutate=True, **p)),
-    )
-    for cid, module, anchor, params, residuals in mutations:
-        defs.append(CheckDef(cid, module, anchor, lambda cfg, p=params: dict(p),
-                             residuals, _caught))
+    add("poisson", lambda cfg: {"size": 8},
+        lambda c, p: poisson.check_bracket_identity("w1w1", mutate=True, **p), _caught,
+        mutation_poisson="corrupted Wronskian bracket identity is caught")
+    add("quantum", lambda cfg: {"parameters": "free"},
+        lambda c, p: quantum.check_fm("DGCG_general", mutate=True), _caught,
+        mutation_fm="sign-flipped compatibility parameter is caught")
+    add("quantum", lambda cfg: {"d": "generic"},
+        lambda c, p: quantum.check_ybe("RLL_ultralocal", mutate=True), _caught,
+        mutation_rll="zeroed ultralocal Lax entry is caught")
+    add("quantum", lambda cfg: {"N": 3},
+        lambda c, p: quantum.check_ultralocalisation("gauge_G", mutate=True, **p), _caught,
+        mutation_gauge="sign-flipped companion entry is caught")
+    add("classical", lambda cfg: {"N": 3},
+        lambda c, p: classical.check_classical("poissonL_explicit", mutate=True, **p), _caught,
+        mutation_classical="sign-flipped antisymmetric structure matrix is caught")
+    add("stoch", lambda cfg: {"K": 6, "N": 2},
+        lambda c, p: stoch.check_stoch("column_eigen", mutate=True, **p), _caught,
+        mutation_stoch="wrong column eigenvalue is caught")
 
-    return {d.id: d for d in defs}
+    return defs
 
 
 REGISTRY = _build_registry()
-
-
-def list_checks() -> list[CheckDef]:
-    return [REGISTRY[k] for k in sorted(REGISTRY)]
 
 
 def run_checks(ids, cfg: RunConfig) -> list[CheckReport]:

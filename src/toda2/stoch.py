@@ -99,6 +99,8 @@ def fock_act(op: str, site: int, v: FockVector) -> FockVector:
     """
     if not 1 <= site <= v.sites:
         raise ValueError(f"site {site} outside the {v.sites}-site state")
+    if op not in ("a", "astar", "qD"):
+        raise ValueError(f"unknown oscillator generator {op!r}")
     # each generator moves one site's level by a fixed step: no two components meet
     out: dict[tuple, ScalarFraction] = {}
     i = site - 1
@@ -109,10 +111,8 @@ def fock_act(op: str, site: int, v: FockVector) -> FockVector:
                 out[levels[:i] + (k - 1,) + levels[i + 1:]] = c * (Scalar.const(1) - _q(-2 * k))
         elif op == "astar":
             out[levels[:i] + (k + 1,) + levels[i + 1:]] = c
-        elif op == "qD":
+        else:  # qD
             out[levels] = c * _q(-2 * k)
-        else:
-            raise ValueError(f"unknown oscillator generator {op!r}")
     return v._like(out)
 
 

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from toda2 import cli
-from toda2.registry import REGISTRY, RunConfig, run_checks
-from toda2.reports import CheckReport
+from toda2.registry import REGISTRY, CheckDef, RunConfig, run_checks
+from toda2.ring import Scalar
+
+# ``toda2 list``, pinned: no report row carries the module column it prints
+LIST_REFERENCE = Path(__file__).resolve().parent / "reference" / "list.txt"
 
 
 def test_list_prints_every_check(capsys):
@@ -18,6 +22,12 @@ def test_list_prints_every_check(capsys):
     lines = [l.split()[0] for l in out.splitlines()[:-1] if l.strip()]
     assert lines == sorted(lines)
     assert "taut" in out
+
+
+def test_list_matches_the_pinned_catalogue(capsys):
+    # ids, module column, anchors and listed defaults, line for line
+    assert cli.main(["list"]) == 0
+    assert capsys.readouterr().out == LIST_REFERENCE.read_text()
 
 
 def test_list_is_reproducible(capsys):
@@ -68,15 +78,18 @@ def test_timings_flag_adds_elapsed(tmp_path):
     assert rows[0]["elapsed_ms"] is not None
 
 
-def test_failing_check_gives_exit_one(monkeypatch, tmp_path):
-    import toda2.registry as reg
-
-    def broken(cfg):
-        return CheckReport("Lqosc_match", {}, "fail", 3, "forced witness")
-    monkeypatch.setitem(
-        reg.REGISTRY, "Lqosc_match",
-        reg.CheckDef("Lqosc_match", "stoch", "forced failure", {}, broken))
-    assert cli.main(["verify", "Lqosc_match"]) == 1
+def test_failing_check_gives_exit_one(monkeypatch, tmp_path, capsys):
+    # a check that runs to the end with a nonzero residual, not one that raises
+    monkeypatch.setitem(REGISTRY, "Lqosc_match", CheckDef(
+        "Lqosc_match", "stoch", "forced failure", lambda cfg: {},
+        lambda params: [("forced", Scalar.const(1))]))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "Lqosc_match", "--json", str(out)]) == 1
+    (row,) = json.loads(out.read_text())
+    assert row["status"] == "fail"
+    assert row["residual_terms"] == 1
+    assert row["witness"] == "forced: 1"
+    assert capsys.readouterr().err == ""
 
 
 def test_raising_check_becomes_failed_row(monkeypatch, tmp_path):

@@ -63,3 +63,24 @@ def test_traced_names_are_defined_in_their_modules(module, names):
                      if inspect.isfunction(fn) and fn.__module__ == module.__name__
                      and (name.startswith("check_") or name in names))
     assert defined == sorted(names)
+
+
+def test_every_row_looks_up_its_suite_function_at_call_time(monkeypatch):
+    # bench/tracing.py rebinds each suite's check_* functions: a runner that
+    # held a function object would escape the tracer as it escapes the recorder
+    calls = []
+
+    def recorder(check_id, *args, mutate=False, **params):
+        calls.append(mutate)
+        return []
+
+    for module in (poisson, classical, quantum, stoch):
+        for name, fn in vars(module).items():
+            if name.startswith("check_") and inspect.isfunction(fn):
+                monkeypatch.setattr(module, name, recorder)
+    assert len(REGISTRY) == 60
+    for cid in REGISTRY:
+        calls.clear()
+        run_checks([cid], RunConfig())
+        # every row reaches a recorder; only the probes ask for corruption
+        assert set(calls) == {cid.startswith("mutation_")}, cid

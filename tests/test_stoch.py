@@ -142,6 +142,14 @@ def test_fock_actions_refuse_sites_outside_the_state():
             fock_act("astar", site, v)
 
 
+def test_fock_action_refuses_an_unknown_generator_on_any_state():
+    # the name is checked before any component is read, so a state with no
+    # components refuses it as a basis state does
+    for v in (FockVector(1, 3, {}), FockVector.basis((0,), 3)):
+        with pytest.raises(ValueError, match="unknown oscillator generator 'bogus'"):
+            fock_act("bogus", 1, v)
+
+
 def test_charge_checks_pass_on_four_sites():
     for cid in ("Omega_H1", "zero_column_sum"):
         rep = report_from_residuals({}, check_stoch(cid, K=6, N=4))

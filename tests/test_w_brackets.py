@@ -18,13 +18,13 @@ def _run(cid):
     pairs and the quantum chain, 8 for the exchange chart."""
     if cid in ("exlat_from_darboux", "qp_from_rep"):
         return report_from_residuals({}, check_bracket_identity(cid, size=6)).status
-    if cid in ("w1w1", "w2w2", "qq", "qp", "pp"):
+    if cid in ("w1w1", "w2w2", "virlat", "qq", "qp", "pp"):
         return report_from_residuals({}, check_bracket_identity(cid, size=8)).status
     return report_from_residuals({}, check_representation(cid, size=6)).status
 
 
 @pytest.mark.parametrize("entry, classical, quantum", [
-    ("W1W1", ["w1w1", "qq"], ["W_algebra_q", "QP_relations"]),
+    ("W1W1", ["w1w1", "virlat", "qq"], ["W_algebra_q", "QP_relations"]),
     ("QP", ["qp", "qp_from_rep"], ["QP_relations"]),
     ("W2W2", ["w2w2"], ["W_algebra_q"]),
 ])
