@@ -12,9 +12,9 @@ operator identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 from .matops import OpMatrix, embed_two_leg, product_difference, tensor_embed
 from . import poisson
@@ -43,8 +43,7 @@ def _weight(a: int, b: int) -> Scalar:
     return _s(a) - _s(b)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """The three deformation constants of the local Lax family."""
 
     d1: Scalar

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import classical, poisson, quantum, stoch, weyl
 from .reports import DEGENERATE, FAIL, PASS, CheckReport, report_from_residuals
@@ -18,13 +17,13 @@ from .reports import DEGENERATE, FAIL, PASS, CheckReport, report_from_residuals
 __all__ = ["RunConfig", "CheckDef", "REGISTRY", "run_checks"]
 
 
-@dataclass
 class RunConfig:
-    sites: int = 3
-    trunc: int = 6
-    max_terms: int = weyl.TERM_CAP
+    """The run-wide settings the CLI passes to every check's ``params``."""
 
-    def __post_init__(self):
+    __slots__ = ("sites", "trunc", "max_terms")
+
+    def __init__(self, sites: int = 3, trunc: int = 6, max_terms: int = weyl.TERM_CAP):
+        self.sites, self.trunc, self.max_terms = sites, trunc, max_terms
         if self.sites < 1:
             raise ValueError("sites must be positive")
         if self.trunc < stoch.MIN_TRUNC:
@@ -33,8 +32,7 @@ class RunConfig:
             raise ValueError("max_terms must be positive")
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class CheckDef(NamedTuple):
     """One catalogue entry.  ``params(cfg)`` are the params of its row (``toda2
     list`` prints them at the default config), ``residuals(params)`` are its
     labelled residuals there, and ``rule``, if any, turns the pass-iff-zero

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matops import OpMatrix
 from .ring import Scalar, ScalarFraction
 from .stoch import FockVector
@@ -17,15 +15,16 @@ DEGENERATE = "degenerate"
 WITNESS_CHARS = 200  # a witness keeps this many characters of a residual's text
 
 
-@dataclass
 class CheckReport:
-    id: str
-    params: dict
-    status: str
-    residual_terms: int
-    witness: str
-    anchor: str = ""
-    elapsed: float = 0.0
+    """One report row; ``run_checks`` fills in its id, anchor and elapsed time."""
+
+    __slots__ = ("id", "params", "status", "residual_terms", "witness", "anchor", "elapsed")
+
+    def __init__(self, id: str, params: dict, status: str, residual_terms: int,
+                 witness: str, anchor: str = "", elapsed: float = 0.0):
+        self.id, self.params, self.status = id, params, status
+        self.residual_terms, self.witness = residual_terms, witness
+        self.anchor, self.elapsed = anchor, elapsed
 
     def as_row(self) -> dict:
         return {

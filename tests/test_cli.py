@@ -1,15 +1,19 @@
-import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import toda2
 from toda2 import cli
 from toda2.registry import REGISTRY, CheckDef, RunConfig, run_checks
 from toda2.ring import Scalar
 
 # ``toda2 list``, pinned: no report row carries the module column it prints
 LIST_REFERENCE = Path(__file__).resolve().parent / "reference" / "list.txt"
+CATALOGUE_REPORT = Path(__file__).resolve().parent / "reference" / "catalogue_report.json"
 
 
 def test_list_prints_every_check(capsys):
@@ -132,8 +136,31 @@ def test_run_config_rejects_out_of_range_values(kwargs):
 def test_verify_defaults_are_the_run_config_defaults():
     args = cli._build_parser().parse_args(["verify", "all"])
     default = RunConfig()
-    for field in dataclasses.fields(RunConfig):
-        assert getattr(args, field.name) == getattr(default, field.name), field.name
+    assert RunConfig.__slots__ == ("sites", "trunc", "max_terms")
+    for name in RunConfig.__slots__:
+        assert getattr(args, name) == getattr(default, name), name
+
+
+def test_all_among_other_ids_runs_the_whole_catalogue(tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "all", "AD", "--json", str(out)]) == 0
+    assert out.read_bytes() == CATALOGUE_REPORT.read_bytes()
+
+
+def test_import_leaves_out_dataclasses_and_json():
+    # dataclasses alone brings inspect, ast, dis and tokenize, about half of
+    # the start-up of every run; json is imported only to write a report.
+    # The baseline is what this interpreter loads before the import (its
+    # site hook may load typing or re), so only the import's own modules count.
+    src = str(Path(toda2.__file__).resolve().parent.parent)
+    code = ("import sys; before = set(sys.modules); import toda2.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "toda2.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
 
 
 def test_unwritable_report_path_is_io_error(tmp_path):

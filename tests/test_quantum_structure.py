@@ -18,6 +18,14 @@ def spow(k):
     return Scalar.var("s", k)
 
 
+def test_model_params_are_values():
+    assert ModelParams.generic() == PARAMS
+    assert hash(ModelParams.generic()) == hash(PARAMS)
+    assert ModelParams.q_toda() != PARAMS
+    with pytest.raises(AttributeError):
+        PARAMS.d1 = Scalar.zero()
+
+
 def test_exchange_matrix_entries():
     A = build_aux("A", LAM1, LAM2)
     den = LAM2 * spow(4) - LAM1

@@ -84,3 +84,16 @@ def test_every_row_looks_up_its_suite_function_at_call_time(monkeypatch):
         run_checks([cid], RunConfig())
         # every row reaches a recorder; only the probes ask for corruption
         assert set(calls) == {cid.startswith("mutation_")}, cid
+
+
+def test_check_defs_are_immutable():
+    with pytest.raises(AttributeError):
+        REGISTRY["AD"].anchor = "changed"
+
+
+def test_report_rows_are_assignable_and_keep_six_keys():
+    row = reports.CheckReport("", {"N": 3}, "fail", 2, "w")
+    row.id, row.anchor, row.status, row.witness, row.elapsed = "AD", "a", "pass", "", 1.5
+    assert row.as_row() == {"id": "AD", "params": {"N": 3}, "status": "pass",
+                            "residual_terms": 2, "witness": "", "anchor": "a"}
+    assert row.elapsed == 1.5
