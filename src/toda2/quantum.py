@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from typing import NamedTuple
 
 from .matops import OpMatrix, embed_two_leg, product_difference, tensor_embed
@@ -24,8 +25,8 @@ from .weyl import Lattice, WeylOp
 __all__ = [
     "ModelParams", "build_aux", "build_exchange", "build_scalar_aux",
     "build_companion", "build_lax",
-    "op_P", "op_Q2", "op_Q", "monodromy", "transfer_trace", "hamiltonians",
-    "trq", "build_xi_quantum", "quantum_wronskian",
+    "op_P", "op_Q2", "op_Q", "monodromy", "transfer_trace", "spectral_coefficients",
+    "hamiltonians", "trq", "build_xi_quantum", "quantum_wronskian",
     "check_fm", "check_ybe", "check_ultralocalisation", "check_representation",
     "check_hamiltonians",
 ]
@@ -286,17 +287,20 @@ def transfer_trace(kind: str, N: int, lam: Scalar, params: ModelParams) -> WeylO
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
+def spectral_coefficients(kind: str, N: int, params: ModelParams) -> tuple[list[WeylOp], WeylOp]:
+    """The lam-coefficients c_0 .. c_N of ``transfer_trace(kind, N, lam, params)``
+    and the leftover t - sum_a c_a lam^a, which is zero when t has degree N."""
+    lam = Scalar.var("lam")
+    t = transfer_trace(kind, N, lam, params)
+    cs = [t.coeff_of_var("lam", a) for a in range(N + 1)]
+    return cs, t - WeylOp.dot((c, lam ** a) for a, c in enumerate(cs))
+
+
 def hamiltonians(N: int, params: ModelParams) -> list[WeylOp]:
     """Coefficients H_j of the ultralocal transfer trace, sign convention
     t_loc(lam) = sum_j (-1)^j lam^(N-j) H_j."""
-    t = transfer_trace("tloc", N, Scalar.var("lam"), params)
-    out = []
-    for j in range(N + 1):
-        h = t.coeff_of_var("lam", N - j)
-        if j % 2:
-            h = -h
-        out.append(h)
-    return out
+    cs, _ = spectral_coefficients("tloc", N, params)
+    return [-c if j % 2 else c for j, c in enumerate(reversed(cs))]
 
 
 def trq(power: int, N: int) -> WeylOp:
@@ -622,27 +626,26 @@ def check_representation(check_id: str, size: int) -> list:
     raise ValueError(f"unknown realisation check {check_id!r}")
 
 
+def _commutators(ops: list[WeylOp], label: str) -> list:
+    """``[x_a, x_b]`` for every pair ``a < b`` of ``ops``, labelled ``label.format(a, b)``."""
+    return [(label.format(a, b), x.commutator(y))
+            for (a, x), (b, y) in combinations(enumerate(ops), 2)]
+
+
 def check_hamiltonians(check_id: str, N: int) -> list:
     lattice = Lattice(N, True)
 
     if check_id == "commute":
-        hs = hamiltonians(N, ModelParams.generic())
-        items = []
-        for i in range(len(hs)):
-            for j in range(i + 1, len(hs)):
-                items.append((f"[H{i},H{j}]", hs[i].commutator(hs[j])))
-        return items
+        return _commutators(hamiltonians(N, ModelParams.generic()), "[H{},H{}]")
 
     if check_id in ("tau_commute", "tloc_commute"):
         kind = "tau" if check_id == "tau_commute" else "tloc"
-        params = ModelParams.generic()
-        l1 = Scalar.var("lam1")
-        l2 = Scalar.var("lam2")
         items = []
         for n in sorted({2, N}):
-            t1 = transfer_trace(kind, n, l1, params)
-            t2 = transfer_trace(kind, n, l2, params)
-            items.append((f"N={n}", t1.commutator(t2)))
+            cs, rest = spectral_coefficients(kind, n, ModelParams.generic())
+            # [t(lam1), t(lam2)] = sum_ab [c_a, c_b] lam1^a lam2^b
+            items += _commutators(cs, f"N={n} [c{{}},c{{}}]")
+            items.append((f"N={n} beyond degree {n}", rest))
         return items
 
     if check_id == "H1_qToda":
@@ -687,8 +690,7 @@ def check_hamiltonians(check_id: str, N: int) -> list:
         return [("second charge combination", combo - expect)]
 
     if check_id == "trq_commute":
-        t1, t2 = trq(1, N), trq(2, N)
-        return [("q-trace pair", t1.commutator(t2))]
+        return _commutators([trq(1, N), trq(2, N)], "[trq1,trq2]")
 
     if check_id == "qosc_coherence":
         params = ModelParams.q_osc()

@@ -20,11 +20,10 @@ class CheckReport:
 
     __slots__ = ("id", "params", "status", "residual_terms", "witness", "anchor", "elapsed")
 
-    def __init__(self, id: str, params: dict, status: str, residual_terms: int,
-                 witness: str, anchor: str = "", elapsed: float = 0.0):
+    def __init__(self, id: str, params: dict, status: str, residual_terms: int, witness: str):
         self.id, self.params, self.status = id, params, status
         self.residual_terms, self.witness = residual_terms, witness
-        self.anchor, self.elapsed = anchor, elapsed
+        self.anchor, self.elapsed = "", 0.0
 
     def as_row(self) -> dict:
         return {

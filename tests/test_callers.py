@@ -11,7 +11,8 @@ while another's is called) is not caught.  Dunder methods are exempt.
 A call passes a parameter by keyword, by position, or through a ``*`` or
 ``**`` spread; calls inside the function's own body count, since a builder may
 recurse.  Calls match by the called name as above, and a method's ``self`` or
-``cls`` takes no position of the call.
+``cls`` takes no position of the call.  An ``__init__`` is the one dunder this
+scan reads: its calls are those by the name of its class.
 
 No module reads (``obj._name``) or imports (``from .x import _name``) an
 underscore name that only another module defines: a module defines the names
@@ -43,17 +44,22 @@ ALLOWED_UNPASSED = {
 }
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _scan(src: Path):
-    """The function definitions of ``src``, each with whether it is a method,
-    and its ``Name``, ``Attribute`` and ``Call`` nodes by name."""
+    """The function definitions of ``src``, each with the name of its class
+    (``None`` for a function), and its ``Name``, ``Attribute`` and ``Call``
+    nodes by name."""
     trees = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
-    defs = []  # (function node, is a method)
+    defs = []  # (function node, class name or None)
     names, attrs, calls = {}, {}, {}
     for tree in trees:
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    defs.append((child, isinstance(node, ast.ClassDef)))
+                    defs.append((child, node.name if isinstance(node, ast.ClassDef) else None))
             if isinstance(node, ast.Name):
                 names.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
@@ -62,16 +68,17 @@ def _scan(src: Path):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
-    defs = [(fn, m) for fn, m in defs if not (fn.name.startswith("__") and fn.name.endswith("__"))]
     return defs, names, attrs, calls
 
 
 def _uncalled(src: Path) -> set[str]:
     defs, names, attrs, _ = _scan(src)
     out = set()
-    for fn, is_method in defs:
+    for fn, cls in defs:
+        if _dunder(fn.name):
+            continue
         inside = {id(n) for n in ast.walk(fn)}
-        refs = attrs.get(fn.name, []) + ([] if is_method else names.get(fn.name, []))
+        refs = attrs.get(fn.name, []) + ([] if cls else names.get(fn.name, []))
         if all(id(r) in inside for r in refs):
             out.add(fn.name)
     return out
@@ -87,16 +94,22 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
 def _unpassed(src: Path) -> set[str]:
     defs, _, _, calls = _scan(src)
     out = set()
-    for fn, is_method in defs:
+    for fn, cls in defs:
+        if fn.name == "__init__" and cls:
+            called = cls
+        elif _dunder(fn.name):
+            continue
+        else:
+            called = fn.name
         a = fn.args
         static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
-        positional = (a.posonlyargs + a.args)[int(is_method and not static):]
+        positional = (a.posonlyargs + a.args)[int(cls is not None and not static):]
         first = len(positional) - len(a.defaults)
         defaulted = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
         defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
         for position, name in defaulted:
-            if not any(_passes(c, position, name) for c in calls.get(fn.name, [])):
-                out.add(f"{fn.name}({name})")
+            if not any(_passes(c, position, name) for c in calls.get(called, [])):
+                out.add(f"{called}({name})")
     return out
 
 
@@ -175,6 +188,9 @@ def test_the_scan_sees_a_parameter_no_call_passes(tmp_path):
         "    def meth(self, a=1, b=2):\n        return a\n\n"
         "    @classmethod\n    def make(cls, a=1):\n        return cls()\n\n"
         "    @staticmethod\n    def st(a=1, b=2):\n        return a\n\n"
+        "class J:\n"
+        "    def __init__(self, a=1, b=2):\n        self.a = a\n\n"
+        "    def __add__(self, other=None):\n        return self\n\n"
         "args, kw = (1,), {}\n"
         "f(0, 1, d=2)\n"     # b by position, d by keyword
         "g()\n"              # b only in g's own body
@@ -182,5 +198,7 @@ def test_the_scan_sees_a_parameter_no_call_passes(tmp_path):
         "f(0, **kw)\n"       # every keyword through a spread
         "K().meth(1)\n"      # a, after self
         "K.make()\n"
-        "K.st(1)\n")
-    assert _unpassed(tmp_path) == {"g(a)", "h(c)", "meth(b)", "make(a)", "st(b)"}
+        "K.st(1)\n"
+        "J(1)\n")            # __init__'s a, through the class name
+    # other dunders stay exempt
+    assert _unpassed(tmp_path) == {"g(a)", "h(c)", "meth(b)", "make(a)", "st(b)", "J(b)"}

@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import pytest
 
+from toda2 import quantum
 from toda2.quantum import (ModelParams, build_lax, build_scalar_aux,
                            check_hamiltonians, check_ultralocalisation,
-                           hamiltonians, monodromy, q_sigma_z, transfer_trace, trq)
+                           hamiltonians, monodromy, q_sigma_z, spectral_coefficients,
+                           transfer_trace, trq)
 from toda2.reports import report_from_residuals
 from toda2.ring import Scalar
 from toda2.weyl import Lattice, WeylOp
@@ -62,14 +66,14 @@ def test_single_site_twist_identity_by_hand():
 
 
 def test_transfer_degree_and_leading_coefficient():
-    for N in (1, 2, 3):
-        t = transfer_trace("tloc", N, LAM, ModelParams(
-            Scalar.var("d1"), Scalar.var("d2"), Scalar.zero()))
-        # t is a polynomial of degree N in lam with unit leading coefficient
-        parts = [t.coeff_of_var("lam", p) * LAM ** p for p in range(N + 1)]
-        assert (t - sum(parts, WeylOp.zero(Lattice(N, True)))).is_zero()
-        lead = t.coeff_of_var("lam", N)
-        assert (lead - WeylOp.one(Lattice(N, True))).is_zero()
+    params = ModelParams(Scalar.var("d1"), Scalar.var("d2"), Scalar.zero())
+    for N in (1, 2, 3, 4):
+        # both traces have degree N in lam, though lhat and Gtilde0 carry lam^2;
+        # the leading coefficient is 1 for tloc and s^(4N-2) for tau (the taut twist)
+        for kind, lead in (("tloc", Scalar.const(1)), ("tau", spow(4 * N - 2))):
+            cs, rest = spectral_coefficients(kind, N, params)
+            assert len(cs) == N + 1 and rest.is_zero(), (kind, N)
+            assert (cs[N] - WeylOp.scalar(lead, Lattice(N, True))).is_zero(), (kind, N)
 
 
 def test_charge_extraction_signs():
@@ -94,6 +98,61 @@ def test_leading_charge_is_unity_without_top_coupling():
 def test_hamiltonian_checks(cid):
     rep = report_from_residuals({}, check_hamiltonians(cid, N=3))
     assert rep.status == "pass", (cid, rep.witness)
+
+
+def _perturb_site_one(monkeypatch):
+    """Add U_1 to entry (2,2) of the bare and of the ultralocal Lax matrix at site 1."""
+    build = quantum.build_lax
+
+    def perturbed(kind, n, lam, params, lattice):
+        m = build(kind, n, lam, params, lattice)
+        if kind in ("l", "Lloc") and n == 1:
+            m.entries[1][1] = m.entries[1][1] + WeylOp.word(lattice, [(1, "U", 1)])
+        return m
+
+    monkeypatch.setattr(quantum, "build_lax", perturbed)
+
+
+@pytest.mark.parametrize("kind, terms", [("tau", 176), ("tloc", 66)])
+def test_a_perturbed_lax_fails_the_coefficient_and_the_two_point_commutator(monkeypatch,
+                                                                           kind, terms):
+    _perturb_site_one(monkeypatch)
+    items = check_hamiltonians(f"{kind}_commute", N=3)
+    assert any(label.startswith("N=3 [c") and not res.is_zero() for label, res in items)
+    assert report_from_residuals({}, items).status == "fail"
+    t1 = transfer_trace(kind, 3, Scalar.var("lam1"), PARAMS)
+    t2 = transfer_trace(kind, 3, Scalar.var("lam2"), PARAMS)
+    assert (t1 * t2 - t2 * t1).term_count() == terms
+
+
+def test_tloc_commute_takes_the_commutators_of_commute(monkeypatch):
+    # H_j = (-1)^j c_(N-j), so [H_i, H_j] = (-1)^(i+j+1) [c_(N-j), c_(N-i)] for
+    # i < j; a perturbed Lax makes them nonzero, so the match is not trivial
+    _perturb_site_one(monkeypatch)
+    N = 3
+    tloc = dict(check_hamiltonians("tloc_commute", N=N))
+    commute = check_hamiltonians("commute", N=N)
+    assert report_from_residuals({}, commute).status == "fail"
+    pairs = list(combinations(range(N + 1), 2))
+    assert len(commute) == len(pairs)
+    for (i, j), (label, res) in zip(pairs, commute):
+        assert label == f"[H{i},H{j}]"
+        c = tloc[f"N={N} [c{N - j},c{N - i}]"]
+        assert res == (c if (i + j) % 2 else -c), label
+
+
+def test_a_lam_squared_closing_corner_leaves_a_residual_beyond_degree(monkeypatch):
+    build = quantum.build_scalar_aux
+
+    def perturbed(kind, lam, params):
+        m = build(kind, lam, params)
+        if kind == "Gtilde0":
+            m.entries[0][1] = m.entries[0][1] + lam * lam
+        return m
+
+    monkeypatch.setattr(quantum, "build_scalar_aux", perturbed)
+    items = dict(check_hamiltonians("tau_commute", N=3))
+    assert items["N=3 beyond degree 3"].term_count() == 3
 
 
 def test_ultralocality_of_local_lax():
