@@ -14,15 +14,24 @@ and 0 is the identity; :func:`decode_key` reads it back as ``(site, a2, b2)``
 triples.  The normal-ordered product of two monomials has the key ``k1 + k2``
 and the s-phase ``sum_n b1_n * a2_n``, which depends only on the U part of
 the left key and the V part of the right one.  The product kernel therefore
-groups the left operand by U part and the right one by V part, takes the
-phase once per pair of groups, and runs its inner loops on integer additions
-only.  It sums several products in one accumulator (:meth:`WeylOp.dot`), so a
-matrix entry or a residual ``a b - c d`` is built without its products
-standing apart; ``a * b`` is the sum of one product.  The commutator is one
-fused pass of the same kind: ``k1 k2`` and ``k2 k1`` share their key, so each
-pair adds ``c1 c2 s^phi12`` and ``-c1 c2 s^phi21`` into one row and a pair
-with equal phases adds nothing.  Both kernels add every coefficient product
-through ``ring.accumulate`` and build one Scalar per surviving row.
+groups the left operand by U part and the right one by V part, reads the
+phase of each pair of groups from a table over the distinct parts, and runs
+its inner loops on integer additions only.  It sums several products in one
+pass (:meth:`WeylOp.dot`), so a matrix entry or a residual ``a b - c d`` is
+built without its products standing apart; ``a * b`` is the sum of one
+product.  The output is built one slice at a time: both operands of every
+product are also put into buckets by the site-1 factor ``V_1^a U_1^b`` of
+their keys, a pair of buckets feeds exactly one slice (the keys whose site-1
+factor is the product of the two), and each slice runs to completion over
+every pair before the next one starts.  Keys in different slices differ, so
+a finished slice is final: its surviving rows join the output and its
+cancelled terms are gone, and only one slice's pre-cancellation terms are
+ever live.  The term cap counts the live keys, the finished slices'
+survivors plus the slice being built.  The commutator is one fused pass of
+the same kind: ``k1 k2`` and ``k2 k1`` share their key, so each pair adds
+``c1 c2 s^phi12`` and ``-c1 c2 s^phi21`` into one row and a pair with equal
+phases adds nothing.  Both kernels add every coefficient product through
+``ring.accumulate`` and build one Scalar per surviving row.
 """
 
 from __future__ import annotations
@@ -76,38 +85,88 @@ def decode_key(key: int) -> tuple:
     return tuple((n, a2, b2) for n, (a2, b2) in sites.items())
 
 
-def _grouped(terms: dict, size: int, part: int | None) -> tuple[dict, list, int]:
-    """The terms grouped by the digits of one part of their keys (0: V, 1: U;
-    None: one group, no key decoded), each as (key, coefficient items, index
-    of the digits of the other part of its key); the distinct other parts in
-    index order; and the largest |digit| of any decoded key."""
-    groups: dict[tuple, list] = {}
-    others: dict[tuple, int] = {}
-    bound = 0
-    for k, c in terms.items():
-        group = other = ()
-        if part is not None:
-            ds = digits(k, 0, 2 * size)
-            bound = max(bound, max(ds), -min(ds))
-            group, other = tuple(ds[part::2]), tuple(ds[1 - part::2])
-        index = others.setdefault(other, len(others))
-        groups.setdefault(group, []).append((k, tuple(c.terms.items()), index))
-    return groups, list(others), bound
+def _phases(us: list, vs: list, shifts: dict) -> tuple[list, int]:
+    """The packed s-shift of ``sum(u * v)`` for every U part in ``us`` and V
+    part in ``vs``, as a table indexed ``[u][v]``, and its largest |phase|.
+    ``shifts`` caches the packed shift of each phase."""
+    table = []
+    top = 0
+    for u in us:
+        row = []
+        for v in vs:
+            ph = sum(map(mul, u, v))
+            sh = shifts.get(ph)
+            if sh is None:
+                sh = shifts[ph] = pack_power(var_index("s"), ph)
+            row.append(sh)
+            if abs(ph) > top:
+                top = abs(ph)
+        table.append(row)
+    return table, top
 
 
-def _operands(terms1: dict, terms2: dict, size: int) -> tuple[tuple, tuple]:
-    """The left operand grouped by the U part of its keys and the right one by
-    the V part, each with its distinct other parts (see :func:`_grouped`);
-    OverflowError if a key sum could carry."""
-    # a scalar-valued operand merges with phase 0 and moves no digit, so
-    # neither side is grouped: decoding every key of the other operand
-    # costs the sites4 command about an eighth of its time
+# the packed site-1 factor V_1^(a2/2) U_1^(b2/2) of a key is the key's residue
+# modulo the weight of site 2, taken in the signed range: both digits are small
+_SITE2_HALF = 1 << (2 * PACK_BITS - 1)
+_SITE2_MASK = (1 << 2 * PACK_BITS) - 1
+
+
+def _bucketed(slices: dict, terms1: dict, terms2: dict, size: int,
+              shifts: dict) -> tuple[int, list, list]:
+    """File the product of two Weyl term maps under its output slices.
+
+    Both operands go into buckets by the packed site-1 factor of their keys,
+    so a pair of buckets sends every key sum to one slice, ``b1 + b2``.  In
+    each bucket the left terms are grouped by the index of their U part and
+    the right ones by the index of their V part, each term as ``(key,
+    coefficient items, index of the other part of its key)``.  Each pair of
+    buckets is appended to ``slices[b1 + b2]`` as ``(left groups, right
+    groups, phases)``, where ``phases[i][j]`` is the packed s-shift of left U
+    part i against right V part j (see :func:`_phases`).  Returns the
+    largest |phase| of that table and the distinct V parts of the left
+    operand and U parts of the right one, in index order.  OverflowError if
+    a key sum could carry.
+    """
+    # a scalar-valued operand merges with phase 0 and moves no digit, so each
+    # side is one group per bucket and only the site-1 factor of each key is
+    # read: decoding every key costs the sites4 command about an eighth of its time
     scalar = (len(terms1) == 1 and 0 in terms1) or (len(terms2) == 1 and 0 in terms2)
-    left, v1s, bound1 = _grouped(terms1, size, None if scalar else 1)
-    right, u2s, bound2 = _grouped(terms2, size, None if scalar else 0)
+    operands = []
+    bound = 0
+    for terms, part in ((terms1, 1), (terms2, 0)):
+        buckets: dict[int, dict] = {}
+        parts: dict[tuple, int] = {}
+        others: dict[tuple, int] = {}
+        widest = 0
+        for k, c in terms.items():
+            i = j = 0
+            if not scalar:
+                ds = digits(k, 0, 2 * size)
+                widest = max(widest, max(ds), -min(ds))
+                i = parts.setdefault(tuple(ds[part::2]), len(parts))
+                j = others.setdefault(tuple(ds[1 - part::2]), len(others))
+            site1 = ((k + _SITE2_HALF) & _SITE2_MASK) - _SITE2_HALF
+            groups = buckets.get(site1)
+            if groups is None:
+                groups = buckets[site1] = {}
+            ts = groups.get(i)
+            if ts is None:
+                ts = groups[i] = []
+            ts.append((k, tuple(c.terms.items()), j))
+        # a scalar pair's one part on each side is the empty one
+        operands.append((buckets, list(parts) or [()], list(others) or [()]))
+        bound += widest
     # a key sum adds two digits each below 2**29: below the guard it cannot carry
-    check_bound(bound1 + bound2)
-    return (left, v1s), (right, u2s)
+    check_bound(bound)
+    (left, u1s, v1s), (right, v2s, u2s) = operands
+    phases, top = _phases(u1s, v2s, shifts)
+    for b1, lgroups in left.items():
+        for b2, rgroups in right.items():
+            work = slices.get(b1 + b2)
+            if work is None:
+                work = slices[b1 + b2] = []
+            work.append((lgroups, rgroups, phases))
+    return top, v1s, u2s
 
 
 def _coeff_bound(terms1: dict, terms2: dict, phase: int) -> int:
@@ -122,88 +181,98 @@ def _coeff_bound(terms1: dict, terms2: dict, phase: int) -> int:
 def _dot(pairs, size: int) -> dict[int, Scalar]:
     """Terms of the sum of the normal-ordered products of pairs of Weyl term maps.
 
-    Every product adds into one accumulator, so a sum whose products cancel
-    never holds them apart.  Per pair, the s-phase is taken once per pair of
-    a left U part and a right V part, each pair of keys is merged by one
-    addition, and the products of the two coefficients' terms go straight
-    into a raw row over packed scalar keys (``ring.accumulate``).  One Scalar
-    is built per surviving output key.  The term cap applies to the accumulator.
+    Every pair is filed under its output slices first (:func:`_bucketed`);
+    then each slice runs to completion over all the pairs, so a sum whose
+    products cancel never holds them apart, and once a slice is done only
+    its surviving keys stay live.  The s-phase of a pair of groups is read
+    from its table, each pair of keys is merged by one addition, and the
+    products of the two coefficients' terms go straight into a raw row over
+    packed scalar keys (``ring.accumulate``).  One Scalar is built per
+    surviving key.  The term cap counts the live keys: the finished slices'
+    survivors and the keys of the slice being built.
     """
-    s_idx = var_index("s")
-    shifts = {}
-    acc: dict[int, dict[int, int | Fraction]] = {}
-    keys: dict[int, int] = {}  # shared by every row, see ring.accumulate
+    slices: dict[int, list] = {}
+    shifts: dict[int, int] = {}
     bound = 0
     for terms1, terms2 in pairs:
-        (left, _), (right, _) = _operands(terms1, terms2, size)
-        top = 0
-        for u1, lefts in left.items():
-            for v2, rights in right.items():
-                ph = sum(map(mul, u1, v2))
-                sh = shifts.get(ph)
-                if sh is None:
-                    sh = shifts[ph] = pack_power(s_idx, ph)
-                if abs(ph) > top:
-                    top = abs(ph)
-                for k1, t1, _ in lefts:
-                    for k2, t2, _ in rights:
-                        k = k1 + k2
-                        row = acc.get(k)
-                        if row is None:
-                            row = acc[k] = {}
-                        accumulate(row, t1, t2, sh, keys)
-                        if not row:
-                            del acc[k]
-                        elif len(acc) > TERM_CAP:
-                            raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
-        # each sum above adds three digits below 2**29, which cannot carry
+        top, _, _ = _bucketed(slices, terms1, terms2, size, shifts)
+        # each exponent sums three digits below 2**29, which cannot carry
         bound = max(bound, _coeff_bound(terms1, terms2, top))
-    return {k: Scalar(row, bound) for k, row in acc.items()}
+    out: dict[int, Scalar] = {}
+    keys: dict[int, int] = {}  # shared by every row, see ring.accumulate
+    for work in slices.values():
+        acc: dict[int, dict[int, int | Fraction]] = {}
+        room = TERM_CAP - len(out)
+        for lgroups, rgroups, phases in work:
+            for i1, lefts in lgroups.items():
+                row_phases = phases[i1]
+                for i2, rights in rgroups.items():
+                    sh = row_phases[i2]
+                    for k1, t1, _ in lefts:
+                        for k2, t2, _ in rights:
+                            k = k1 + k2
+                            row = acc.get(k)
+                            if row is None:
+                                row = acc[k] = {}
+                            accumulate(row, t1, t2, sh, keys)
+                            if not row:
+                                del acc[k]
+                            elif len(acc) > room:
+                                raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
+        for k, row in acc.items():
+            out[k] = Scalar(row, bound)
+    return out
 
 
 def _commutator(terms1: dict, terms2: dict, size: int) -> dict[int, Scalar]:
-    """Terms of ``a*b - b*a`` for two Weyl term maps, in one pass.
+    """Terms of ``a*b - b*a`` for two Weyl term maps, in one pass, slice by
+    slice as in :func:`_dot`.
 
     A key pair adds ``c1 c2 s^phi12`` and ``-c1 c2 s^phi21`` at ``k1 + k2``,
     two ``ring.accumulate`` calls into one row; pairs with ``phi12 == phi21``
-    commute and are skipped.  phi12 comes once per group pair, as in
-    :func:`_dot`; phi21 pairs the left V part with the right U part and is
-    read from a table over the distinct parts.
+    commute and are skipped.  phi12 is read from the table of
+    :func:`_bucketed`, as in :func:`_dot`; phi21 pairs the left V part with
+    the right U part and is read from a second table over the distinct parts.
     """
-    (left, v1s), (right, u2s) = _operands(terms1, terms2, size)
-    # each left term with its negated coefficients, for the b*a products
-    left = {u1: [(k, t, tuple((m, -x) for m, x in t), i) for k, t, i in ts]
-            for u1, ts in left.items()}
-    # phi21 of every left V part with every right U part
-    table = [[sum(map(mul, v1, u2)) for u2 in u2s] for v1 in v1s]
-    s_idx = var_index("s")
-    shifts = {ph: pack_power(s_idx, ph) for row in table for ph in row}
-    acc: dict[int, dict[int, int | Fraction]] = {}
+    slices: dict[int, list] = {}
+    shifts: dict[int, int] = {}
+    top12, v1s, u2s = _bucketed(slices, terms1, terms2, size, shifts)
+    phases21, top21 = _phases(v1s, u2s, shifts)
+    bound = _coeff_bound(terms1, terms2, max(top12, top21))
+    # each left key's negated coefficients, for the b*a products
+    negated = {k: tuple((m, -x) for m, x in c.terms.items()) for k, c in terms1.items()}
+    out: dict[int, Scalar] = {}
     keys: dict[int, int] = {}
-    for u1, lefts in left.items():
-        for v2, rights in right.items():
-            ph12 = sum(map(mul, u1, v2))
-            sh12 = shifts.get(ph12)
-            if sh12 is None:
-                sh12 = shifts[ph12] = pack_power(s_idx, ph12)
-            for k1, t1, n1, i1 in lefts:
-                phases21 = table[i1]
-                for k2, t2, i2 in rights:
-                    ph21 = phases21[i2]
-                    if ph21 == ph12:
-                        continue
-                    k = k1 + k2
-                    row = acc.get(k)
-                    if row is None:
-                        row = acc[k] = {}
-                    accumulate(row, t1, t2, sh12, keys)
-                    accumulate(row, n1, t2, shifts[ph21], keys)
-                    if not row:
-                        del acc[k]
-                    elif len(acc) > TERM_CAP:
-                        raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
-    bound = _coeff_bound(terms1, terms2, max(map(abs, shifts), default=0))
-    return {k: Scalar(row, bound) for k, row in acc.items()}
+    for work in slices.values():
+        acc: dict[int, dict[int, int | Fraction]] = {}
+        room = TERM_CAP - len(out)
+        for lgroups, rgroups, phases12 in work:
+            for i1, lefts in lgroups.items():
+                row_phases = phases12[i1]
+                # left term outside the right groups: groups are small, so its
+                # negation and phi21 row are looked up once per bucket pair
+                for k1, t1, j1 in lefts:
+                    n1 = negated[k1]
+                    row_phases21 = phases21[j1]
+                    for i2, rights in rgroups.items():
+                        sh12 = row_phases[i2]
+                        for k2, t2, j2 in rights:
+                            sh21 = row_phases21[j2]
+                            if sh21 == sh12:
+                                continue
+                            k = k1 + k2
+                            row = acc.get(k)
+                            if row is None:
+                                row = acc[k] = {}
+                            accumulate(row, t1, t2, sh12, keys)
+                            accumulate(row, n1, t2, sh21, keys)
+                            if not row:
+                                del acc[k]
+                            elif len(acc) > room:
+                                raise TermCapExceeded(f"product exceeds {TERM_CAP} terms")
+        for k, row in acc.items():
+            out[k] = Scalar(row, bound)
+    return out
 
 
 class WeylOp:
@@ -324,7 +393,7 @@ class WeylOp:
 
     @staticmethod
     def dot(pairs) -> "WeylOp":
-        """``sum(a * b for a, b in pairs)``, built in one accumulator.
+        """``sum(a * b for a, b in pairs)``, built in one pass, slice by slice.
 
         At least one factor must be a WeylOp; ring scalars among the others
         are lifted onto its lattice, as ``*`` lifts them.

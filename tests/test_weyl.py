@@ -418,15 +418,115 @@ def test_dot_refuses_mixed_lattices_and_scalars_only():
 
 
 def test_dot_cap_counts_the_accumulator(monkeypatch):
-    # a * b has 16 keys; with its negation the sum is zero, but the
-    # accumulator holds all 16 before the second pair cancels them
+    # a * b has 16 keys; with its negation the sum is zero.  Its largest
+    # slice, the keys with no site-1 factor (U_m V_n, m, n > 1), holds 9
+    # keys before the second pair cancels them, and no slice survives
+    a = gen(1, "U") + gen(2, "U") + gen(3, "U") + gen(4, "U")
+    b = gen(1, "V") + gen(2, "V") + gen(3, "V") + gen(4, "V")
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 9)
+    assert WeylOp.dot([(a, b), (a, -b)]).is_zero()
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 8)
+    with pytest.raises(TermCapExceeded):
+        WeylOp.dot([(a, b), (a, -b)])
+
+
+def test_dot_cap_counts_the_finished_slices(monkeypatch):
+    # a * b alone keeps all 16 keys, spread over 4 slices (site-1 factors
+    # V1 U1, U1, V1 and none): no slice holds more than 9, but the finished
+    # slices' survivors count towards the cap
     a = gen(1, "U") + gen(2, "U") + gen(3, "U") + gen(4, "U")
     b = gen(1, "V") + gen(2, "V") + gen(3, "V") + gen(4, "V")
     monkeypatch.setattr(weyl_mod, "TERM_CAP", 16)
-    assert WeylOp.dot([(a, b), (a, -b)]).is_zero()
+    assert (a * b).term_count() == 16
     monkeypatch.setattr(weyl_mod, "TERM_CAP", 15)
     with pytest.raises(TermCapExceeded):
-        WeylOp.dot([(a, b), (a, -b)])
+        _ = a * b
+    with pytest.raises(TermCapExceeded):
+        WeylOp.dot([(a, b)])
+
+
+def test_exchange_algebra_cap_at_three_sites(monkeypatch):
+    # the 3-site ATT_TTD residual is zero; built slice by slice it never holds
+    # more than 46 live keys (the whole-entry accumulator needed 297)
+    from toda2.quantum import check_fm
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 46)
+    [(_, res)] = check_fm("ATT_TTD", N=3)
+    assert res.is_zero()
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 45)
+    with pytest.raises(TermCapExceeded):
+        check_fm("ATT_TTD", N=3)
+
+
+# -- the sliced kernels against the slow reference ----------------------------------
+
+
+def reference_dot(pairs):
+    """``sum(a * b for a, b in pairs)`` over ``(site, a2, b2)`` keys through
+    :func:`reference_product`; either factor may be a ring scalar."""
+    out = {}
+    for a, b in pairs:
+        if not isinstance(a, WeylOp):
+            a, b = b, a  # a ring scalar commutes with every operator
+        for k, c in reference_product(a, b).items():
+            out[k] = out.get(k, Scalar.zero()) + c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def test_sliced_dot_and_commutator_match_the_reference_on_random_pairs():
+    rng = random.Random(4242)
+    lam = Scalar.var("lam")
+    for trial in range(30):
+        ops = [rand_half_word_op(rng) for _ in range(3)]
+        scalar = WeylOp.scalar(rand_coeff(rng), LAT)
+        c = rng.choice([Fraction(-5, 3), lam * Fraction(1, 2) + 2, 7])
+        a, b, d = ops
+        pairs = [(a, b), (d, a), (scalar, b), (a, scalar), (c, d), (b, c)]
+        # pairs that cancel others: (a, -b) and (-scalar, b) cancel two of
+        # the pairs above, and (b a, d) cancels (b, -(a d)) term for term
+        pairs += [(a, -b), (-scalar, b)] if trial % 2 else [(b * a, d), (b, -(a * d))]
+        rng.shuffle(pairs)
+        out = WeylOp.dot(pairs)
+        assert decoded(out) == reference_dot(pairs)
+        assert canonical(out)
+        for x, y in ((a, b), (d, scalar), (scalar, a), (a, a * b + d)):
+            assert decoded(x.commutator(y)) == reference_commutator(x, y)
+
+
+def test_sliced_dot_cancels_whole_slices_and_keeps_the_rest():
+    # a * (x + y) - a * x: every slice of a * x cancels against its twin,
+    # whichever order the slices finish in, and a * y survives untouched
+    u, v = gen(1, "U"), gen(1, "V")
+    a = u * Fraction(1, 2) + gen(2, "V") * Scalar.var("lam") + gen(3, "U", Fraction(-3, 2))
+    x = v * 3 + u * v + gen(1, "U", -1)
+    y = gen(2, "U") + gen(3, "V", Fraction(1, 2)) * Fraction(2, 3)
+    out = WeylOp.dot([(a, x + y), (a, -x)])
+    assert decoded(out) == reference_product(a, y) == reference_dot([(a, x + y), (a, -x)])
+    # and within one slice: U1 * V1 and V1 * (-s^4 U1) meet at V1 U1 only
+    assert decoded(WeylOp.dot([(u, v), (v, u * -spow(4))])) == {}
+
+
+def test_exchange_residual_matches_the_reference_when_perturbed():
+    # A T1 B T2 - T2 C T1 D at 3 sites with one entry of T(lam2) moved by a
+    # monomial: every entry of the fused residual is the reference sum of its
+    # pairs' products, and the residual is not zero
+    from toda2.matops import product_difference, tensor_embed
+    from toda2.quantum import ModelParams, build_aux, monodromy
+    l1, l2 = Scalar.var("lam1"), Scalar.var("lam2")
+    params = ModelParams.generic()
+    A, B, C, D = (build_aux(k, l1, l2) for k in "ABCD")
+    T1 = tensor_embed(monodromy(3, l1, params), 1)
+    t2 = monodromy(3, l2, params)
+    t2.entries[0][1] = t2.entries[0][1] + WeylOp.word(t2.entries[0][1].lattice,
+                                                      [(2, "U", 1)], coeff=l2)
+    T2 = tensor_embed(t2, 2)
+    X, Z = A.mul(T1).mul(B), C.mul(T1).mul(D)
+    res = product_difference(X, T2, T2, Z)
+    assert not res.is_zero()
+    for i in range(4):
+        for j in range(4):
+            plus = [(X.entries[i][k], T2.entries[k][j]) for k in range(4)]
+            minus = [(T2.entries[i][k], -Z.entries[k][j]) for k in range(4)]
+            assert decoded(res.entries[i][j]) == reference_dot(plus + minus)
 
 
 # -- the fused commutator against a*b - b*a -------------------------------------
