@@ -137,6 +137,9 @@ class Chart:
         self._gen_units: list[tuple[int, int]] = []
         self._table: dict[tuple[int, int], Scalar] = {}
         self._table_bound = 0  # the largest exponent bound of a table entry
+        # id(f) -> (f, gradient numerators of f, memo of the field rows of f);
+        # holding f pins its id for the chart's life
+        self._fractions: dict[int, tuple[ScalarFraction, dict, dict]] = {}
 
     def _add_gen(self, name: str) -> None:
         idx = var_index(name)
@@ -173,16 +176,23 @@ class Chart:
         ``{p, q} = sum_i d_i p * (sum_j {x_i, x_j} d_j q)``."""
         # a result exponent sums one of p, one of q, a removed generator and one of the table
         bound = check_bound(p.exp_bound + q.exp_bound + 1 + self._table_bound)
-        grad_q = self._gradient(q)
+        return self._contract(self._gradient(p), self._gradient(q), {}, bound)
+
+    def _contract(self, left: dict, right: dict, rows: dict, bound: int) -> Scalar:
+        """``sum_i left_i * H_i`` with the field ``H_i = sum_j {x_i, x_j} right_j``;
+        ``rows`` memoises ``H_i`` by ``i`` for a ``right`` that is used again."""
         out: dict[int, int | Fraction] = {}
         keys: dict[int, int] = {}
-        for i, dp in self._gradient(p).items():
-            row: dict[int, int | Fraction] = {}
-            for j, dq in grad_q.items():
-                t = self._table.get((i, j))
-                if t is not None:
-                    accumulate(row, t.terms.items(), dq, 0, keys)
-            accumulate(out, dp, row.items(), 0, keys)
+        for i, li in left.items():
+            row = rows.get(i)
+            if row is None:
+                acc: dict[int, int | Fraction] = {}
+                for j, rj in right.items():
+                    t = self._table.get((i, j))
+                    if t is not None:
+                        accumulate(acc, t.terms.items(), rj, 0, keys)
+                row = rows[i] = list(acc.items())
+            accumulate(out, li, row, 0, keys)
         return Scalar(out, bound)
 
     def _gradient(self, p: Scalar) -> dict[int, list]:
@@ -200,16 +210,47 @@ class Chart:
         return out
 
     def bracket(self, f: ScalarFraction, g: ScalarFraction) -> ScalarFraction:
-        """Bracket of fractions via the quotient rule over a common denominator."""
-        a, b = f.num, f.den
-        c, d = g.num, g.den
-        pb = self.poly_bracket
-        num = (pb(a, c) * b * d - pb(a, d) * c * b
-               - pb(b, c) * a * d + pb(b, d) * a * c)
+        """Bracket of fractions by the quotient rule: ``{a/b, c/d} b^2 d^2 =
+        sum_i F_i H_i``, where ``F_i = b d_i a - a d_i b`` are the gradient
+        numerators of ``f = a/b`` and ``H`` is the field of those of ``g``.
+        Both are built once per fraction and kept for the chart's life."""
+        if not (f.factors or g.factors):
+            num = self.poly_bracket(f.num, g.num)
+        else:
+            # as in poly_bracket, with b d_i a and d d_j c for d_i p and d_j q
+            bound = check_bound(_span(f) + _span(g) + 1 + self._table_bound)
+            grads, _ = self._numerators(f)
+            num = self._contract(grads, *self._numerators(g), bound)
         return ScalarFraction.over(num, f, f, g, g)
+
+    def _numerators(self, f: ScalarFraction) -> tuple[dict, ...]:
+        """The gradient numerators of ``f`` by variable index, as (key,
+        coefficient) terms, and the memo of its field rows met so far."""
+        entry = self._fractions.get(id(f))
+        if entry is None:
+            a, grads = f.num, self._gradient(f.num)
+            if f.factors:
+                b, keys = f.den, {}
+                minus_a = [(k, -c) for k, c in a.terms.items()]
+                grad_b = self._gradient(b)
+                for i in grads.keys() | grad_b.keys():
+                    row: dict[int, int | Fraction] = {}
+                    accumulate(row, b.terms.items(), grads.get(i, ()), 0, keys)
+                    accumulate(row, minus_a, grad_b.get(i, ()), 0, keys)
+                    if row:
+                        grads[i] = list(row.items())
+                    else:
+                        grads.pop(i, None)
+            entry = self._fractions[id(f)] = (f, grads, {})
+        return entry[1:]
 
     def __repr__(self):
         return f"Chart({self.kind!r}, size={self.size}, periodic={self.periodic})"
+
+
+def _span(f: ScalarFraction) -> int:
+    """An exponent bound of ``f``'s numerator times its expanded denominator."""
+    return f.num.exp_bound + sum(s.exp_bound * p for s, p in f.factors.items())
 
 
 def make_chart(kind: str, size: int, periodic: bool = False) -> Chart:
@@ -418,10 +459,12 @@ def residuals_jacobi(chart: Chart) -> list[tuple[str, ScalarFraction]]:
     out = []
     gens = [chart.gen(name) for name in chart.gen_names]
     labels = chart.gen_names
-    for (i, f), (j, g), (k, h) in combinations(enumerate(gens), 3):
-        acc = (chart.bracket(f, chart.bracket(g, h))
-               + chart.bracket(g, chart.bracket(h, f))
-               + chart.bracket(h, chart.bracket(f, g)))
+    # each generator pair is bracketed once, though it meets several triples
+    inner = cache(lambda a, b: chart.bracket(gens[a], gens[b]))
+    for i, j, k in combinations(range(len(gens)), 3):
+        acc = (chart.bracket(gens[i], inner(j, k))
+               + chart.bracket(gens[j], inner(k, i))
+               + chart.bracket(gens[k], inner(i, j)))
         out.append((f"({labels[i]},{labels[j]},{labels[k]})", acc))
     return out
 

@@ -12,6 +12,8 @@ read the numerator and denominator it holds.
 import random
 from fractions import Fraction
 
+import pytest
+
 from toda2.poisson import make_chart
 from toda2.reports import residual_size
 from toda2.ring import Scalar, ScalarFraction, unpack_key, var_index
@@ -178,3 +180,97 @@ def test_one_product_under_two_maps_adds_as_the_reference():
         assert ref.den == W[0] * W[1] and total.den == den
         assert _at_point(total.num) * _at_point(ref.den) == _at_point(ref.num) * _at_point(den)
         assert total.to_text() == f"({total.num.to_text()}) / ({den.to_text()})"
+
+
+# -- the bracket numerator ------------------------------------------------------
+#
+# Chart.bracket contracts each fraction's gradient numerators F_i = b d_i a -
+# a d_i b, kept per fraction on the chart.  Its numerator must be the
+# quotient rule's, built from four poly_brackets, term for term, and its
+# factor map that of f, f, g, g.
+
+ORACLE_CHARTS = [("exlat", 3, False), ("qp", 3, True), ("darboux", 3, False)]
+
+
+def _old_numerator(chart, f: ScalarFraction, g: ScalarFraction) -> Scalar:
+    return Unreduced(f.num, f.den).bracket(chart, Unreduced(g.num, g.den)).num
+
+
+def _oracle_pairs(chart, seed: int) -> list:
+    """Seeded fractions over unit, monomial, binomial and two-factor
+    denominators, paired so that each kind meets each on either side."""
+    rng = random.Random(seed)
+    x = [Scalar.var(name) for name in chart.gen_names]
+    lam = Scalar.var("lam")  # a parameter that is not a generator
+
+    def num() -> Scalar:
+        total = Scalar.zero()
+        for _ in range(rng.randint(1, 3)):
+            powers = {n: rng.randint(-1, 2) for n in rng.sample(chart.gen_names, 2)}
+            total = total + Scalar.monomial(powers, rng.choice([-2, -1, 1, 3])) \
+                * lam ** rng.randint(0, 1)
+        return total
+
+    def binomial() -> Scalar:
+        u, v = rng.sample(x, 2)
+        return u + rng.choice([-1, 2]) * v
+
+    dens = [lambda: [],
+            lambda: [rng.choice(x) * rng.choice(x) ** -1 * rng.choice(x)],
+            lambda: [binomial()],
+            lambda: [binomial(), binomial()]]  # one factor each
+    fracs = []
+    for den in dens:
+        for _ in range(2):
+            f = ScalarFraction(num())
+            for b in den():
+                f = f / ScalarFraction(b)
+            fracs.append(f)
+    assert sorted({len(f.factors) for f in fracs}) == [0, 1, 2]
+    return [(f, g) for f in fracs for g in fracs]
+
+
+@pytest.mark.parametrize("kind,size,periodic", ORACLE_CHARTS)
+def test_bracket_numerator_is_the_quotient_rule_term_for_term(kind, size, periodic):
+    chart = make_chart(kind, size, periodic)
+    pairs = _oracle_pairs(chart, size + len(kind))
+    nonzero = 0
+    for f, g in pairs:
+        got = chart.bracket(f, g)
+        assert got.num.terms == _old_numerator(chart, f, g).terms
+        assert got.factors == ScalarFraction.over(Scalar.const(1), f, f, g, g).factors
+        nonzero += not got.is_zero()
+    assert nonzero > len(pairs) // 2
+
+
+@pytest.mark.parametrize("kind,size,periodic", ORACLE_CHARTS)
+def test_the_chart_memo_changes_no_bracket(kind, size, periodic):
+    pairs = _oracle_pairs(make_chart(kind, size, periodic), 7)
+    fresh = [make_chart(kind, size, periodic).bracket(f, g) for f, g in pairs]
+    # the same objects again and again, in a shuffled order, on one chart
+    chart = make_chart(kind, size, periodic)
+    order = list(range(len(pairs))) * 2
+    random.Random(3).shuffle(order)
+    for k in order:
+        got = chart.bracket(*pairs[k])
+        assert got.num.terms == fresh[k].num.terms and got.factors == fresh[k].factors
+    # equal fractions that are distinct objects
+    for (f, g), ref in zip(pairs, fresh):
+        copy = [ScalarFraction.over(x.num, x) for x in (f, g)]
+        got = chart.bracket(*copy)
+        assert got.num.terms == ref.num.terms and got.factors == ref.factors
+
+
+def test_a_perturbed_table_entry_changes_the_bracket_numerator():
+    chart = make_chart("exlat", 3)
+    pairs = _oracle_pairs(chart, 11)
+    (i, j), t = next(iter(chart._table.items()))
+    bent = make_chart("exlat", 3)
+    bent._table[(i, j)] = t + Scalar.var("lam")
+    bent._table[(j, i)] = -bent._table[(i, j)]
+    changed = 0
+    for f, g in pairs:
+        if len(f.factors) + len(g.factors) >= 2:  # a denominator on the fraction path
+            diff = bent.bracket(f, g).num - _old_numerator(chart, f, g)
+            changed += not diff.is_zero()
+    assert changed > 10

@@ -198,3 +198,29 @@ def test_virlat_term_pairs_stay_below_the_factored_budget(monkeypatch):
     report = report_from_residuals({}, check_bracket_identity("virlat", 8))
     assert report.status == "pass"
     assert 0 < pairs < 50_000
+
+
+def test_poly_bracket_is_where_the_tracer_sees_polynomial_pairs(monkeypatch):
+    # the benchmark's tracer counts poisson.Chart.poly_bracket: a pair of
+    # unit-denominator fractions reaches it exactly once, and the big-Lax
+    # entry brackets of poissonL_explicit reach it
+    from toda2 import poisson
+    from toda2.registry import RunConfig, run_checks
+
+    calls = []
+    poly_bracket = poisson.Chart.poly_bracket
+
+    def counted(self, p, q):
+        calls.append((p, q))
+        return poly_bracket(self, p, q)
+
+    monkeypatch.setattr(poisson.Chart, "poly_bracket", counted)
+    chart = make_chart("qp", 3, periodic=True)
+    q1, p2 = chart.gen("Q1"), chart.gen("P1") + chart.gen("Q2") ** 2
+    assert chart.bracket(q1, p2) == -2 * q1 * chart.gen("P1") + 2 * q1 * chart.gen("Q2") ** 2
+    assert calls == [(q1.num, p2.num)]
+    calls.clear()
+    chart.bracket(q1 / chart.gen("Q2"), p2)  # a denominator: the fraction path
+    assert calls == []
+    report, = run_checks(["poissonL_explicit"], RunConfig())
+    assert report.status == "pass" and calls

@@ -336,7 +336,8 @@ def test_the_exponent_guard_raises_before_any_carry():
         == Scalar.var("x", 2 ** 29 - 1)
 
 
-def test_the_weyl_kernel_and_poly_bracket_raise_before_any_carry():
+def test_the_weyl_kernel_and_poly_bracket_raise_before_any_carry(monkeypatch):
+    from toda2 import poisson, ring
     from toda2.poisson import make_chart
     lat = Lattice(2, False)
     # a coefficient exponent: lam^(2**28) squared
@@ -362,3 +363,19 @@ def test_the_weyl_kernel_and_poly_bracket_raise_before_any_carry():
         == Scalar.monomial({"Q1": 2 ** 29 - 4, "P1": 1}, -2 ** 29)
     with pytest.raises(OverflowError):
         chart.poly_bracket(q28, q28 * Scalar.var("P1"))
+    # a fraction's gradient numerators b d_i a - a d_i b sum the exponents of
+    # its numerator and denominator: that of Q1^e / (Q1^(e + 4) + P1) in Q1
+    # holds -4 Q1^(2e + 3), outside the packed range at e = 2**28
+    p1, p2 = Scalar.var("P1"), ScalarFraction(Scalar.var("P2"))
+    low, high = (ScalarFraction(Scalar.var("Q1", e), Scalar.var("Q1", e + 4) + p1)
+                 for e in (2 ** 27, 2 ** 28))
+    assert not chart.bracket(low, p2).is_zero()
+    calls = []
+    with monkeypatch.context() as m:
+        for module in (ring, poisson):
+            m.setattr(module, "accumulate", lambda *args: calls.append(args))
+        with pytest.raises(OverflowError):
+            chart.bracket(high, p2)
+        with pytest.raises(OverflowError):
+            chart.bracket(p2, high)
+    assert calls == []
