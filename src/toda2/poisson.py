@@ -215,6 +215,7 @@ class Chart:
         numerators of ``f = a/b`` and ``H`` is the field of those of ``g``.
         Both are built once per fraction and kept for the chart's life."""
         if not (f.factors or g.factors):
+            # two polynomials: bench/tracing.py counts these pairs here
             num = self.poly_bracket(f.num, g.num)
         else:
             # as in poly_bracket, with b d_i a and d d_j c for d_i p and d_j q
@@ -459,12 +460,14 @@ def residuals_jacobi(chart: Chart) -> list[tuple[str, ScalarFraction]]:
     out = []
     gens = [chart.gen(name) for name in chart.gen_names]
     labels = chart.gen_names
-    # each generator pair is bracketed once, though it meets several triples
-    inner = cache(lambda a, b: chart.bracket(gens[a], gens[b]))
+    # {f,{g,h}} + {g,{h,f}} + {h,{f,g}} with {h,f} = -{f,h}: every inner
+    # bracket is of an ascending pair, so each pair is bracketed once
+    inner = {(a, b): chart.bracket(gens[a], gens[b])
+             for a, b in combinations(range(len(gens)), 2)}
     for i, j, k in combinations(range(len(gens)), 3):
-        acc = (chart.bracket(gens[i], inner(j, k))
-               + chart.bracket(gens[j], inner(k, i))
-               + chart.bracket(gens[k], inner(i, j)))
+        acc = (chart.bracket(gens[i], inner[j, k])
+               - chart.bracket(gens[j], inner[i, k])
+               + chart.bracket(gens[k], inner[i, j]))
         out.append((f"({labels[i]},{labels[j]},{labels[k]})", acc))
     return out
 
