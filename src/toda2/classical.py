@@ -162,17 +162,17 @@ def check_classical(check_id: str, N: int, mutate: bool = False):
 
     if check_id == "involution":
         La, Lb = big_lax(chart, "mu1"), big_lax(chart, "mu2")
+        ta = {n: _trace_power(La, n) for n in (1, 2, 3)}
+        tb = {m: _trace_power(Lb, m) for m in (1, 2, 3)}
         items = []
         for n in (1, 2, 3):
             for m in (1, 2, 3):
-                items.append((f"(n={n},m={m})",
-                              chart.bracket(_trace_power(La, n), _trace_power(Lb, m))))
+                items.append((f"(n={n},m={m})", chart.bracket(ta[n], tb[m])))
         prod_q = ScalarFraction(1)
         for a in range(1, N + 1):
             prod_q = prod_q * chart.gen(f"Q{a}")
         for n in (1, 2, 3):
-            items.append((f"center(n={n})",
-                          chart.bracket(prod_q, _trace_power(La, n))))
+            items.append((f"center(n={n})", chart.bracket(prod_q, ta[n])))
         return items
 
     if check_id in ("curve_NxN", "pN_equals_trT", "curve_2x2"):

@@ -449,7 +449,10 @@ class ScalarFraction:
         return _expand(self.factors)
 
     def _times_missing(self, factors: dict) -> Scalar:
-        """The numerator over ``factors``, a multiple of this denominator."""
+        """The numerator over ``factors``, a multiple of this denominator; a
+        zero numerator is returned as it is, its missing factors unexpanded."""
+        if self.num.is_zero():
+            return self.num
         return _product(self.num, _expand(_missing(factors, self.factors)))
 
     def _coerce(self, other) -> "ScalarFraction":

@@ -156,11 +156,13 @@ def osc_qd(lattice: Lattice, n: int) -> WeylOp:
     return WeylOp.word(lattice, [(n, "V", -1)])
 
 
-def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
+def weyl_act(v: FockVector, op: WeylOp, *, interior: bool = False) -> FockVector:
     """Right action of a Weyl operator: v^(k) V^a U^b = q^(2ka) v^(k+b).
 
     Levels pushed below zero annihilate the state; that matches the left
     oscillator action whenever the operator lies in the oscillator algebra.
+    With ``interior`` only the interior output levels are built, so the
+    result is ``weyl_act(v, op).interior_part()``.
     Each (operator term, state component) product adds its numerator, moved
     by its phase, into one raw row per output level tuple and factor map of
     the component's denominator (:func:`~toda2.ring.accumulate`).  Each row
@@ -188,7 +190,7 @@ def weyl_act(v: FockVector, op: WeylOp) -> FockVector:
                 k = levels[site - 1]
                 phase += 2 * k * a2  # v^(k) V^a = q^(2ka) v^(k), a = a2/2
                 new[site - 1] = k + b2 // 2
-            if min(new) < 0:
+            if min(new) < 0 or interior and max(new) >= v.trunc:
                 continue
             # a result exponent sums one of c, one of scal and the phase
             bound = max(bound, check_bound(c.exp_bound + scal.exp_bound + abs(phase)))
@@ -218,7 +220,7 @@ def _interior_defect(K: int, N: int, term_cap: int) -> FockVector:
     which building H can trip."""
     Om = build_state("Omega", K, N=N)
     H = stochastic_hamiltonian(Lattice(N, True))
-    return (weyl_act(Om, H) - Om.scale(Scalar.const(N))).interior_part()
+    return (weyl_act(Om, H, interior=True) - Om.scale(Scalar.const(N))).interior_part()
 
 
 # -- named checks ----------------------------------------------------------------
@@ -268,7 +270,7 @@ def check_stoch(check_id: str, K: int, N: int, mutate: bool = False):
         items = []
         for col in (0, 1):
             colsum = L.entries[0][col] + L.entries[1][col]
-            diff = (weyl_act(om, colsum) - om.scale(eigen)).interior_part()
+            diff = (weyl_act(om, colsum, interior=True) - om.scale(eigen)).interior_part()
             items.append((f"column {col + 1}", diff))
         return items
 

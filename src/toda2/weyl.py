@@ -27,16 +27,24 @@ every pair before the next one starts.  Keys in different slices differ, so
 a finished slice is final: its surviving rows join the output and its
 cancelled terms are gone, and only one slice's pre-cancellation terms are
 ever live.  The term cap counts the live keys, the finished slices'
-survivors plus the slice being built.  The commutator is one fused pass of
-the same kind: ``k1 k2`` and ``k2 k1`` share their key, so each pair adds
-``c1 c2 s^phi12`` and ``-c1 c2 s^phi21`` into one row and a pair with equal
-phases adds nothing.  Both kernels add every coefficient product through
-``ring.accumulate`` and build one Scalar per surviving row.
+survivors plus the slice being built.  A call of at most ``SMALL_PAIRS`` key
+pairs, and at most ``TERM_CAP``, skips the slices and runs one accumulator
+with no cap check: it can hold no more keys than it has key pairs, so the cap
+cannot trip there, sliced or not, and almost every product of the catalogue
+is that small.  Each key's U part, V part and widest digit are read once
+(:func:`_parts`), and each word is normal-ordered once
+(:func:`_normal_order`); both memos are bounded pure functions of their
+arguments.  The commutator is one fused pass of the same kind: ``k1 k2`` and
+``k2 k1`` share their key, so each pair adds ``c1 c2 s^phi12`` and
+``-c1 c2 s^phi21`` into one row and a pair with equal phases adds nothing.
+All the kernels add every coefficient product through ``ring.accumulate``
+and build one Scalar per surviving row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -47,6 +55,10 @@ __all__ = ["Lattice", "WeylOp", "TermCapExceeded", "TERM_CAP", "decode_key"]
 
 # Guard against runaway expansions in exchange/commutativity checks.
 TERM_CAP = 10 ** 6
+
+# A _dot call of at most this many key pairs (and at most TERM_CAP) runs one
+# unsliced accumulator: almost every product of the catalogue is this small.
+SMALL_PAIRS = 64
 
 
 class TermCapExceeded(RuntimeError):
@@ -68,12 +80,44 @@ class Lattice(NamedTuple):
 
 def _doubled(power) -> int:
     """Validate a half-integer power and return 2*power as an int."""
+    if type(power) is int:
+        return 2 * power
     if not isinstance(power, (int, Fraction)):
         raise TypeError(f"Weyl powers are int or Fraction, not {type(power).__name__}")
     d = Fraction(power) * 2
     if d.denominator != 1:
         raise ValueError(f"power {power} is not a half-integer")
     return int(d)
+
+
+def _site(n) -> int:
+    """Validate a site index: an int."""
+    if not isinstance(n, int):
+        raise TypeError(f"sites are int, not {type(n).__name__}")
+    return n
+
+
+@lru_cache(maxsize=1 << 12)
+def _normal_order(lattice: Lattice, factors: tuple) -> tuple[int, int]:
+    """The key and the s exponent of an ordered product of (site, 'U'|'V',
+    doubled power) factors; see :meth:`WeylOp.word`.  Each word is
+    normal-ordered once however often it is built."""
+    key = 0
+    s_exp = 0
+    for site, kind, d in factors:
+        n = lattice.site(site)
+        a2, b2 = digits(key, 2 * n - 2, 2)
+        if kind == "V":
+            # U^b V^a = q^(2ba) V^a U^b, in doubled powers of s
+            s_exp += b2 * d
+            i, e = 2 * n - 2, a2 + d
+        elif kind == "U":
+            i, e = 2 * n - 1, b2 + d
+        else:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        check_bound(abs(e))
+        key += d << (PACK_BITS * i)
+    return key, s_exp
 
 
 def decode_key(key: int) -> tuple:
@@ -83,6 +127,15 @@ def decode_key(key: int) -> tuple:
     for i, d in unpack_key(key):
         sites.setdefault(i // 2 + 1, [0, 0])[i % 2] = d
     return tuple((n, a2, b2) for n, (a2, b2) in sites.items())
+
+
+@lru_cache(maxsize=1 << 14)
+def _parts(key: int, size: int) -> tuple[tuple, tuple, int]:
+    """The U part and the V part of a Weyl key on ``size`` sites, as tuples of
+    doubled powers by site, and its widest |digit|.  A key is read once however
+    many products it enters."""
+    ds = digits(key, 0, 2 * size)
+    return tuple(ds[1::2]), tuple(ds[0::2]), max(max(ds), -min(ds))
 
 
 def _phases(us: list, vs: list, shifts: dict) -> tuple[list, int]:
@@ -133,7 +186,7 @@ def _bucketed(slices: dict, terms1: dict, terms2: dict, size: int,
     scalar = (len(terms1) == 1 and 0 in terms1) or (len(terms2) == 1 and 0 in terms2)
     operands = []
     bound = 0
-    for terms, part in ((terms1, 1), (terms2, 0)):
+    for terms, left in ((terms1, True), (terms2, False)):
         buckets: dict[int, dict] = {}
         parts: dict[tuple, int] = {}
         others: dict[tuple, int] = {}
@@ -141,10 +194,13 @@ def _bucketed(slices: dict, terms1: dict, terms2: dict, size: int,
         for k, c in terms.items():
             i = j = 0
             if not scalar:
-                ds = digits(k, 0, 2 * size)
-                widest = max(widest, max(ds), -min(ds))
-                i = parts.setdefault(tuple(ds[part::2]), len(parts))
-                j = others.setdefault(tuple(ds[1 - part::2]), len(others))
+                u, v, w = _parts(k, size)
+                if w > widest:
+                    widest = w
+                if not left:
+                    u, v = v, u
+                i = parts.setdefault(u, len(parts))
+                j = others.setdefault(v, len(others))
             site1 = ((k + _SITE2_HALF) & _SITE2_MASK) - _SITE2_HALF
             groups = buckets.get(site1)
             if groups is None:
@@ -178,19 +234,69 @@ def _coeff_bound(terms1: dict, terms2: dict, phase: int) -> int:
                        + phase)
 
 
+def _small_dot(pairs, size: int) -> dict[int, Scalar]:
+    """:func:`_dot` in one accumulator, for calls of few key pairs.
+
+    Each key pair reads its s-phase from the U part of the left key and the
+    V part of the right one (:func:`_parts`); a pair with a scalar-valued
+    operand has phase 0 and decodes nothing.  There is no cap check: the
+    accumulator holds at most one key per key pair, and :func:`_dot` sends
+    no more pairs than ``TERM_CAP``.
+    """
+    acc: dict[int, dict[int, int | Fraction]] = {}
+    keys: dict[int, int] = {}
+    shifts: dict[int, int] = {}
+    bound = 0
+    for terms1, terms2 in pairs:
+        scalar = (len(terms1) == 1 and 0 in terms1) or (len(terms2) == 1 and 0 in terms2)
+        lefts = [(k, None if scalar else _parts(k, size), c.terms.items())
+                 for k, c in terms1.items()]
+        rights = [(k, None if scalar else _parts(k, size), c.terms.items())
+                  for k, c in terms2.items()]
+        if not scalar:
+            # a key sum adds two digits each below 2**29: below the guard it cannot carry
+            check_bound(max((p[2] for _, p, _ in lefts), default=0)
+                        + max((p[2] for _, p, _ in rights), default=0))
+        top = 0
+        for k1, p1, t1 in lefts:
+            for k2, p2, t2 in rights:
+                ph = 0 if scalar else sum(map(mul, p1[0], p2[1]))
+                sh = shifts.get(ph)
+                if sh is None:
+                    sh = shifts[ph] = pack_power(var_index("s"), ph)
+                if ph > top or -ph > top:
+                    top = abs(ph)
+                k = k1 + k2
+                row = acc.get(k)
+                if row is None:
+                    row = acc[k] = {}
+                accumulate(row, t1, t2, sh, keys)
+                if not row:
+                    del acc[k]
+        # each exponent sums three digits below 2**29, which cannot carry
+        bound = max(bound, _coeff_bound(terms1, terms2, top))
+    return {k: Scalar(row, bound) for k, row in acc.items()}
+
+
 def _dot(pairs, size: int) -> dict[int, Scalar]:
     """Terms of the sum of the normal-ordered products of pairs of Weyl term maps.
 
-    Every pair is filed under its output slices first (:func:`_bucketed`);
-    then each slice runs to completion over all the pairs, so a sum whose
-    products cancel never holds them apart, and once a slice is done only
-    its surviving keys stay live.  The s-phase of a pair of groups is read
-    from its table, each pair of keys is merged by one addition, and the
-    products of the two coefficients' terms go straight into a raw row over
-    packed scalar keys (``ring.accumulate``).  One Scalar is built per
-    surviving key.  The term cap counts the live keys: the finished slices'
-    survivors and the keys of the slice being built.
+    A call of at most ``SMALL_PAIRS`` key pairs, and at most ``TERM_CAP``,
+    runs in one accumulator (:func:`_small_dot`): it can hold no more keys
+    than it has key pairs, so the cap cannot trip there, sliced or not.
+    Any larger call files every pair under its output slices first
+    (:func:`_bucketed`); then each slice runs to completion over all the
+    pairs, so a sum whose products cancel never holds them apart, and once a
+    slice is done only its surviving keys stay live.  The s-phase of a pair
+    of groups is read from its table, each pair of keys is merged by one
+    addition, and the products of the two coefficients' terms go straight
+    into a raw row over packed scalar keys (``ring.accumulate``).  One Scalar
+    is built per surviving key.  The term cap counts the live keys: the
+    finished slices' survivors and the keys of the slice being built.
     """
+    total = sum(len(terms1) * len(terms2) for terms1, terms2 in pairs)
+    if total <= SMALL_PAIRS and total <= TERM_CAP:
+        return _small_dot(pairs, size)
     slices: dict[int, list] = {}
     shifts: dict[int, int] = {}
     bound = 0
@@ -320,22 +426,10 @@ class WeylOp:
         are absorbed into the coefficient.
         """
         c = coeff if isinstance(coeff, Scalar) else Scalar.const(coeff)
-        key = 0
-        s_exp = 0
-        for site, kind, power in factors:
-            n = lattice.site(site)
-            d = _doubled(power)
-            a2, b2 = digits(key, 2 * n - 2, 2)
-            if kind == "V":
-                # U^b V^a = q^(2ba) V^a U^b, in doubled powers of s
-                s_exp += b2 * d
-                i, e = 2 * n - 2, a2 + d
-            elif kind == "U":
-                i, e = 2 * n - 1, b2 + d
-            else:
-                raise ValueError(f"unknown generator kind {kind!r}")
-            check_bound(abs(e))
-            key += d << (PACK_BITS * i)
+        # sites and powers are checked before the memo is read: 1.0 == 1 and
+        # hashes alike, so a memo of raw factors would accept 1.0 after 1
+        key, s_exp = _normal_order(lattice, tuple((_site(n), kind, _doubled(power))
+                                                  for n, kind, power in factors))
         return cls(lattice, {key: c.shift(var_key("s", s_exp))})
 
     # -- linear structure ----------------------------------------------------

@@ -62,6 +62,21 @@ def test_classical_checks_n3(cid):
     assert rep.status == "pass", (cid, rep.witness)
 
 
+def test_involution_builds_each_trace_power_once(monkeypatch):
+    from toda2 import classical
+    powers = []
+    trace_power = classical._trace_power
+
+    def counted(L, n):
+        powers.append(n)
+        return trace_power(L, n)
+
+    monkeypatch.setattr(classical, "_trace_power", counted)
+    rep = report_from_residuals({}, check_classical("involution", N=3))
+    assert rep.status == "pass", rep.witness
+    assert sorted(powers) == [1, 1, 2, 2, 3, 3]
+
+
 def test_degenerate_wrap_is_labelled():
     # the label itself is the catalogue's: see poissonL_degenerate in test_cli
     rep = report_from_residuals({}, check_classical("poissonL_explicit", N=2))

@@ -253,6 +253,35 @@ def test_unit_denominators_are_reused_against_the_general_formulas():
     assert (g / f).den is f.num and (f / g).num is f.num
 
 
+def test_a_zero_numerator_adds_without_expanding_its_missing_factors(monkeypatch):
+    from toda2 import ring
+    x = ScalarFraction(s, s + 1) * ScalarFraction(1, s - 1)
+    z = ScalarFraction(lam, lam + 1) * ScalarFraction(1, s - 1) * 0
+    z2 = ScalarFraction(lam, lam - 1) * 0
+    assert z.is_zero() and z2.is_zero() and z.factors != x.factors
+    cases = [(x, z), (z, x), (x, -z), (z, -x), (z, z2), (z2, z)]
+
+    def formula(a, b):
+        """The sum over the lcm, each numerator times its missing factors."""
+        factors = ring._lcm(a.factors, b.factors)
+        return (ring._product(a.num, ring._expand(ring._missing(factors, a.factors)))
+                + ring._product(b.num, ring._expand(ring._missing(factors, b.factors))),
+                factors)
+
+    expected = [formula(a, b) for a, b in cases]
+    expansions = []
+    expand = ring._expand
+    monkeypatch.setattr(ring, "_expand", lambda m: expansions.append(m) or expand(m))
+    sums = [a + b for a, b in cases]
+    # only the nonzero side's missing factors are expanded
+    assert [len(m) for m in expansions] == [1, 1, 1, 1]
+    monkeypatch.setattr(ring, "_expand", expand)
+    for out, (num, factors) in zip(sums, expected):
+        assert out.num == num
+        assert list(out.factors.items()) == list(factors.items())
+        assert out.to_text() == ScalarFraction._of(num, factors).to_text()
+
+
 # -- packed monomial keys ------------------------------------------------------------
 
 

@@ -123,6 +123,29 @@ def test_weyl_act_is_a_right_action(sites):
             assert weyl_act(v, X - X).is_zero()
 
 
+@pytest.mark.parametrize("sites", [1, 2, 3])
+def test_interior_action_is_the_interior_part_of_the_full_one(sites):
+    K = 3
+    lat = Lattice(sites, True)
+    rng = random.Random(300 + sites)
+    states = [build_state("Omega", K, N=sites), fock_act("astar", 1, build_state("Omega", K, N=sites))]
+    for _ in range(3):
+        # levels up to the overflow level K + 1, over a few denominators
+        states.append(FockVector(sites, K, {
+            tuple(rng.randint(0, K + 1) for _ in range(sites)):
+                ScalarFraction(spow(rng.randint(-2, 2)) * rng.randint(1, 5),
+                               Scalar.const(1) - spow(2 * rng.randint(1, 3)))
+            for _ in range(6)}))
+    ops = _oscillator_words(lat, rng, 8) + [stochastic_hamiltonian(lat)]
+    for v in states:
+        for X in ops:
+            full = weyl_act(v, X).interior_part()
+            part = weyl_act(v, X, interior=True)
+            assert list(part.coeffs) == list(full.coeffs)
+            assert all(part.coeffs[k] == c for k, c in full.coeffs.items())
+            assert part.to_text() == full.to_text()
+
+
 def test_weyl_act_refuses_half_integer_exponents():
     lat = Lattice(2, True)
     v = FockVector.basis((1, 2), 4)

@@ -529,6 +529,94 @@ def test_exchange_residual_matches_the_reference_when_perturbed():
             assert decoded(res.entries[i][j]) == reference_dot(plus + minus)
 
 
+# -- small calls run in one unsliced accumulator ----------------------------------
+
+
+def op_of_terms(rng, count, lat=LAT):
+    """A random operator of exactly ``count`` terms; 0 gives a scalar-valued one."""
+    if count == 0:
+        return WeylOp.scalar(rand_coeff(rng), lat)
+    total = WeylOp.zero(lat)
+    while total.term_count() < count:  # each word adds at most one key
+        factors = [(rng.randint(1, lat.size), rng.choice("UV"),
+                    Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), 2))
+                   for _ in range(rng.randint(1, 3))]
+        total = total + WeylOp.word(lat, factors, coeff=rand_coeff(rng))
+    return total
+
+
+def unsliced_calls(monkeypatch):
+    """The key-pair count of every ``_dot`` call that runs unsliced, as it runs."""
+    calls = []
+    small = weyl_mod._small_dot
+
+    def spy(pairs, size):
+        calls.append(sum(len(t1) * len(t2) for t1, t2 in pairs))
+        return small(pairs, size)
+
+    monkeypatch.setattr(weyl_mod, "_small_dot", spy)
+    return calls
+
+
+def test_dot_matches_the_reference_on_both_sides_of_the_size_bound(monkeypatch):
+    calls = unsliced_calls(monkeypatch)
+    rng = random.Random(6464)
+    b = weyl_mod.SMALL_PAIRS
+    # term counts per pair, 0 for a scalar-valued operator: each call's key
+    # pairs are b or b + 1, in one pair or several, or far below b
+    shapes = [[(8, b // 8)], [(8, b // 8), (1, 1)], [(0, b)], [(b + 1, 0)],
+              [(b // 2, 1), (1, b // 2)], [(b // 2, 2), (0, 1)], [(3, 5), (5, 0), (2, 2)]]
+    for shape in shapes:
+        pairs = [(op_of_terms(rng, m), op_of_terms(rng, n)) for m, n in shape]
+        total = sum(len(x.terms) * len(y.terms) for x, y in pairs)
+        del calls[:]
+        out = WeylOp.dot(pairs)
+        assert calls == ([total] if total <= b else [])
+        assert decoded(out) == reference_dot(pairs)
+        assert canonical(out)
+        for x, y in pairs:
+            assert decoded(x * y) == reference_product(x, y)
+
+
+def test_a_small_dot_above_the_cap_keeps_its_pinned_outcome(monkeypatch):
+    # the dots of the cap tests above have 16 and 32 key pairs, within the
+    # size bound: above the cap they run sliced, so each outcome holds
+    calls = unsliced_calls(monkeypatch)
+    a = gen(1, "U") + gen(2, "U") + gen(3, "U") + gen(4, "U")
+    b = gen(1, "V") + gen(2, "V") + gen(3, "V") + gen(4, "V")
+    assert 32 <= weyl_mod.SMALL_PAIRS
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 15)
+    with pytest.raises(TermCapExceeded):
+        _ = a * b
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 9)
+    assert WeylOp.dot([(a, b), (a, -b)]).is_zero()
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 8)
+    with pytest.raises(TermCapExceeded):
+        WeylOp.dot([(a, b), (a, -b)])
+    assert calls == []
+    # at the cap itself the product runs unsliced and keeps all 16 keys
+    monkeypatch.setattr(weyl_mod, "TERM_CAP", 16)
+    assert (a * b).term_count() == 16
+    assert calls == [16]
+
+
+def test_word_refuses_a_float_power_after_the_int_word_is_built():
+    # 1.0 == 1 and hashes alike: the memo of normal-ordered words must not
+    # hand the int word's key to the float one
+    lat = Lattice(4, True)
+    factors = [(1, "U", 1), (2, "V", -1), (1, "V", 1), (5, "U", Fraction(1, 2))]
+    w = WeylOp.word(lat, factors)
+    assert decoded(w) == {((1, 2, 3), (2, -2, 0)): spow(4)}
+    assert WeylOp.word(lat, [(1, "U", Fraction(2, 2))] + factors[1:]) == w
+    with pytest.raises(TypeError):
+        WeylOp.word(lat, [(1, "U", 1.0)] + factors[1:])
+    with pytest.raises(TypeError):
+        WeylOp.word(lat, factors[:1] + [(2.0, "V", -1)] + factors[2:])
+    # the memo is per lattice: site 5 wraps to site 1 only on the periodic one
+    with pytest.raises(IndexError):
+        WeylOp.word(Lattice(4, False), factors)
+
+
 # -- the fused commutator against a*b - b*a -------------------------------------
 
 
@@ -625,3 +713,27 @@ def test_weyl_digit_guard_raises_before_any_carry():
     # x * y fits digit by digit, but its phase (2**28 - 1)**2 does not
     with pytest.raises(OverflowError):
         _ = x * y
+
+
+def test_the_digit_guard_raises_on_the_unsliced_path(monkeypatch):
+    calls = unsliced_calls(monkeypatch)
+    lat = Lattice(2, False)
+    v = WeylOp.generator(lat, 1, "V", 2 ** 27)
+    u = WeylOp.generator(lat, 2, "U", -2 ** 27)
+    vu = WeylOp.word(lat, [(1, "V", 2 ** 27), (2, "U", -2 ** 27)])
+    small = WeylOp.generator(lat, 2, "V") + WeylOp.generator(lat, 1, "U")
+    for a, b in ((v, v), (u, u), (vu, v), (u, vu)):
+        del calls[:]
+        with pytest.raises(OverflowError):
+            _ = a * b
+        with pytest.raises(OverflowError):
+            WeylOp.dot([(small, small), (a, b)])
+        assert calls == [1, 5]
+    # a phase of (2**28 - 1)**2 on one key pair
+    h = Fraction(2 ** 28 - 1, 2)
+    x = WeylOp.word(lat, [(1, "V", h), (2, "U", -h)])
+    y = WeylOp.word(lat, [(1, "U", h), (2, "V", -h)])
+    del calls[:]
+    with pytest.raises(OverflowError):
+        _ = x * y
+    assert calls == [1]
