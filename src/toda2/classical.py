@@ -12,8 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .matops import OpMatrix, swap_two_leg, tensor_embed
+from .matops import OpMatrix, embed
 from .poisson import Chart, make_chart
+from . import poisson
 from .ring import Scalar, ScalarFraction
 
 __all__ = ["build_structure", "bracket_matrix", "big_lax", "local_lax",
@@ -39,11 +40,9 @@ def big_lax(chart: Chart, mu_name: str) -> OpMatrix:
 
 
 def local_lax(chart: Chart, n: int, lam_name: str) -> OpMatrix:
-    lam = ScalarFraction(Scalar.var(lam_name))
-    return OpMatrix([
-        [lam - chart.gen(f"P{n}"), -ScalarFraction(1)],
-        [chart.gen(f"Q{n}") ** 2, ScalarFraction(0)],
-    ])
+    return OpMatrix(poisson.local_lax(ScalarFraction(Scalar.var(lam_name)), chart.gen(f"P{n}"),
+                                      chart.gen(f"Q{n}") ** 2, ScalarFraction(1),
+                                      ScalarFraction(0)))
 
 
 def classical_monodromy(chart: Chart, lam_name: str) -> OpMatrix:
@@ -80,21 +79,19 @@ def build_structure(kind: str, chart: Chart, mu1: str = "mu1", mu2: str = "mu2")
                 at(entries, i, j, i, j, half)
                 at(entries, j, i, j, i, -half)
         return OpMatrix(entries)
-    if kind in ("d12", "d21"):
-        swap = kind == "d21"
-        first, second = (mu2, mu1) if swap else (mu1, mu2)
-        r = build_structure("r12", chart, first, second)
+    if kind == "d12":
+        r = build_structure("r12", chart, mu1, mu2)
         a = build_structure("a12", chart)
-        if swap:
-            r = swap_two_leg(r, N)
-            a = swap_two_leg(a, N)
-        # d12 right-multiplies the second-leg copy; the swapped d21 the first-leg one.
-        Lother = tensor_embed(big_lax(chart, second), 1 if swap else 2)
+        # d12 right-multiplies the second-leg copy of L
+        L2 = embed(big_lax(chart, mu2), (2,), 2)
         # combine over the common denominator of r
-        den = ScalarFraction(Scalar.var(first) - Scalar.var(second))
+        den = ScalarFraction(Scalar.var(mu1) - Scalar.var(mu2))
         minus = r.sub(a.scale(den))
         plus = r.add(a.scale(den))
-        return minus.mul(Lother).neg().sub(Lother.mul(plus))
+        return minus.mul(L2).neg().sub(L2.mul(plus))
+    if kind == "d21":
+        # d12 at exchanged spectral variables, with its legs swapped
+        return embed(build_structure("d12", chart, mu2, mu1), (2, 1), 2)
     raise ValueError(f"unknown structure kind {kind!r}")
 
 
@@ -135,8 +132,8 @@ def check_classical(check_id: str, N: int, mutate: bool = False):
 
     if check_id in ("poissonL_explicit", "poissonL_dform"):
         BM = bracket_matrix(chart)
-        L1 = tensor_embed(big_lax(chart, "mu1"), 1)
-        L2 = tensor_embed(big_lax(chart, "mu2"), 2)
+        L1 = embed(big_lax(chart, "mu1"), (1,), 2)
+        L2 = embed(big_lax(chart, "mu2"), (2,), 2)
         den12 = ScalarFraction(Scalar.var("mu1") - Scalar.var("mu2"))
         if check_id == "poissonL_dform":
             d12 = build_structure("d12", chart)

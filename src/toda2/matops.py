@@ -14,12 +14,13 @@ come cleared, and each identity using them is checked as a polynomial one.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Sequence
 
 from .ring import Scalar, ScalarFraction
 from .weyl import WeylOp
 
-__all__ = ["OpMatrix", "product_difference", "tensor_embed", "swap_two_leg", "embed_two_leg"]
+__all__ = ["OpMatrix", "product_difference", "embed"]
 
 
 class OpMatrix:
@@ -234,55 +235,33 @@ def _det(entries):
     return total if total is not None else entries[0][0].zero_like()
 
 
-def tensor_embed(m: OpMatrix, leg: int) -> OpMatrix:
-    """Embed an n x n matrix on one leg of C^n (x) C^n: leg 1 as M (x) id,
-    leg 2 as id (x) M (basis index n * a + b for the pair (a, b))."""
-    if leg not in (1, 2):
-        raise ValueError("leg must be 1 or 2")
-    n = m.rows
-    if m.cols != n:
-        raise ValueError("tensor_embed expects a square matrix")
-    zero = m.entries[0][0].zero_like()
-    out = [[zero] * n * n for _ in range(n * n)]
-    for a in range(n):
-        for c in range(n):
-            x = m.entries[a][c]
-            for b in range(n):
-                if leg == 1:
-                    out[n * a + b][n * c + b] = x
-                else:
-                    out[n * b + a][n * b + c] = x
-    return OpMatrix(out)
+def embed(m: OpMatrix, legs: Sequence[int], count: int) -> OpMatrix:
+    """``m``, a matrix on ``len(legs)`` equal legs, placed on ``legs`` of
+    ``count`` legs as the identity on the others.
 
+    Leg 1 is the leading digit of a basis index, and leg ``legs[i]`` carries
+    leg ``i + 1`` of ``m``, so ``embed(m, (2, 1), 2)`` swaps the legs of ``m``.
+    Each entry of ``m`` is placed as the object it is and every other entry is
+    one shared zero, which a permutation of all ``count`` legs never needs.
+    """
+    k = len(legs)
+    if m.rows != m.cols:
+        raise ValueError(f"embed expects a square matrix, not {m.rows}x{m.cols}")
+    if not legs or len(set(legs)) != k or not all(1 <= leg <= count for leg in legs):
+        raise ValueError(f"legs {tuple(legs)} are not distinct legs of {count}")
+    n = round(m.rows ** (1 / k))
+    if n < 1 or n ** k != m.rows:
+        raise ValueError(f"a {m.rows}x{m.rows} matrix is not on {k} equal legs")
+    rest = [leg for leg in range(1, count + 1) if leg not in legs]
 
-def swap_two_leg(m: OpMatrix, N: int) -> OpMatrix:
-    """Exchange the two tensor legs of an N^2 x N^2 matrix."""
-    out = [[None] * N * N for _ in range(N * N)]
-    for a in range(N):
-        for c in range(N):
-            for b in range(N):
-                for d in range(N):
-                    out[c * N + a][d * N + b] = m.entries[a * N + c][b * N + d]
-    return OpMatrix(out)
+    def place(digits, on) -> int:
+        return sum(d * n ** (count - leg) for d, leg in zip(digits, on))
 
-
-def embed_two_leg(m: OpMatrix, legs: tuple[int, int]) -> OpMatrix:
-    """Embed a two-leg 4x4 matrix on ``legs`` of C^2 (x) C^2 (x) C^2, as the
-    identity on the third leg (leg 1 is the leading bit of a basis index)."""
-    if (m.rows, m.cols) != (4, 4):
-        raise ValueError("embed_two_leg expects a 4x4 matrix")
-    l1, l2 = legs
-    (spare,) = {1, 2, 3} - {l1, l2}
-
-    def index(i: int, x: int) -> int:
-        # basis index of m's index i = (bit on l1, bit on l2) and bit x on the spare leg
-        bits = {l1: i >> 1, l2: i & 1, spare: x}
-        return 4 * bits[1] + 2 * bits[2] + bits[3]
-
-    zero = m.entries[0][0].zero_like()
-    out = [[zero] * 8 for _ in range(8)]
-    for i in range(4):
-        for j in range(4):
-            for x in (0, 1):
-                out[index(i, x)][index(j, x)] = m.entries[i][j]
+    inner = [place(d, legs) for d in product(range(n), repeat=k)]
+    zero = m.entries[0][0].zero_like() if rest else None
+    out = [[zero] * n ** count for _ in range(n ** count)]
+    for base in (place(d, rest) for d in product(range(n), repeat=len(rest))):
+        for r, row in zip(inner, m.entries):
+            for c, x in zip(inner, row):
+                out[base + r][base + c] = x
     return OpMatrix(out)

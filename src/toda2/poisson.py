@@ -20,11 +20,12 @@ from functools import cache
 from itertools import combinations
 from math import prod
 
+from .matops import OpMatrix, embed
 from .ring import Scalar, ScalarFraction, accumulate, check_bound, digits, pack_power, var_index
 
 __all__ = ["Chart", "make_chart", "build_classical", "W_BRACKETS", "first_order",
            "pp_bracket", "w2w2_tail", "exchange", "exchange_sum", "wronskian",
-           "doublet_words", "p_words", "q2_word"]
+           "local_lax", "doublet_words", "p_words", "q2_word"]
 
 
 # Structure constants of the lattice W-algebra, each a function of the sites
@@ -75,10 +76,7 @@ def exchange(sign: int, power, weight) -> list[list]:
          [zero, power(-sign), weight(sign, -3 * sign), zero],
          [zero, zero, power(-sign), zero],
          [zero, zero, zero, power(sign)]]
-    if sign < 0:
-        swap = (0, 2, 1, 3)
-        r = [[r[i][j] for j in swap] for i in swap]
-    return r
+    return embed(OpMatrix(r), (2, 1), 2).entries if sign < 0 else r
 
 
 def exchange_sum(xi, n: int, m: int, a: int, b: int, M, zero):
@@ -99,6 +97,12 @@ def wronskian(xi, n: int, p: int, q):
     """W^(p)_n = q xi^1_n xi^2_{n+p} - xi^2_n xi^1_{n+p}, where ``xi(c, k)``
     realises xi^c_k: q = s^2 on the quantum chain and 1 classically."""
     return xi(1, n) * xi(2, n + p) * q - xi(2, n) * xi(1, n + p)
+
+
+def local_lax(lam, p, q2, one, zero) -> list[list]:
+    """The 2x2 local Lax matrix [[lam - P_n, -1], [Q_n^2, 0]], where ``p`` and
+    ``q2`` realise P_n and Q_n^2 and ``one`` and ``zero`` are their ring's."""
+    return [[lam - p, -one], [q2, zero]]
 
 
 # The canonical-pair realisation of the chain as ordered (site, "U"|"V", power)

@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import combinations
 from typing import NamedTuple
 
-from .matops import OpMatrix, embed_two_leg, product_difference, tensor_embed
+from .matops import OpMatrix, embed, product_difference
 from . import poisson
 from .ring import Scalar, ScalarFraction
 from .weyl import Lattice, WeylOp
@@ -128,20 +128,15 @@ def q_sigma_z() -> OpMatrix:
 
 
 def build_scalar_aux(kind: str, lam: Scalar, params: ModelParams) -> OpMatrix:
-    """2x2 numerical dressing matrices ``G0`` and ``Gtilde0`` of the model ``params``."""
-    one = _c(1)
-    d1, d23 = params.d1, params.d2 * params.d3
-    if kind == "G0":
-        m = [[one, _s(7) * d23 * lam],
-             [(one - _s(4)) * lam,
-              _s(-1) + _s(5) * d1 * lam + _s(7) * d23 * lam * lam]]
-        return OpMatrix(m)
-    if kind == "Gtilde0":
-        m = [[one, _s(-1) * d23 * lam],
-             [(one - _s(4)) * lam,
-              _s(-1) + _s(1) * d1 * lam + _s(-1) * d23 * lam * lam]]
-        return OpMatrix(m)
-    raise ValueError(f"unknown scalar matrix kind {kind!r}")
+    """2x2 numerical dressing matrices ``G0`` and ``Gtilde0`` of the model
+    ``params``: the ``M0`` companions (1, s^b d2 d3, 1 - s^4, s^d d1) with
+    (b, d) = (7, 5) and (-1, 1)."""
+    powers = {"G0": (7, 5), "Gtilde0": (-1, 1)}
+    if kind not in powers:
+        raise ValueError(f"unknown scalar matrix kind {kind!r}")
+    b, d = powers[kind]
+    return build_companion("M0", lam, (_c(1), _s(b) * params.d2 * params.d3,
+                                       _c(1) - _s(4), _s(d) * params.d1))
 
 
 def build_companion(kind: str, lam: Scalar,
@@ -191,9 +186,8 @@ def build_lax(kind: str, n: int, lam: Scalar, params: ModelParams,
     W = lambda factors, coeff=1: WeylOp.word(lattice, factors, coeff)
 
     if kind == "l":
-        return OpMatrix([
-            [WeylOp.scalar(lam, lattice) - op_P(lattice, n), -one],
-            [op_Q2(lattice, n), zero]])
+        return OpMatrix(poisson.local_lax(WeylOp.scalar(lam, lattice), op_P(lattice, n),
+                                          op_Q2(lattice, n), one, zero))
 
     if kind == "lhat":
         return build_lax("l", n, lam, params, lattice).mul(
@@ -354,17 +348,17 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> list:
         items = []
         for n in range(1, N + 1):
             if check_id == "AD":
-                x1 = tensor_embed(build_lax("l", n, l1, params, lattice), 1)
-                x2 = tensor_embed(build_lax("l", n, l2, params, lattice), 2)
+                x1 = embed(build_lax("l", n, l1, params, lattice), (1,), 2)
+                x2 = embed(build_lax("l", n, l2, params, lattice), (2,), 2)
                 res = product_difference(A.mul(x1), x2, x2, x1.mul(D))
             elif check_id == "B":
                 # neighbouring sites exchange through the C-type matrix
-                x1 = tensor_embed(build_lax("l", n, l1, params, lattice), 1)
-                y2 = tensor_embed(build_lax("l", n + 1, l2, params, lattice), 2)
+                x1 = embed(build_lax("l", n, l1, params, lattice), (1,), 2)
+                y2 = embed(build_lax("l", n + 1, l2, params, lattice), (2,), 2)
                 res = product_difference(x1, y2, y2.mul(C), x1)
             else:
-                x2 = tensor_embed(build_lax("l", n, l2, params, lattice), 2)
-                y1 = tensor_embed(build_lax("l", n + 1, l1, params, lattice), 1)
+                x2 = embed(build_lax("l", n, l2, params, lattice), (2,), 2)
+                y1 = embed(build_lax("l", n + 1, l1, params, lattice), (1,), 2)
                 res = product_difference(x2, y1, y1.mul(B), x2)
             items.append((f"site {n}", res))
         return items
@@ -381,8 +375,8 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> list:
                 m.entries[1][1] = m.entries[1][1] + shift
             return m
 
-        M1 = tensor_embed(companion(l1), 1)
-        M2 = tensor_embed(companion(l2), 2)
+        M1 = embed(companion(l1), (1,), 2)
+        M2 = embed(companion(l2), (2,), 2)
         res = product_difference(D.mul(M1).mul(C), M2, M2.mul(B).mul(M1), A)
         return [("compatibility", res)]
 
@@ -393,8 +387,8 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> list:
         one4 = OpMatrix.identity(4, ScalarFraction(1))
         invB = Bt.partial_transpose(1).mul(B.partial_transpose(1)).sub(one4)
         invC = Ct.partial_transpose(2).mul(C.partial_transpose(2)).sub(one4)
-        Mt1 = tensor_embed(build_companion("Mtilde0", l1, greekt), 1)
-        Mt2 = tensor_embed(build_companion("Mtilde0", l2, greekt), 2)
+        Mt1 = embed(build_companion("Mtilde0", l1, greekt), (1,), 2)
+        Mt2 = embed(build_companion("Mtilde0", l2, greekt), (2,), 2)
         lhs = D.mul(Mt2).mul(Bt).mul(Mt1)
         rhs = Mt1.mul(Ct).mul(Mt2).mul(A)
         res = lhs.sub(rhs)
@@ -403,8 +397,8 @@ def check_fm(check_id: str, N: int = 3, mutate: bool = False) -> list:
                 ("dual compatibility", res)]
 
     if check_id == "ATT_TTD":
-        T1 = tensor_embed(monodromy(N, l1, params), 1)
-        T2 = tensor_embed(monodromy(N, l2, params), 2)
+        T1 = embed(monodromy(N, l1, params), (1,), 2)
+        T2 = embed(monodromy(N, l2, params), (2,), 2)
         # the c-number matrices multiply into T1 alone, so each side has one
         # operator-by-operator product and the residual fuses the two:
         # A T1 B T2 - T2 C T1 D = X T2 - T2 Z
@@ -439,9 +433,9 @@ def check_ybe(check_id: str, mutate: bool = False) -> list:
     l2 = Scalar.var("lam2")
     if check_id == "YBE_twisted":
         l3 = Scalar.var("lam3")
-        R12 = embed_two_leg(build_aux("Rtwisted", l1, l2), (1, 2))
-        R13 = embed_two_leg(build_aux("Rtwisted", l1, l3), (1, 3))
-        R23 = embed_two_leg(build_aux("Rtwisted", l2, l3), (2, 3))
+        R12 = embed(build_aux("Rtwisted", l1, l2), (1, 2), 3)
+        R13 = embed(build_aux("Rtwisted", l1, l3), (1, 3), 3)
+        R23 = embed(build_aux("Rtwisted", l2, l3), (2, 3), 3)
         res = product_difference(R12.mul(R13), R23, R23.mul(R13), R12)
         return [("triple exchange", res)]
     if check_id == "RLL_ultralocal":
@@ -450,11 +444,11 @@ def check_ybe(check_id: str, mutate: bool = False) -> list:
         R = build_aux("Rtwisted", l1, l2)
         items = []
         for n in (1, 2):
-            L1 = tensor_embed(build_lax("Lloc", n, l1, params, lattice), 1)
+            lloc = build_lax("Lloc", n, l1, params, lattice)
             if mutate:
-                L1.entries[2][0] = WeylOp.zero(lattice)
-                L1.entries[3][1] = WeylOp.zero(lattice)
-            L2 = tensor_embed(build_lax("Lloc", n, l2, params, lattice), 2)
+                lloc.entries[1][0] = WeylOp.zero(lattice)
+            L1 = embed(lloc, (1,), 2)
+            L2 = embed(build_lax("Lloc", n, l2, params, lattice), (2,), 2)
             res = product_difference(R.mul(L1), L2, L2, L1.mul(R))
             items.append((f"site {n}", res))
             if mutate:

@@ -26,6 +26,10 @@ SITES5_REFERENCE = Path(__file__).resolve().parent / "reference" / "sites5_commu
 # the bytes of `toda2 verify all --json` at the defaults (seed 0), witness text
 # included, recorded before the realisation was written once for both sides
 CATALOGUE_REPORT = Path(__file__).resolve().parent / "reference" / "catalogue_report.json"
+# the bytes of `toda2 verify all --sites 4 --json` (seed 0), recorded before the
+# tensor legs were placed by one embedding: the d21 structure matrix and the
+# 16x16 embeddings of the classical rows run only at N > 3
+CATALOGUE_SITES4_REPORT = CATALOGUE_REPORT.with_name("catalogue_sites4.json")
 
 
 def _run(ids, **cfg):
@@ -166,6 +170,17 @@ def test_criterion_12_deterministic_reports(tmp_path):
     # the benchmark's reference rows of the same command
     ref = json.loads(CATALOGUE_REFERENCE.read_text())["rows"]
     assert _comparable(rows) == _comparable(ref)
+
+
+def test_catalogue_at_four_sites_matches_reference(tmp_path):
+    path = tmp_path / "sites4_all.json"
+    t0 = time.perf_counter()
+    assert cli.main(["verify", "all", "--sites", "4", "--json", str(path)]) == 0
+    elapsed = time.perf_counter() - t0
+    ok = path.read_bytes() == CATALOGUE_SITES4_REPORT.read_bytes()
+    print(f"ACCEPTANCE 12 [{'PASS' if ok else 'FAIL'}] full report at N=4 matches "
+          f"the recorded bytes ({elapsed:.1f}s)")
+    assert path.read_bytes() == CATALOGUE_SITES4_REPORT.read_bytes()
 
 
 def _comparable(rows):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from toda2.classical import (big_lax, bracket_matrix, build_structure, check_classical,
-                             classical_monodromy, local_lax, swap_two_leg)
-from toda2.matops import OpMatrix
+                             classical_monodromy, local_lax)
+from toda2.matops import OpMatrix, embed
 from toda2.poisson import make_chart
 from toda2.reports import report_from_residuals
 from toda2.ring import Scalar, ScalarFraction
@@ -45,14 +45,14 @@ def test_structure_matrix_entries():
     a = build_structure("a12", chart)
     assert a.entries[0 * N + 1][0 * N + 1] == Scalar.const(Fraction(1, 2))
     assert a.entries[1 * N + 0][1 * N + 0] == Scalar.const(Fraction(-1, 2))
-    assert swap_two_leg(a, N).sub(a.neg()).is_zero()
+    assert embed(a, (2, 1), 2).sub(a.neg()).is_zero()
 
 
 def test_bracket_matrix_antisymmetry_under_leg_and_spectral_swap():
     chart = make_chart("qp", 3, periodic=True)
     BM = bracket_matrix(chart, "mu1", "mu2")
     BM_swapped = bracket_matrix(chart, "mu2", "mu1")
-    assert swap_two_leg(BM_swapped, 3).sub(BM.neg()).is_zero()
+    assert embed(BM_swapped, (2, 1), 2).sub(BM.neg()).is_zero()
 
 
 @pytest.mark.parametrize("cid", ["poissonL_explicit", "poissonL_dform",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from toda2.matops import OpMatrix, embed_two_leg, product_difference, tensor_embed
+from toda2.matops import OpMatrix, embed, product_difference
 from toda2.poisson import make_chart
 from toda2.ring import Scalar, ScalarFraction, unpack_key, var_index
 from toda2.weyl import Lattice, WeylOp
@@ -66,7 +66,7 @@ def test_matmul_associativity_random():
 
 def test_sigma_z_tensor_square():
     sz = OpMatrix([[sc(1), sc(0)], [sc(0), sc(-1)]])
-    got = tensor_embed(sz, 1).mul(tensor_embed(sz, 2))
+    got = embed(sz, (1,), 2).mul(embed(sz, (2,), 2))
     expect = OpMatrix([[sc(1), sc(0), sc(0), sc(0)],
                        [sc(0), sc(-1), sc(0), sc(0)],
                        [sc(0), sc(0), sc(-1), sc(0)],
@@ -76,17 +76,72 @@ def test_sigma_z_tensor_square():
 
 def test_embed_identity_is_identity():
     one2 = OpMatrix.identity(2, sc(1))
-    assert tensor_embed(one2, 1).sub(OpMatrix.identity(4, sc(1))).is_zero()
-    assert tensor_embed(one2, 2).sub(OpMatrix.identity(4, sc(1))).is_zero()
-    with pytest.raises(ValueError, match="leg"):
-        tensor_embed(one2, 3)
+    assert embed(one2, (1,), 2).sub(OpMatrix.identity(4, sc(1))).is_zero()
+    assert embed(one2, (2,), 2).sub(OpMatrix.identity(4, sc(1))).is_zero()
+
+
+def test_embed_swaps_legs_of_the_dimension_its_matrix_has():
+    # a 9x9 matrix lives on two legs of dimension 3: the swap is 9x9, every
+    # entry moved from (3a + c, 3b + d) to (3c + a, 3d + b)
+    m = rand_scalar_matrix(random.Random(9), 9)
+    swapped = embed(m, (2, 1), 2)
+    assert (swapped.rows, swapped.cols) == (9, 9)
+    for a, c, b, d in itertools.product(range(3), repeat=4):
+        assert swapped.entries[3 * c + a][3 * d + b] is m.entries[3 * a + c][3 * b + d]
+
+
+def test_embed_rejects_a_matrix_not_on_equal_legs():
+    # 3 is not a square, so a 3x3 matrix has no two equal legs
+    with pytest.raises(ValueError, match="equal legs"):
+        embed(rand_scalar_matrix(random.Random(1), 3), (2, 1), 2)
+    with pytest.raises(ValueError, match="equal legs"):
+        embed(rand_scalar_matrix(random.Random(1), 8), (1, 2), 3)
+
+
+def test_embed_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        embed(OpMatrix([[sc(1)] * 4] * 2), (1,), 2)
+
+
+def test_embed_rejects_repeated_legs():
+    with pytest.raises(ValueError, match="distinct legs"):
+        embed(rand_scalar_matrix(random.Random(2), 4), (1, 1), 3)
+
+
+def test_embed_rejects_legs_out_of_range():
+    one2 = OpMatrix.identity(2, sc(1))
+    for legs in [(3,), (0,), ()]:
+        with pytest.raises(ValueError, match="distinct legs"):
+            embed(one2, legs, 2)
+    with pytest.raises(ValueError, match="distinct legs"):
+        embed(rand_scalar_matrix(random.Random(2), 4), (1, 4), 3)
+
+
+def test_embed_places_entries_of_m_and_one_shared_zero():
+    # the entries are m's own objects, so product_difference's negation memo
+    # (keyed on id) negates each once; every other entry is the same zero
+    m = OpMatrix([[Scalar.var("lam"), sc(0)], [sc(2), sc(3)]])
+    for legs, count in [((1,), 2), ((2,), 2), ((1,), 3), ((3,), 3)]:
+        e = embed(m, legs, count)
+        own = {id(x) for row in m.entries for x in row}
+        others = {id(x) for row in e.entries for x in row} - own
+        assert len(others) == 1
+        assert all(x.is_zero() for row in e.entries for x in row if id(x) in others)
+    r = rand_scalar_matrix(random.Random(5), 4)
+    own = {id(x) for row in r.entries for x in row}
+    for legs in itertools.permutations((1, 2, 3), 2):
+        e = embed(r, legs, 3)
+        assert len({id(x) for row in e.entries for x in row} - own) == 1
+    # a permutation of all legs needs no zero, so entries without zero_like work
+    assert {id(x) for row in embed(r, (2, 1), 2).entries for x in row} <= own
+    assert embed(OpMatrix([[1, 2, 3, 4]] * 4), (2, 1), 2).entries[1] == [1, 3, 2, 4]
 
 
 def test_leg_product_index_arithmetic_oracle():
     lam1, lam2 = Scalar.var("lam1"), Scalar.var("lam2")
     l1 = build_lax("l", 1, lam1, PARAMS, LAT)
     l2 = build_lax("l", 1, lam2, PARAMS, LAT)
-    prod = tensor_embed(l1, 1).mul(tensor_embed(l2, 2))
+    prod = embed(l1, (1,), 2).mul(embed(l2, (2,), 2))
     # entry ((a,b),(c,d)) of the product must be l1[a][c] * l2[b][d]
     for a in range(2):
         for b in range(2):
@@ -103,8 +158,8 @@ def test_legs_commute_for_scalar_entries():
     for n in (2, 3):
         a = rand_scalar_matrix(rng, n)
         b = rand_scalar_matrix(rng, n)
-        lhs = tensor_embed(a, 1).mul(tensor_embed(b, 2))
-        rhs = tensor_embed(b, 2).mul(tensor_embed(a, 1))
+        lhs = embed(a, (1,), 2).mul(embed(b, (2,), 2))
+        rhs = embed(b, (2,), 2).mul(embed(a, (1,), 2))
         assert lhs.sub(rhs).is_zero()
         # entry ((i,j),(k,l)) of the product is a[i][k] * b[j][l]
         for i, j, k, l in itertools.product(range(n), repeat=4):
@@ -190,7 +245,7 @@ def test_inverse_comm_adjugate():
 def test_three_leg_embedding_matches_two_leg():
     rng = random.Random(6)
     m = rand_scalar_matrix(rng, 4)
-    e12 = embed_two_leg(m, (1, 2))
+    e12 = embed(m, (1, 2), 3)
     for r in range(8):
         for c in range(8):
             rb = [(r >> k) & 1 for k in (2, 1, 0)]
@@ -271,8 +326,8 @@ def test_product_difference_on_random_half_integer_weyl_matrices():
 
 def test_product_difference_on_three_site_monodromy_entries():
     lam1, lam2 = Scalar.var("lam1"), Scalar.var("lam2")
-    T1 = tensor_embed(monodromy(3, lam1, PARAMS), 1)
-    T2 = tensor_embed(monodromy(3, lam2, PARAMS), 2)
+    T1 = embed(monodromy(3, lam1, PARAMS), (1,), 2)
+    T2 = embed(monodromy(3, lam2, PARAMS), (2,), 2)
     res = _assert_product_difference(T1, T2, T2, T1)
     assert not res.is_zero()  # the monodromy entries do not commute
 
@@ -280,8 +335,8 @@ def test_product_difference_on_three_site_monodromy_entries():
 def test_product_difference_mixes_c_numbers_and_operators():
     lam1, lam2 = Scalar.var("lam1"), Scalar.var("lam2")
     A, D = build_aux("A", lam1, lam2), build_aux("D", lam1, lam2)
-    x1 = tensor_embed(build_lax("l", 1, lam1, PARAMS, LAT), 1)
-    x2 = tensor_embed(build_lax("l", 2, lam2, PARAMS, LAT), 2)
+    x1 = embed(build_lax("l", 1, lam1, PARAMS, LAT), (1,), 2)
+    x2 = embed(build_lax("l", 2, lam2, PARAMS, LAT), (2,), 2)
     _assert_product_difference(A, x1, x2, D)
     _assert_product_difference(x1, A, D, x2)
     _assert_product_difference(A.mul(x1), x2, x2, x1.mul(D))
@@ -359,10 +414,25 @@ def _transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def _leg_permutation(order):
+    """The permutation matrix that moves digit t of a basis index (leg 1 the
+    leading digit, every leg of dimension 2) to leg ``order[t]``."""
+    count = len(order)
+    out = [[Fraction(0)] * 2 ** count for _ in range(2 ** count)]
+    for digits in itertools.product((0, 1), repeat=count):
+        moved = [None] * count
+        for digit, leg in zip(digits, order):
+            moved[leg - 1] = digit
+        out[int("".join(map(str, moved)), 2)][int("".join(map(str, digits)), 2)] = Fraction(1)
+    return out
+
+
 def test_matrix_layer_agrees_with_fraction_lists_at_random_points():
     rng = random.Random(2024)
     swap = [[Fraction(int(c == 2 * (r % 2) + r // 2)) for c in range(4)] for r in range(4)]
     swap23 = _kron(_eye(2), swap)
+    assert _leg_permutation((2, 1)) == swap
+    assert _leg_permutation((1, 3, 2)) == swap23
     for _ in range(6):
         point = {"lam": _rand_rational(rng), "mu": _rand_rational(rng)}
         ev = lambda m: _evaluate(m, point)
@@ -370,13 +440,20 @@ def test_matrix_layer_agrees_with_fraction_lists_at_random_points():
         assert ev(a.mul(b)) == _matmul(ev(a), ev(b))
         for n in (2, 3):
             m = _rand_laurent_matrix(rng, n, n)
-            assert ev(tensor_embed(m, 1)) == _kron(ev(m), _eye(n))
-            assert ev(tensor_embed(m, 2)) == _kron(_eye(n), ev(m))
+            assert ev(embed(m, (1,), 2)) == _kron(ev(m), _eye(n))
+            assert ev(embed(m, (2,), 2)) == _kron(_eye(n), ev(m))
         m = _rand_laurent_matrix(rng, 4, 4)
         x = ev(m)
-        assert ev(embed_two_leg(m, (1, 2))) == _kron(x, _eye(2))
-        assert ev(embed_two_leg(m, (2, 3))) == _kron(_eye(2), x)
-        assert ev(embed_two_leg(m, (1, 3))) == _matmul(_matmul(swap23, _kron(x, _eye(2))), swap23)
+        assert ev(embed(m, (1, 2), 3)) == _kron(x, _eye(2))
+        assert ev(embed(m, (2, 3), 3)) == _kron(_eye(2), x)
+        assert ev(embed(m, (1, 3), 3)) == _matmul(_matmul(swap23, _kron(x, _eye(2))), swap23)
+        assert ev(embed(m, (2, 1), 2)) == _matmul(_matmul(swap, x), swap)
+        # every ordered pair of three legs: m (x) 1 with its digits moved onto
+        # (first, second, the spare leg)
+        for legs in itertools.permutations((1, 2, 3), 2):
+            (spare,) = {1, 2, 3} - set(legs)
+            p = _leg_permutation(legs + (spare,))
+            assert ev(embed(m, legs, 3)) == _matmul(_matmul(p, _kron(x, _eye(2))), _transpose(p))
         # m = sum over a, c of E_ac (x) block_ac; a partial transpose acts on one factor
         blocks = {(a, c): [row[2 * c:2 * c + 2] for row in x[2 * a:2 * a + 2]]
                   for a in range(2) for c in range(2)}

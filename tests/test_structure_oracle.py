@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from toda2.classical import local_lax
-from toda2.matops import embed_two_leg
+from toda2.matops import embed
 from toda2.poisson import make_chart
 from toda2.quantum import build_aux, build_companion
 from toda2.ring import Scalar, ScalarFraction, unpack_key, var_index
@@ -121,8 +121,8 @@ def _bump(m, i, j):
 
 def _ybe(point, corrupt: bool):
     lam = [Scalar.var(f"lam{k}") for k in (1, 2, 3)]
-    R = {(i, j): _evaluate(embed_two_leg(build_aux("Rtwisted", lam[i - 1], lam[j - 1]),
-                                         (i, j)), point)
+    R = {(i, j): _evaluate(embed(build_aux("Rtwisted", lam[i - 1], lam[j - 1]), (i, j), 3),
+                           point)
          for i, j in ((1, 2), (1, 3), (2, 3))}
     if corrupt:
         R[(1, 3)] = _bump(R[(1, 3)], 1, 2)

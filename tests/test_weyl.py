@@ -509,16 +509,16 @@ def test_exchange_residual_matches_the_reference_when_perturbed():
     # A T1 B T2 - T2 C T1 D at 3 sites with one entry of T(lam2) moved by a
     # monomial: every entry of the fused residual is the reference sum of its
     # pairs' products, and the residual is not zero
-    from toda2.matops import product_difference, tensor_embed
+    from toda2.matops import embed, product_difference
     from toda2.quantum import ModelParams, build_aux, monodromy
     l1, l2 = Scalar.var("lam1"), Scalar.var("lam2")
     params = ModelParams.generic()
     A, B, C, D = (build_aux(k, l1, l2) for k in "ABCD")
-    T1 = tensor_embed(monodromy(3, l1, params), 1)
+    T1 = embed(monodromy(3, l1, params), (1,), 2)
     t2 = monodromy(3, l2, params)
     t2.entries[0][1] = t2.entries[0][1] + WeylOp.word(t2.entries[0][1].lattice,
                                                       [(2, "U", 1)], coeff=l2)
-    T2 = tensor_embed(t2, 2)
+    T2 = embed(t2, (2,), 2)
     X, Z = A.mul(T1).mul(B), C.mul(T1).mul(D)
     res = product_difference(X, T2, T2, Z)
     assert not res.is_zero()
